@@ -472,6 +472,13 @@ class RelaxationSpace:
             [params.cost, 1.0 - params.quality, params.latency], dtype=float
         )
 
+    @staticmethod
+    def origins_of(params: "list[TriParams]") -> np.ndarray:
+        """:meth:`origin_of` for many requests, stacked into ``(r, 3)``."""
+        return np.array(
+            [(p.cost, 1.0 - p.quality, p.latency) for p in params], dtype=float
+        )
+
     def relaxations(self, origin: np.ndarray) -> np.ndarray:
         """Step 1 (Table 3): clipped per-dimension relaxations, ``(n, 3)``."""
         return np.maximum(self.points - origin[None, :], 0.0)

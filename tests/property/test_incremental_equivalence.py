@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from admissible_inputs import admissible_batches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +178,25 @@ def test_incremental_batch_bitwise_identical_to_exact(points, requests, k):
     got = incremental.solve_batch(requests, k)
     for want, have in zip(expected, got):
         assert_bitwise_equal(have, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_batches(), st.sampled_from([1, 2, 512]))
+def test_incremental_admissible_batch_bitwise_identical_to_exact(instance, block):
+    """Both exact backends == ``ADPaRExact`` across the batch certificate."""
+    points, specs = instance
+    ensemble = StrategyEnsemble.from_params(points)
+    exact, incremental = _solver_pair(ensemble, block=block)
+    requests = [
+        DeploymentRequest(f"d{i}", params, k=k) for i, (params, k) in enumerate(specs)
+    ]
+    reference = ADPaRExact(ensemble, space=exact.space)
+    for request, want, have in zip(
+        requests, exact.solve_batch(requests), incremental.solve_batch(requests)
+    ):
+        expected = reference.solve(request)
+        assert_bitwise_equal(want, expected)
+        assert_bitwise_equal(have, expected)
 
 
 def test_engine_serves_incremental_backend(table1_ensemble):

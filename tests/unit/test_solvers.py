@@ -1,5 +1,7 @@
 """Unit tests for the ADPaR solver subsystem: registry, space, engine API."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from repro.engine import (
     SolverRegistry,
     default_solver_registry,
     solver_options_key,
+)
+from repro.engine.solvers import (
+    IncrementalExactSolver,
+    VectorizedExactSolver,
+    _admissible_results,
 )
 from repro.exceptions import InfeasibleRequestError, UnknownSolverError
 
@@ -316,3 +323,67 @@ class TestSessionSolverRouting:
         reference = OneDimBaseline(tiny_ensemble, availability=1.0).solve(impossible)
         assert decision.alternative.alternative == reference.alternative
         assert decision.alternative.distance == reference.distance
+
+
+class TestAdmissibleCertificate:
+    """The exact batch backends' sweep-free answer for admissible requests."""
+
+    @pytest.fixture
+    def ensemble(self):
+        return StrategyEnsemble.from_params(
+            [
+                # Against a cost-0 request this row's relaxation is
+                # (1e-200, 0, 0): not zero, but its norm underflows to 0.
+                TriParams(0.9, 1e-200, 0.1),
+                TriParams(0.9, 0.0, 0.1),
+                TriParams(0.9, 0.0, 0.1),  # duplicate: index tie-break
+                TriParams(0.8, 0.3, 0.3),
+                TriParams(0.5, 0.6, 0.6),
+            ]
+        )
+
+    REQUESTS = [
+        # Two rows need no relaxation; three zero-norm rows tie on norm.
+        ("two-exact", TriParams(0.9, 0.0, 0.1), 2, True),
+        # Only two rows need none: the sweep answers (at distance 0).
+        ("k-above-exact", TriParams(0.9, 0.0, 0.1), 3, False),
+        ("four-exact", TriParams(0.8, 0.3, 0.3), 3, True),
+        ("k-equals-n", TriParams(0.5, 0.6, 0.6), 5, True),
+        # Row 3 needs a one-ulp cost relaxation: the sweep answers.
+        ("tiny-cost", TriParams(0.8, math.nextafter(0.3, 0.0), 0.3), 4, False),
+        ("hard", TriParams(0.95, 0.1, 0.05), 2, False),
+    ]
+
+    def test_certifies_exactly_the_admissible_requests(self, ensemble):
+        space = RelaxationSpace(ensemble, 1.0)
+        part = [(params, k) for _, params, k, _ in self.REQUESTS]
+        relax_block = space.relaxation_batch(space.origins_of([p for p, _ in part]))
+        answers = _admissible_results(ensemble, part, relax_block)
+        reference = ADPaRExact(ensemble, space=space)
+        for (name, params, k, certified), answer in zip(self.REQUESTS, answers):
+            assert (answer is not None) is certified, name
+            if certified:
+                assert answer == reference.solve(params, k), name
+        chosen = {
+            name: answer.strategy_indices
+            for (name, *_), answer in zip(self.REQUESTS, answers)
+            if answer is not None
+        }
+        assert chosen == {
+            "two-exact": (0, 1),
+            "four-exact": (0, 1, 2),
+            "k-equals-n": (0, 1, 2, 3, 4),
+        }
+
+    @pytest.mark.parametrize(
+        "backend", [VectorizedExactSolver, IncrementalExactSolver]
+    )
+    def test_batch_backends_match_reference_on_both_sides(self, ensemble, backend):
+        context = SolverContext(ensemble, 1.0).with_space()
+        requests = [
+            DeploymentRequest(name, params, k=k) for name, params, k, _ in self.REQUESTS
+        ]
+        reference = ADPaRExact(ensemble, space=context.space)
+        got = backend(context, {}).solve_batch(requests)
+        assert got == [reference.solve(request) for request in requests]
+        assert [r.distance == 0.0 for r in got] == [True] * 5 + [False]
