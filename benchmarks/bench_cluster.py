@@ -28,7 +28,7 @@ from pathlib import Path
 
 from bench_recording import record
 
-from repro.api import API_VERSION, EngineSpec, EnsembleRef, ServiceClient
+from repro.api import API_VERSION, EngineSpec, EnsembleRef, ServiceClient, encode
 from repro.api.wire import report_from_dict
 from repro.cluster import HashRing, RouterService, WorkerSupervisor, make_router_server
 from repro.engine import RecommendationEngine
@@ -90,7 +90,7 @@ def _balanced_ensembles():
 def _client_payloads(client_idx: int, fingerprint: str):
     """One client's op sequence: distinct params per op (cache misses
     keep the work CPU-bound), alternating resolve/alternatives."""
-    spec_wire = _spec().to_dict()
+    spec_wire = encode(_spec())
     requests = generate_requests(
         RESOLVE_BATCH * OPS_PER_CLIENT,
         k=3,
@@ -146,7 +146,7 @@ def _upload(host: str, port: int, refs) -> None:
                 {
                     "api_version": API_VERSION,
                     "type": "plan",
-                    "ensemble": ref.to_dict(),
+                    "ensemble": encode(ref),
                     "requests": [],
                 }
             )

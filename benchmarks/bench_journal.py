@@ -38,6 +38,7 @@ from repro.api import (
     EngineSpec,
     EnsembleRef,
     ServiceClient,
+    encode,
     make_server,
 )
 from repro.journal import DecisionJournal, replay_trace
@@ -85,13 +86,13 @@ def _wire(requests):
 
 def _drive_once(client: ServiceClient, ref: EnsembleRef, stream) -> int:
     """One full session lifecycle over HTTP; returns the op count."""
-    spec_wire = EngineSpec(availability=AVAILABILITY).to_dict()
+    spec_wire = encode(EngineSpec(availability=AVAILABILITY))
     ops = 0
     opened = client.post(
         {
             "api_version": API_VERSION,
             "type": "submit_batch",
-            "ensemble": ref.to_dict(),
+            "ensemble": encode(ref),
             "spec": spec_wire,
             "requests": _wire(stream[:BURST]),
         }

@@ -35,6 +35,7 @@ from repro.api import (
     EnsembleRef,
     ResolveRequest,
     ServiceClient,
+    encode,
     make_server,
 )
 from repro.api.http import HTTP_STATUS, ApiRequestHandler
@@ -141,8 +142,8 @@ def _serve_throughput() -> dict:
     thread.start()
     try:
         client = ServiceClient(host, port)
-        ensemble_wire = EnsembleRef.of(ensemble).to_dict()
-        spec_wire = spec.to_dict()
+        ensemble_wire = encode(EnsembleRef.of(ensemble))
+        spec_wire = encode(spec)
 
         def submit(batch, session_id=None):
             payload = {
@@ -308,8 +309,8 @@ def _drive_clients(host: str, port: int, n_clients: int, ensemble_wire, spec_wir
 def _concurrent_serve() -> dict:
     ensemble = generate_strategy_ensemble(N_STRATEGIES, "uniform", 61)
     spec = _spec()
-    ensemble_wire = EnsembleRef.of(ensemble).to_dict()
-    spec_wire = spec.to_dict()
+    ensemble_wire = encode(EnsembleRef.of(ensemble))
+    spec_wire = encode(spec)
 
     # Decision check first: one served resolve == the direct engine.
     check_server = make_server(EngineService())

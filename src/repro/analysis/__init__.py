@@ -8,12 +8,11 @@ layers rely on but cannot themselves check:
   ``.acquire()`` sites and flags lock-order inversions (``L001``),
   blocking calls made while holding a lock (``L002``), and attributes
   mutated both inside and outside lock scope (``L003``).
-* **Wire drift** (:mod:`repro.analysis.wirecheck`) — cross-checks every
-  codec pair's encoded vs decoded keys (``W001``/``W002``), dataclass
-  fields vs decoder constructors (``W003``), and the closure of the
-  envelope universe: request dispatch vs ``_HANDLERS`` (``W004``),
-  exception → error-code coverage (``W005``), ``HTTP_STATUS`` vs
-  produced codes (``W006``), and journal event codecs (``W007``).
+* **Wire universe** (:mod:`repro.analysis.wirecheck`) — the closure of
+  the envelope universe: request dispatch vs ``_HANDLERS`` (``W004``),
+  exception → error-code coverage (``W005``), and ``HTTP_STATUS`` vs
+  produced codes (``W006``).  Codec drift needs no rule: every wire and
+  journal codec is derived from its dataclass (:mod:`repro.api.codec`).
 * **Registry coverage** (:mod:`repro.analysis.registrycheck`) — every
   registered planner/solver/scenario backend name must be pinned by at
   least one test (``R001``) and one benchmark (``R002``).

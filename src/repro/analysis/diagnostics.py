@@ -12,7 +12,7 @@ line directly above it)::
     self.hits += 1  # lint: unguarded-ok idempotent counter race
 
 Each token silences one rule family: ``unguarded-ok`` → ``L003``,
-``lock-ok`` → ``L001``/``L002``, ``wire-ok`` → ``W001``–``W003``.
+``lock-ok`` → ``L001``/``L002``.
 Anything after the token is the (encouraged) justification.
 
 The baseline file is a JSON list of ``{"key", "rule", "justification"}``
@@ -46,19 +46,6 @@ RULES: "dict[str, tuple[str, str]]" = {
         "an attribute of a lock-holding class is mutated both inside "
         "and outside lock scope",
     ),
-    "W001": (
-        "encoded-not-decoded",
-        "a codec emits a key its paired decoder never reads",
-    ),
-    "W002": (
-        "decoded-not-encoded",
-        "a decoder reads a key its paired encoder never emits",
-    ),
-    "W003": (
-        "field-not-decoded",
-        "a dataclass field its decoder never constructs (silently "
-        "dropped on round-trip)",
-    ),
     "W004": (
         "handler-drift",
         "wire request dispatch and EngineService._HANDLERS disagree",
@@ -70,10 +57,6 @@ RULES: "dict[str, tuple[str, str]]" = {
     "W006": (
         "unknown-status-code",
         "HTTP_STATUS names an error code nothing produces",
-    ),
-    "W007": (
-        "event-codec-missing",
-        "a journal event type without a complete encoder/decoder pair",
     ),
     "R001": (
         "backend-untested",
@@ -89,7 +72,6 @@ RULES: "dict[str, tuple[str, str]]" = {
 SUPPRESSION_TOKENS: "dict[str, tuple[str, ...]]" = {
     "unguarded-ok": ("L003",),
     "lock-ok": ("L001", "L002"),
-    "wire-ok": ("W001", "W002", "W003"),
 }
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*([a-z-]+)")

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Static project-invariant analysis: lock discipline, wire "
-            "drift, registry coverage."
+            "universe, registry coverage."
         ),
     )
     parser.add_argument(

@@ -1,35 +1,19 @@
-"""Wire-drift analysis: codec symmetry and a closed envelope universe.
+"""Wire-universe analysis: the envelope and error-code sets are closed.
 
-The hand-written codecs in ``api/wire.py`` / ``api/envelopes.py`` /
-``journal/events.py`` drift silently when a field or envelope is added:
-nothing fails until a peer on the old schema decodes the new payload.
-This analyzer pins the contract statically:
+Every wire and journal codec is derived from its dataclass
+(:mod:`repro.api.codec`), so encoder/decoder drift cannot happen and is
+not checked here.  What a derived codec cannot see is whether the sets
+around it agree:
 
-* **W001/W002 — codec key symmetry.**  For every codec *pair* (a
-  top-level ``x_to_dict``/``x_from_dict`` function pair, or a class with
-  both ``to_dict`` and ``from_dict``/``from_dict_as``), the set of keys
-  the encoder emits (dict literals, ``out["k"] = ...``) must equal the
-  set the decoder reads (``payload.get("k")``, ``payload["k"]``, and any
-  string constant flowing into a *key position* of a helper such as
-  ``require(payload, "k", ...)``).  Key positions are inferred from the
-  helpers' own bodies and propagated transitively, and same-module
-  helper functions are expanded on both sides so shared sub-codecs stay
-  symmetric.  Framing keys (``api_version``/``type``/``event``/``seq``/
-  ``ts``) are exempt.  A deliberately derived, output-only key can be
-  suppressed with ``# lint: wire-ok`` on the emitting line.
-* **W003 — field coverage.**  Every dataclass field (``AnnAssign`` in a
-  class body) must be passed to the constructor by some decoder in the
-  scanned modules; a field no decoder constructs is silently dropped on
-  round-trip.  Keys may be renamed on the wire (the compact journal
-  codecs do), which is why this rule reads constructor *kwargs*, not key
-  names.
-* **W004–W007 — the envelope universe is closed.**  Request classes in
-  ``envelopes._REQUEST_TYPES`` and ``EngineService._HANDLERS`` must
-  agree (W004); every ``repro.exceptions`` class must map to a stable
-  wire error code (W005); every ``HTTP_STATUS`` code must be one the
-  code can actually produce (W006); every journal event class must have
-  an encoder, and encoder kinds and ``_DECODERS`` keys must agree
-  (W007).
+* **W004** — request classes in ``envelopes._REQUEST_TYPES`` and
+  ``EngineService._HANDLERS`` must agree;
+* **W005** — every ``repro.exceptions`` class must map to a stable wire
+  error code;
+* **W006** — every ``HTTP_STATUS`` code must be one the code can
+  actually produce.
+
+(Journal event kinds need no rule: each event class registers its kind
+when it is defined, and a duplicate kind fails at import.)
 """
 
 from __future__ import annotations
@@ -39,31 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, SourceFile
 
-#: Envelope/framing keys stamped and checked outside the per-pair codecs.
-FRAMING_KEYS = {"api_version", "type", "event", "seq", "ts"}
-
-#: Basenames that participate in codec-pair analysis by default.
-DEFAULT_CODEC_BASENAMES = {"wire.py", "envelopes.py", "events.py"}
-
 
 def _const_str(node) -> "str | None":
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-def _func_name(call) -> "str | None":
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
-
-
-@dataclass
-class CodecPair:
-    subject: str
-    relpath: str
-    encoder: ast.FunctionDef
-    decoder: ast.FunctionDef
 
 
 @dataclass
@@ -86,71 +50,8 @@ class _Module:
                         )
 
 
-def _key_param_indices(modules: "list[_Module]") -> "dict[str, set[int]]":
-    """Per function name, the parameter positions used as mapping keys.
-
-    Base case: ``def require(payload, key, what): ... payload[key]`` →
-    ``require``'s index 1 is a key position.  Propagated to a fixpoint so
-    a helper that forwards its parameter into ``require`` inherits the
-    key position too.
-    """
-    indices: "dict[str, set[int]]" = {}
-    all_functions: "dict[str, ast.FunctionDef]" = {}
-    for module in modules:
-        for name, node in module.functions.items():
-            all_functions.setdefault(name, node)
-
-    def param_index(func: ast.FunctionDef, name: str) -> "int | None":
-        for i, arg in enumerate(func.args.args):
-            if arg.arg == name:
-                return i
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for name, func in all_functions.items():
-            found = indices.setdefault(name, set())
-            for node in ast.walk(func):
-                param = None
-                if isinstance(node, ast.Subscript):
-                    if isinstance(node.slice, ast.Name):
-                        param = node.slice.id
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"
-                    and node.args
-                    and isinstance(node.args[0], ast.Name)
-                ):
-                    param = node.args[0].id
-                elif isinstance(node, ast.Call):
-                    callee = _func_name(node)
-                    if callee in indices:
-                        for i in indices[callee]:
-                            if i < len(node.args) and isinstance(
-                                node.args[i], ast.Name
-                            ):
-                                param = node.args[i].id
-                                index = param_index(func, param)
-                                if index is not None and index not in found:
-                                    found.add(index)
-                                    changed = True
-                        param = None
-                if param is not None:
-                    index = param_index(func, param)
-                    if index is not None and index not in found:
-                        found.add(index)
-                        changed = True
-    return indices
-
-
 class WireAnalyzer:
-    def __init__(
-        self,
-        sources: "dict[str, SourceFile]",
-        codec_files: "set[str] | None" = None,
-    ):
+    def __init__(self, sources: "dict[str, SourceFile]"):
         self.sources = sources
         self.diagnostics: "list[Diagnostic]" = []
         self.modules = [
@@ -158,210 +59,6 @@ class WireAnalyzer:
             for source in sources.values()
             if source.tree is not None
         ]
-        self.by_relpath = {m.source.relpath: m for m in self.modules}
-        if codec_files is None:
-            codec_files = {
-                m.source.relpath
-                for m in self.modules
-                if m.source.path.name in DEFAULT_CODEC_BASENAMES
-            }
-        self.codec_modules = [
-            m for m in self.modules if m.source.relpath in codec_files
-        ]
-        self.key_params = _key_param_indices(self.codec_modules)
-
-    # ----------------------------------------------------------- key mining
-    def _collect_keys(
-        self,
-        func: ast.FunctionDef,
-        module: _Module,
-        *,
-        decode: bool,
-        visited: "set[str] | None" = None,
-    ) -> "dict[str, int]":
-        """Keys a codec function touches, mapped to their first line."""
-        if visited is None:
-            visited = set()
-        if func.name in visited:
-            return {}
-        visited.add(func.name)
-        keys: "dict[str, int]" = {}
-
-        def add(key: "str | None", line: int) -> None:
-            if key is not None and key not in keys:
-                keys[key] = line
-
-        for node in ast.walk(func):
-            if not decode and isinstance(node, ast.Dict):
-                for key_node in node.keys:
-                    add(_const_str(key_node), getattr(key_node, "lineno", node.lineno))
-            elif not decode and isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        add(_const_str(target.slice), target.lineno)
-            elif decode and isinstance(node, ast.Subscript):
-                if isinstance(node.ctx, ast.Load):
-                    add(_const_str(node.slice), node.lineno)
-            elif isinstance(node, ast.Call):
-                if (
-                    decode
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"
-                    and node.args
-                ):
-                    add(_const_str(node.args[0]), node.lineno)
-                callee = _func_name(node)
-                if callee is None:
-                    continue
-                if decode:
-                    for i in self.key_params.get(callee, ()):
-                        if i < len(node.args):
-                            add(_const_str(node.args[i]), node.lineno)
-                # Expand same-module helpers on BOTH sides so shared
-                # sub-codecs cancel out symmetrically.
-                target = module.functions.get(callee)
-                if target is not None and target is not func:
-                    for key, line in self._collect_keys(
-                        target, module, decode=decode, visited=visited
-                    ).items():
-                        add(key, line)
-        return keys
-
-    def _codec_pairs(self) -> "list[CodecPair]":
-        pairs: "list[CodecPair]" = []
-        for module in self.codec_modules:
-            relpath = module.source.relpath
-            for name, func in module.functions.items():
-                if "." in name or not name.endswith("_to_dict"):
-                    continue
-                stem = name[: -len("_to_dict")]
-                decoder = module.functions.get(f"{stem}_from_dict")
-                if decoder is not None:
-                    pairs.append(CodecPair(stem, relpath, func, decoder))
-            for cls_name, cls in module.classes.items():
-                encoder = module.functions.get(f"{cls_name}.to_dict")
-                decoder = module.functions.get(
-                    f"{cls_name}.from_dict"
-                ) or module.functions.get(f"{cls_name}.from_dict_as")
-                if encoder is not None and decoder is not None:
-                    pairs.append(CodecPair(cls_name, relpath, encoder, decoder))
-        return pairs
-
-    def _check_codec_symmetry(self) -> None:
-        for pair in self._codec_pairs():
-            module = self.by_relpath[pair.relpath]
-            encoded = self._collect_keys(pair.encoder, module, decode=False)
-            decoded = self._collect_keys(pair.decoder, module, decode=True)
-            for key in sorted(set(encoded) - set(decoded) - FRAMING_KEYS):
-                self.diagnostics.append(
-                    Diagnostic(
-                        rule="W001",
-                        file=pair.relpath,
-                        line=encoded[key],
-                        message=(
-                            f"{pair.subject} encodes key {key!r} that its "
-                            f"decoder never reads"
-                        ),
-                        hint=(
-                            "decode the key, or mark a deliberately "
-                            "derived output-only key with `# lint: wire-ok`"
-                        ),
-                        subject=f"{pair.subject}.{key}",
-                    )
-                )
-            for key in sorted(set(decoded) - set(encoded) - FRAMING_KEYS):
-                self.diagnostics.append(
-                    Diagnostic(
-                        rule="W002",
-                        file=pair.relpath,
-                        line=decoded[key],
-                        message=(
-                            f"{pair.subject} decodes key {key!r} that its "
-                            f"encoder never emits"
-                        ),
-                        hint="emit the key or drop the dead decode path",
-                        subject=f"{pair.subject}.{key}",
-                    )
-                )
-
-    # --------------------------------------------------------- W003: fields
-    def _check_field_coverage(self) -> None:
-        for module in self.codec_modules:
-            for cls_name, cls in module.classes.items():
-                fields = [
-                    (node.target.id, node.lineno)
-                    for node in cls.body
-                    if isinstance(node, ast.AnnAssign)
-                    and isinstance(node.target, ast.Name)
-                ]
-                if not fields:
-                    continue
-                constructed = self._constructor_kwargs(cls_name, module)
-                if constructed is None:
-                    continue  # no kwarg construction anywhere: not a codec
-                for name, lineno in fields:
-                    if name in constructed:
-                        continue
-                    self.diagnostics.append(
-                        Diagnostic(
-                            rule="W003",
-                            file=module.source.relpath,
-                            line=lineno,
-                            message=(
-                                f"field {cls_name}.{name} is never passed "
-                                f"to the constructor by any decoder "
-                                f"(dropped on round-trip)"
-                            ),
-                            hint=(
-                                f"construct {cls_name} with {name}=... in "
-                                f"its from_dict path"
-                            ),
-                            subject=f"{cls_name}.{name}",
-                        )
-                    )
-
-    def _constructor_kwargs(
-        self, cls_name: str, module: _Module
-    ) -> "set[str] | None":
-        """Union of kwargs every scanned decoder passes to ``cls_name``.
-
-        ``cls(...)`` inside the class's own classmethods counts too.
-        ``None`` when nothing constructs the class with kwargs (plain
-        value types built positionally elsewhere are out of scope), or
-        when a ``**splat`` makes the call unanalyzable.
-        """
-        kwargs: "set[str]" = set()
-        positional = 0
-        found = False
-        cls = module.classes[cls_name]
-        for scan_module in self.codec_modules:
-            for func_name, func in scan_module.functions.items():
-                in_class = func_name.startswith(f"{cls_name}.")
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    callee = node.func
-                    name = None
-                    if isinstance(callee, ast.Name):
-                        name = callee.id
-                    if name == cls_name or (in_class and name == "cls"):
-                        if any(kw.arg is None for kw in node.keywords):
-                            return None
-                        if not node.keywords:
-                            continue
-                        found = True
-                        kwargs.update(kw.arg for kw in node.keywords)
-                        positional = max(positional, len(node.args))
-        if not found:
-            return None
-        field_names = [
-            node.target.id
-            for node in cls.body
-            if isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-        ]
-        kwargs.update(field_names[:positional])
-        return kwargs
 
     # -------------------------------------------------- W004: handler drift
     def _top_level_assign(self, module: _Module, name: str):
@@ -580,105 +277,13 @@ class WireAnalyzer:
                 )
             )
 
-    # -------------------------------------------------- W007: event codecs
-    def _check_event_codecs(self) -> None:
-        for module in self.modules:
-            encoders = self._top_level_assign(module, "_ENCODERS")
-            decoders = self._top_level_assign(module, "_DECODERS")
-            if encoders is None or decoders is None:
-                continue
-            relpath = module.source.relpath
-            event_classes = {
-                name: cls
-                for name, cls in module.classes.items()
-                if {
-                    node.target.id
-                    for node in cls.body
-                    if isinstance(node, ast.AnnAssign)
-                    and isinstance(node.target, ast.Name)
-                }
-                >= {"seq", "ts"}
-            }
-            encoded_classes = {
-                key.id
-                for key in getattr(encoders, "keys", [])
-                if isinstance(key, ast.Name)
-            }
-            for name, cls in sorted(event_classes.items()):
-                if name not in encoded_classes:
-                    self.diagnostics.append(
-                        Diagnostic(
-                            rule="W007",
-                            file=relpath,
-                            line=cls.lineno,
-                            message=(
-                                f"journal event {name} has no _ENCODERS "
-                                f"entry (events of this type are lost)"
-                            ),
-                            hint="add an encoder and a matching decoder",
-                            subject=name,
-                        )
-                    )
-            # kinds the encoders stamp via _base(event, "kind")
-            kinds: "dict[str, int]" = {}
-            for func in module.functions.values():
-                for node in ast.walk(func):
-                    if (
-                        isinstance(node, ast.Call)
-                        and _func_name(node) == "_base"
-                        and len(node.args) >= 2
-                    ):
-                        kind = _const_str(node.args[1])
-                        if kind is not None:
-                            kinds.setdefault(kind, node.lineno)
-            decoder_kinds = {
-                key.value: key.lineno
-                for key in getattr(decoders, "keys", [])
-                if isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-            }
-            for kind in sorted(set(kinds) - set(decoder_kinds)):
-                self.diagnostics.append(
-                    Diagnostic(
-                        rule="W007",
-                        file=relpath,
-                        line=kinds[kind],
-                        message=(
-                            f"event kind {kind!r} is encoded but has no "
-                            f"_DECODERS entry (unreadable on recovery)"
-                        ),
-                        hint="add the decoder for this kind",
-                        subject=f"kind:{kind}",
-                    )
-                )
-            for kind in sorted(set(decoder_kinds) - set(kinds)):
-                self.diagnostics.append(
-                    Diagnostic(
-                        rule="W007",
-                        file=relpath,
-                        line=decoder_kinds[kind],
-                        message=(
-                            f"decoder kind {kind!r} is never produced by "
-                            f"any encoder"
-                        ),
-                        hint="drop the dead decoder or encode the kind",
-                        subject=f"kind:{kind}",
-                    )
-                )
-
     def analyze(self) -> "list[Diagnostic]":
-        self._check_codec_symmetry()
-        self._check_field_coverage()
         self._check_handler_drift()
         self._check_exception_coverage()
         self._check_status_table()
-        self._check_event_codecs()
         return self.diagnostics
 
 
-def analyze_wire(
-    sources: "dict[str, SourceFile]",
-    codec_files: "set[str] | None" = None,
-) -> "list[Diagnostic]":
-    """Run the wire-drift analysis over parsed sources."""
-    return WireAnalyzer(sources, codec_files).analyze()
+def analyze_wire(sources: "dict[str, SourceFile]") -> "list[Diagnostic]":
+    """Run the wire-universe analysis over parsed sources."""
+    return WireAnalyzer(sources).analyze()

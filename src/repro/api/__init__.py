@@ -2,11 +2,13 @@
 
 Three layers, each importable on its own:
 
-* :mod:`repro.api.wire` — wire-format codecs (``to_dict``/``from_dict``
-  with lossless JSON round-trip) for every core payload type, plus
-  :class:`EnsembleRef` (ensembles inline or by content fingerprint) and
-  :class:`EngineSpec` (the engine configuration identity engines are
-  pooled by).  :data:`API_VERSION` stamps every envelope.
+* :mod:`repro.api.codec` — the one codec: :func:`encode` / :func:`decode`
+  derive every dataclass's wire form (lossless JSON round-trip) from its
+  fields; :mod:`repro.api.wire` declares where core payload types differ
+  from their fields, plus :class:`EnsembleRef` (ensembles inline or by
+  content fingerprint) and :class:`EngineSpec` (the engine configuration
+  identity engines are pooled by).  :data:`API_VERSION` stamps every
+  envelope.
 * :mod:`repro.api.envelopes` — typed request/response envelopes
   (``plan`` / ``resolve`` / ``alternatives`` / ``submit_batch`` /
   ``retry_deferred`` / session ops / ``stats``) and the stable
@@ -25,6 +27,7 @@ Decision-for-decision identity with driving the engine directly is
 pinned by ``tests/property/test_service_equivalence.py``.
 """
 
+from repro.api.codec import decode, encode
 from repro.api.envelopes import (
     AlternativesRequest,
     AlternativesResponse,
@@ -87,6 +90,8 @@ __all__ = [
     "StatsResponse",
     "SubmitBatchRequest",
     "SubmitBatchResponse",
+    "decode",
+    "encode",
     "error_code_for",
     "error_response_for",
     "make_server",

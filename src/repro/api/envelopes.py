@@ -1,9 +1,10 @@
 """Versioned request/response envelopes and the typed error contract.
 
-Every envelope is a frozen dataclass with ``to_dict`` / ``from_dict``
-stamping/checking ``api_version`` (:data:`~repro.api.wire.API_VERSION`)
-and a stable ``type`` tag; :func:`parse_request` / :func:`parse_response`
-dispatch a raw JSON object back to the right class.  Failures anywhere in
+Every envelope is a frozen dataclass whose ``to_dict`` / ``from_dict``
+run the derived codec (:mod:`repro.api.codec`), stamping/checking
+``api_version`` (:data:`~repro.api.wire.API_VERSION`) and a stable
+``type`` tag; :func:`parse_request` / :func:`parse_response` dispatch a
+raw JSON object back to the right class.  Failures anywhere in
 decoding raise :class:`~repro.exceptions.ApiError`, and
 :func:`error_response_for` maps the whole :mod:`repro.exceptions`
 hierarchy to stable machine-readable error codes so a transport never
@@ -28,35 +29,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.codec import (
+    Codec,
+    as_str,
+    decode,
+    declare,
+    encode,
+    expect_mapping,
+    require,
+)
 from repro.api.wire import (
     API_VERSION,
     EngineSpec,
     EnsembleRef,
-    as_float,
-    as_int,
-    as_list,
-    as_str,
-    cache_stats_from_dict,
-    cache_stats_to_dict,
     check_api_version,
-    deployment_requests_from_list,
-    deployment_request_to_dict,
-    adpar_result_from_dict,
-    adpar_result_to_dict,
-    batch_outcome_from_dict,
-    batch_outcome_to_dict,
-    expect_mapping,
-    report_from_dict,
-    report_to_dict,
-    require,
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-    simulation_report_from_dict,
-    simulation_report_to_dict,
-    stream_decision_from_dict,
-    stream_decision_to_dict,
     options_from_jsonable,
 )
+from repro.core.adpar import ADPaRResult
+from repro.core.aggregator import AggregatorReport
+from repro.core.batchstrat import BatchOutcome
+from repro.core.request import DeploymentRequest
+from repro.core.streaming import StreamDecision
+from repro.engine.cache import CacheStats
 from repro.exceptions import (
     ApiError,
     InfeasibleRequestError,
@@ -68,6 +62,8 @@ from repro.exceptions import (
     UnknownSolverError,
     UnknownStrategyError,
 )
+from repro.workloads.simulation import SimulationReport
+from repro.workloads.spec import ScenarioSpec
 
 # ------------------------------------------------------------- error codes
 #: Exception class → stable wire error code, most specific first.  An
@@ -106,10 +102,6 @@ def error_response_for(exc: BaseException) -> "ErrorResponse":
 
 
 # ---------------------------------------------------------------- plumbing
-def _stamp(envelope_type: str, body: dict) -> dict:
-    return {"api_version": API_VERSION, "type": envelope_type, **body}
-
-
 def _check_envelope(cls, payload) -> dict:
     expect_mapping(payload, cls.type)
     check_api_version(payload, cls.type)
@@ -122,145 +114,82 @@ def _check_envelope(cls, payload) -> dict:
     return payload
 
 
-def _spec_from(payload, what: str) -> "EngineSpec | None":
-    spec = expect_mapping(payload, what).get("spec")
-    return None if spec is None else EngineSpec.from_dict(spec)
+class _Envelope:
+    """Base of every envelope: the derived codec behind ``to_dict`` /
+    ``from_dict``.
+
+    A subclass with a ``type`` tag declares its wire form at class
+    creation: ``api_version`` and ``type`` first, then its fields; class
+    keywords are :class:`~repro.api.codec.Form` overrides (``order`` puts
+    keys first, ``omit`` leaves default-valued keys off the wire).
+    """
+
+    def __init_subclass__(cls, **overrides):
+        super().__init_subclass__()
+        if "type" in cls.__dict__:
+            declare(
+                cls,
+                tag=(("api_version", API_VERSION), ("type", cls.type)),
+                what=cls.type,
+                **overrides,
+            )
+
+    def to_dict(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, payload):
+        _check_envelope(cls, payload)
+        return decode(cls, payload)
 
 
-def _ensemble_from(payload, what: str) -> "EnsembleRef | None":
-    ensemble = expect_mapping(payload, what).get("ensemble")
-    return None if ensemble is None else EnsembleRef.from_dict(ensemble)
-
-
-def _opt_str(payload, key: str) -> "str | None":
-    value = payload.get(key)
-    return None if value is None else as_str(value, key)
+class _Response(_Envelope):
+    def to_dict(self) -> dict:
+        # Defined here too, so a tracer patching the method it finds on
+        # a response class wraps response encoding only.
+        return encode(self)
 
 
 # ---------------------------------------------------------------- requests
 @dataclass(frozen=True)
-class PlanRequest:
+class PlanRequest(_Envelope, order=("ensemble", "spec")):
     """One planner pass over a batch — no ADPaR routing."""
 
     type = "plan"
     ensemble: EnsembleRef
-    requests: tuple
+    requests: "tuple[DeploymentRequest, ...]"
     spec: "EngineSpec | None" = None
     objective: "str | None" = None
     planner: "str | None" = None
 
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {
-                "ensemble": self.ensemble.to_dict(),
-                "spec": None if self.spec is None else self.spec.to_dict(),
-                "requests": [
-                    deployment_request_to_dict(r) for r in self.requests
-                ],
-                "objective": self.objective,
-                "planner": self.planner,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "PlanRequest":
-        _check_envelope(cls, payload)
-        return cls(
-            ensemble=_require_ensemble(payload, cls.type),
-            requests=deployment_requests_from_list(
-                require(payload, "requests", cls.type), "requests"
-            ),
-            spec=_spec_from(payload, cls.type),
-            objective=_opt_str(payload, "objective"),
-            planner=_opt_str(payload, "planner"),
-        )
-
 
 @dataclass(frozen=True)
-class ResolveRequest:
+class ResolveRequest(_Envelope, order=("ensemble", "spec")):
     """Serve a batch end-to-end: plan, then ADPaR for the rest."""
 
     type = "resolve"
     ensemble: EnsembleRef
-    requests: tuple
+    requests: "tuple[DeploymentRequest, ...]"
     spec: "EngineSpec | None" = None
     objective: "str | None" = None
     planner: "str | None" = None
     solver: "str | None" = None
 
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {
-                "ensemble": self.ensemble.to_dict(),
-                "spec": None if self.spec is None else self.spec.to_dict(),
-                "requests": [
-                    deployment_request_to_dict(r) for r in self.requests
-                ],
-                "objective": self.objective,
-                "planner": self.planner,
-                "solver": self.solver,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "ResolveRequest":
-        _check_envelope(cls, payload)
-        return cls(
-            ensemble=_require_ensemble(payload, cls.type),
-            requests=deployment_requests_from_list(
-                require(payload, "requests", cls.type), "requests"
-            ),
-            spec=_spec_from(payload, cls.type),
-            objective=_opt_str(payload, "objective"),
-            planner=_opt_str(payload, "planner"),
-            solver=_opt_str(payload, "solver"),
-        )
-
 
 @dataclass(frozen=True)
-class AlternativesRequest:
+class AlternativesRequest(_Envelope, order=("ensemble", "spec")):
     """Batch ADPaR: closest alternative parameters per request."""
 
     type = "alternatives"
     ensemble: EnsembleRef
-    requests: tuple
+    requests: "tuple[DeploymentRequest, ...]"
     spec: "EngineSpec | None" = None
     k: "int | None" = None
     solver: "str | None" = None
 
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {
-                "ensemble": self.ensemble.to_dict(),
-                "spec": None if self.spec is None else self.spec.to_dict(),
-                "requests": [
-                    deployment_request_to_dict(r) for r in self.requests
-                ],
-                "k": self.k,
-                "solver": self.solver,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "AlternativesRequest":
-        _check_envelope(cls, payload)
-        k = payload.get("k")
-        return cls(
-            ensemble=_require_ensemble(payload, cls.type),
-            requests=deployment_requests_from_list(
-                require(payload, "requests", cls.type), "requests"
-            ),
-            spec=_spec_from(payload, cls.type),
-            k=None if k is None else as_int(k, "k"),
-            solver=_opt_str(payload, "solver"),
-        )
-
 
 @dataclass(frozen=True)
-class SubmitBatchRequest:
+class SubmitBatchRequest(_Envelope, order=("session_id", "ensemble", "spec")):
     """One streaming arrival burst (``EngineSession.submit_many`` semantics).
 
     Address an open session by id, or open one implicitly by sending
@@ -269,98 +198,75 @@ class SubmitBatchRequest:
     """
 
     type = "submit_batch"
-    requests: tuple
+    requests: "tuple[DeploymentRequest, ...]"
     session_id: "str | None" = None
     ensemble: "EnsembleRef | None" = None
     spec: "EngineSpec | None" = None
 
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {
-                "session_id": self.session_id,
-                "ensemble": (
-                    None if self.ensemble is None else self.ensemble.to_dict()
-                ),
-                "spec": None if self.spec is None else self.spec.to_dict(),
-                "requests": [
-                    deployment_request_to_dict(r) for r in self.requests
-                ],
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "SubmitBatchRequest":
-        _check_envelope(cls, payload)
-        return cls(
-            requests=deployment_requests_from_list(
-                require(payload, "requests", cls.type), "requests"
-            ),
-            session_id=_opt_str(payload, "session_id"),
-            ensemble=_ensemble_from(payload, cls.type),
-            spec=_spec_from(payload, cls.type),
-        )
-
 
 @dataclass(frozen=True)
-class RetryDeferredRequest:
+class RetryDeferredRequest(_Envelope):
     """Drain a session's deferred queue against freed capacity."""
 
     type = "retry_deferred"
     session_id: str
 
-    def to_dict(self) -> dict:
-        return _stamp(self.type, {"session_id": self.session_id})
 
-    @classmethod
-    def from_dict(cls, payload) -> "RetryDeferredRequest":
-        _check_envelope(cls, payload)
-        return cls(
-            session_id=as_str(
-                require(payload, "session_id", cls.type), "session_id"
-            )
-        )
+#: The envelope types a :class:`SessionOpRequest` travels under.
+SESSION_OPS = ("complete", "revoke", "close_session")
 
 
 @dataclass(frozen=True)
-class SessionOpRequest:
-    """Release reservations (``complete``/``revoke``) or close a session."""
+class SessionOpRequest(_Envelope):
+    """Release reservations (``complete``/``revoke``) or close a session.
 
-    op: str  # "complete" | "revoke" | "close_session"
+    Its ``op`` is the envelope's ``type`` tag.
+    """
+
+    op: str  # one of SESSION_OPS
     session_id: str
-    request_ids: tuple = ()
-
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.op,
-            {
-                "session_id": self.session_id,
-                "request_ids": list(self.request_ids),
-            },
-        )
+    request_ids: "tuple[str, ...]" = ()
 
     @classmethod
-    def from_dict_as(cls, op: str, payload) -> "SessionOpRequest":
-        expect_mapping(payload, op)
-        check_api_version(payload, op)
-        if require(payload, "type", op) != op:
+    def from_dict(cls, payload) -> "SessionOpRequest":
+        op = expect_mapping(payload, "session op").get("type")
+        if op not in SESSION_OPS:
             raise ApiError(
-                f"expected a {op!r} envelope", code="malformed_payload"
+                f"expected one of the {list(SESSION_OPS)} envelopes, got {op!r}",
+                code="malformed_payload",
             )
-        return cls(
-            op=op,
-            session_id=as_str(
-                require(payload, "session_id", op), "session_id"
-            ),
-            request_ids=tuple(
-                as_str(v, "request_ids[]")
-                for v in as_list(payload.get("request_ids", []), "request_ids")
-            ),
+        check_api_version(payload, op)
+        return decode(cls, payload)
+
+
+declare(
+    SessionOpRequest,
+    tag=(("api_version", API_VERSION),),
+    keys={"op": "type"},
+    order=("type",),
+    what="session op",
+)
+
+
+def _overrides_from_json(value, what: str) -> "dict | None":
+    if value is None:
+        return None
+    return {
+        as_str(key, "overrides key"): (
+            options_from_jsonable(expect_mapping(item, key))
+            if key in ("planner_options", "solver_options")
+            else item
         )
+        for key, item in expect_mapping(value, what).items()
+    }
 
 
 @dataclass(frozen=True)
-class SimulateRequest:
+class SimulateRequest(
+    _Envelope,
+    omit=("scenario", "name", "overrides"),
+    forms={"overrides": Codec(dict, _overrides_from_json)},
+):
     """Run one declarative workload scenario server-side.
 
     Either an inline :class:`~repro.workloads.spec.ScenarioSpec`
@@ -373,11 +279,13 @@ class SimulateRequest:
     """
 
     type = "simulate"
-    scenario: "object | None" = None  # ScenarioSpec
+    scenario: "ScenarioSpec | None" = None
     name: "str | None" = None
     overrides: "dict | None" = None
 
     def __post_init__(self):
+        if not self.overrides:
+            object.__setattr__(self, "overrides", None)
         if (self.scenario is None) == (self.name is None):
             raise ApiError(
                 "simulate needs exactly one of 'scenario' (inline spec) "
@@ -391,117 +299,35 @@ class SimulateRequest:
                 code="invalid_argument",
             )
 
-    def to_dict(self) -> dict:
-        body: dict = {}
-        if self.scenario is not None:
-            body["scenario"] = scenario_spec_to_dict(self.scenario)
-        if self.name is not None:
-            body["name"] = self.name
-        if self.overrides:
-            body["overrides"] = dict(self.overrides)
-        return _stamp(self.type, body)
-
-    @classmethod
-    def from_dict(cls, payload) -> "SimulateRequest":
-        _check_envelope(cls, payload)
-        scenario = payload.get("scenario")
-        overrides = payload.get("overrides")
-        if overrides is not None:
-            overrides = {
-                as_str(key, "overrides key"): (
-                    options_from_jsonable(expect_mapping(value, key))
-                    if key in ("planner_options", "solver_options")
-                    else value
-                )
-                for key, value in expect_mapping(
-                    overrides, "overrides"
-                ).items()
-            }
-        return cls(
-            scenario=(
-                None if scenario is None else scenario_spec_from_dict(scenario)
-            ),
-            name=_opt_str(payload, "name"),
-            overrides=overrides or None,
-        )
-
 
 @dataclass(frozen=True)
-class StatsRequest:
+class StatsRequest(_Envelope):
     """Service-level counters: shared cache stats, pool and session sizes."""
 
     type = "stats"
 
-    def to_dict(self) -> dict:
-        return _stamp(self.type, {})
-
-    @classmethod
-    def from_dict(cls, payload) -> "StatsRequest":
-        _check_envelope(cls, payload)
-        return cls()
-
-
-def _require_ensemble(payload, what: str) -> EnsembleRef:
-    return EnsembleRef.from_dict(require(payload, "ensemble", what))
-
 
 # --------------------------------------------------------------- responses
 @dataclass(frozen=True)
-class PlanResponse:
+class PlanResponse(_Response):
     type = "plan_result"
-    outcome: object  # BatchOutcome
-
-    def to_dict(self) -> dict:
-        return _stamp(self.type, {"outcome": batch_outcome_to_dict(self.outcome)})
-
-    @classmethod
-    def from_dict(cls, payload) -> "PlanResponse":
-        _check_envelope(cls, payload)
-        return cls(
-            outcome=batch_outcome_from_dict(require(payload, "outcome", cls.type))
-        )
+    outcome: BatchOutcome
 
 
 @dataclass(frozen=True)
-class ResolveResponse:
+class ResolveResponse(_Response):
     type = "resolve_result"
-    report: object  # AggregatorReport
-
-    def to_dict(self) -> dict:
-        return _stamp(self.type, {"report": report_to_dict(self.report)})
-
-    @classmethod
-    def from_dict(cls, payload) -> "ResolveResponse":
-        _check_envelope(cls, payload)
-        return cls(report=report_from_dict(require(payload, "report", cls.type)))
+    report: AggregatorReport
 
 
 @dataclass(frozen=True)
-class AlternativesResponse:
+class AlternativesResponse(_Response):
     type = "alternatives_result"
-    results: tuple  # tuple[ADPaRResult, ...]
-
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {"results": [adpar_result_to_dict(r) for r in self.results]},
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "AlternativesResponse":
-        _check_envelope(cls, payload)
-        return cls(
-            results=tuple(
-                adpar_result_from_dict(item)
-                for item in as_list(
-                    require(payload, "results", cls.type), "results"
-                )
-            )
-        )
+    results: "tuple[ADPaRResult, ...]"
 
 
 @dataclass(frozen=True)
-class _SessionDecisionsResponse:
+class _SessionDecisionsResponse(_Response):
     """Shared wire shape: a session's fresh decisions plus ledger counters.
 
     Subclasses differ only in their ``type`` tag (dataclass equality is
@@ -510,39 +336,9 @@ class _SessionDecisionsResponse:
     """
 
     session_id: str
-    decisions: tuple  # tuple[StreamDecision, ...]
+    decisions: "tuple[StreamDecision, ...]"
     remaining: float
     deferred: int
-
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {
-                "session_id": self.session_id,
-                "decisions": [
-                    stream_decision_to_dict(d) for d in self.decisions
-                ],
-                "remaining": self.remaining,
-                "deferred": self.deferred,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "_SessionDecisionsResponse":
-        _check_envelope(cls, payload)
-        return cls(
-            session_id=as_str(
-                require(payload, "session_id", cls.type), "session_id"
-            ),
-            decisions=tuple(
-                stream_decision_from_dict(item)
-                for item in as_list(
-                    require(payload, "decisions", cls.type), "decisions"
-                )
-            ),
-            remaining=as_float(require(payload, "remaining", cls.type), "remaining"),
-            deferred=as_int(require(payload, "deferred", cls.type), "deferred"),
-        )
 
 
 class SubmitBatchResponse(_SessionDecisionsResponse):
@@ -554,56 +350,36 @@ class RetryDeferredResponse(_SessionDecisionsResponse):
 
 
 @dataclass(frozen=True)
-class SessionOpResponse:
+class SessionOpResponse(_Response):
     type = "session_op_result"
     op: str
     session_id: str
     released: float = 0.0
 
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type,
-            {
-                "op": self.op,
-                "session_id": self.session_id,
-                "released": self.released,
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "SessionOpResponse":
-        _check_envelope(cls, payload)
-        return cls(
-            op=as_str(require(payload, "op", cls.type), "op"),
-            session_id=as_str(
-                require(payload, "session_id", cls.type), "session_id"
-            ),
-            released=as_float(payload.get("released", 0.0), "released"),
-        )
-
 
 @dataclass(frozen=True)
-class SimulateResponse:
+class SimulateResponse(_Response):
     type = "simulate_result"
-    report: object  # SimulationReport
-
-    def to_dict(self) -> dict:
-        return _stamp(
-            self.type, {"report": simulation_report_to_dict(self.report)}
-        )
-
-    @classmethod
-    def from_dict(cls, payload) -> "SimulateResponse":
-        _check_envelope(cls, payload)
-        return cls(
-            report=simulation_report_from_dict(
-                require(payload, "report", cls.type)
-            )
-        )
+    report: SimulationReport
 
 
 @dataclass(frozen=True)
-class StatsResponse:
+class StatsResponse(
+    _Response,
+    order=(
+        "cache",
+        "engines",
+        "sessions",
+        "ensembles",
+        "workloads",
+        "max_engines",
+        "max_sessions",
+        "max_ensembles",
+        "hit_rate",
+    ),
+    output_only=("hit_rate",),
+    omit=("shards", "router", "journal"),
+):
     """Service counters: cache hit rates, pool occupancy, and limits.
 
     ``occupancy`` is the shared cache's per-section entry/capacity map
@@ -632,7 +408,7 @@ class StatsResponse:
     """
 
     type = "stats_result"
-    cache: object  # CacheStats
+    cache: CacheStats
     engines: int
     sessions: int
     ensembles: int
@@ -651,88 +427,14 @@ class StatsResponse:
         """Shared-cache hit rate, derived from the carried counters."""
         return self.cache.hit_rate()
 
-    def to_dict(self) -> dict:
-        body = {
-            "cache": cache_stats_to_dict(self.cache),
-            "engines": self.engines,
-            "sessions": self.sessions,
-            "ensembles": self.ensembles,
-            "workloads": self.workloads,
-            "max_engines": self.max_engines,
-            "max_sessions": self.max_sessions,
-            "max_ensembles": self.max_ensembles,
-            # lint: wire-ok derived from cache counters, output-only
-            "hit_rate": self.hit_rate,
-            "occupancy": self.occupancy,
-            "coalescer": self.coalescer,
-        }
-        # Cluster-only fields stay off the wire for a single process, so
-        # pre-cluster payload shapes are byte-identical.
-        if self.shards is not None:
-            body["shards"] = self.shards
-        if self.router is not None:
-            body["router"] = self.router
-        if self.journal is not None:
-            body["journal"] = self.journal
-        return _stamp(self.type, body)
-
-    @classmethod
-    def from_dict(cls, payload) -> "StatsResponse":
-        _check_envelope(cls, payload)
-        occupancy = payload.get("occupancy")
-        if occupancy is not None:
-            expect_mapping(occupancy, "occupancy")
-        coalescer = payload.get("coalescer")
-        if coalescer is not None:
-            expect_mapping(coalescer, "coalescer")
-        shards = payload.get("shards")
-        if shards is not None:
-            shards = list(as_list(shards, "shards"))
-        router = payload.get("router")
-        if router is not None:
-            expect_mapping(router, "router")
-        journal = payload.get("journal")
-        if journal is not None:
-            expect_mapping(journal, "journal")
-        return cls(
-            cache=cache_stats_from_dict(require(payload, "cache", cls.type)),
-            engines=as_int(require(payload, "engines", cls.type), "engines"),
-            sessions=as_int(require(payload, "sessions", cls.type), "sessions"),
-            ensembles=as_int(
-                require(payload, "ensembles", cls.type), "ensembles"
-            ),
-            workloads=as_int(payload.get("workloads", 0), "workloads"),
-            max_engines=as_int(payload.get("max_engines", 0), "max_engines"),
-            max_sessions=as_int(payload.get("max_sessions", 0), "max_sessions"),
-            max_ensembles=as_int(
-                payload.get("max_ensembles", 0), "max_ensembles"
-            ),
-            occupancy=occupancy,
-            coalescer=coalescer,
-            shards=shards,
-            router=router,
-            journal=journal,
-        )
-
 
 @dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(_Response):
     """The typed error envelope every failure maps to."""
 
     type = "error"
     code: str
     message: str
-
-    def to_dict(self) -> dict:
-        return _stamp(self.type, {"code": self.code, "message": self.message})
-
-    @classmethod
-    def from_dict(cls, payload) -> "ErrorResponse":
-        _check_envelope(cls, payload)
-        return cls(
-            code=as_str(require(payload, "code", cls.type), "code"),
-            message=as_str(require(payload, "message", cls.type), "message"),
-        )
 
 
 # ---------------------------------------------------------------- dispatch
@@ -742,9 +444,7 @@ _REQUEST_TYPES = {
     AlternativesRequest.type: AlternativesRequest.from_dict,
     SubmitBatchRequest.type: SubmitBatchRequest.from_dict,
     RetryDeferredRequest.type: RetryDeferredRequest.from_dict,
-    "complete": lambda p: SessionOpRequest.from_dict_as("complete", p),
-    "revoke": lambda p: SessionOpRequest.from_dict_as("revoke", p),
-    "close_session": lambda p: SessionOpRequest.from_dict_as("close_session", p),
+    **{op: SessionOpRequest.from_dict for op in SESSION_OPS},
     SimulateRequest.type: SimulateRequest.from_dict,
     StatsRequest.type: StatsRequest.from_dict,
 }

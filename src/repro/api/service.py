@@ -57,6 +57,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
+from repro.api.codec import encode
 from repro.api.envelopes import (
     AlternativesRequest,
     AlternativesResponse,
@@ -66,6 +67,7 @@ from repro.api.envelopes import (
     ResolveResponse,
     RetryDeferredRequest,
     RetryDeferredResponse,
+    SESSION_OPS,
     SessionOpRequest,
     SessionOpResponse,
     SimulateRequest,
@@ -77,12 +79,7 @@ from repro.api.envelopes import (
     error_response_for,
     parse_request,
 )
-from repro.api.wire import (
-    EngineSpec,
-    EnsembleRef,
-    ensemble_spec_to_dict,
-    request_batch_spec_to_dict,
-)
+from repro.api.wire import EngineSpec, EnsembleRef
 from repro.core.strategy import StrategyEnsemble
 from repro.engine import (
     EngineCache,
@@ -857,7 +854,7 @@ class EngineService:
         return response
 
     def session_op(self, request: SessionOpRequest) -> SessionOpResponse:
-        if request.op not in ("complete", "revoke", "close_session"):
+        if request.op not in SESSION_OPS:
             # The wire path can't get here (dispatch is by type tag), but
             # handle() is public — a typo'd op must not silently revoke.
             raise ApiError(
@@ -962,8 +959,8 @@ class EngineService:
             "kind": spec.kind,
             "seed": spec.seed,
             "tightness": spec.tightness,
-            "ensemble": ensemble_spec_to_dict(spec.ensemble),
-            "requests": request_batch_spec_to_dict(spec.requests),
+            "ensemble": encode(spec.ensemble),
+            "requests": encode(spec.requests),
         }
         if spec.trace_path:
             key["trace_path"] = spec.trace_path

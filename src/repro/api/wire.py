@@ -1,115 +1,62 @@
-"""Wire-format codecs for every core payload type (API v1).
+"""Wire forms for every core payload type (API v1).
 
 One seam between the in-memory dataclasses and the JSON that crosses a
-process boundary.  Every codec is a ``*_to_dict`` / ``*_from_dict`` pair
-with three contracts:
+process boundary, with one codec: :func:`~repro.api.codec.encode` and
+:func:`~repro.api.codec.decode` derive each class's wire form from its
+fields and type hints (see :mod:`repro.api.codec`).  The contracts:
 
-* **JSON-native output.**  ``to_dict`` emits only dict/list/str/num/bool/
-  None, so ``json.loads(json.dumps(to_dict(x)))`` is the identity on the
+* **JSON-native output.**  ``encode`` emits only dict/list/str/num/bool/
+  None, so ``json.loads(json.dumps(encode(x)))`` is the identity on the
   payload (Python floats survive JSON exactly via repr round-trip).
-* **Lossless round-trip.**  ``from_dict(to_dict(x)) == x`` for every
-  payload (property-tested in ``tests/property/test_wire_roundtrip.py``).
-  :class:`StrategyEnsemble` compares by content fingerprint via
-  :class:`EnsembleRef`.
+* **Lossless round-trip.**  ``decode(type(x), encode(x)) == x`` for every
+  payload (property-tested in ``tests/property/test_wire_roundtrip.py``,
+  byte-pinned by ``tests/golden/``).  :class:`StrategyEnsemble` compares
+  by content fingerprint via :class:`EnsembleRef`.
 * **Typed failure.**  A malformed payload raises
   :class:`~repro.exceptions.ApiError` (never a bare ``KeyError`` /
   ``TypeError``), so transports can map it to a stable error envelope.
 
+A new wire field is a new dataclass field.  This module declares only
+where the wire form differs from the fields: keys a payload must carry
+although the field has a default, keys left off the wire while they
+hold their default, ``ScenarioSpec``'s key order, the option mappings'
+list/tuple spelling, and :class:`EnsembleRef`, which keeps its own
+format (inline arrays and the fingerprint check).
+
 Versioning: envelopes (``repro.api.envelopes``) stamp ``api_version``
-with :data:`API_VERSION`; payload codecs are version-free and evolve
+with :data:`API_VERSION`; payload forms are version-free and evolve
 with it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from repro.core.adpar import ADPaRResult
-from repro.core.aggregator import (
-    AggregatorReport,
-    RequestResolution,
-    ResolutionStatus,
+from repro.api.codec import (
+    Codec,
+    as_list,
+    as_str,
+    decode,
+    declare,
+    expect_mapping,
+    require,
 )
-from repro.core.batchstrat import BatchOutcome, StrategyRecommendation
-from repro.core.params import TriParams
+from repro.core.aggregator import AggregatorReport
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
-from repro.core.streaming import StreamDecision, StreamStatus
+from repro.core.streaming import StreamDecision
 from repro.engine.cache import CacheStats, ensemble_fingerprint
-from repro.exceptions import ApiError, InvalidSpecError
-from repro.workloads.simulation import SimulationReport
-from repro.workloads.spec import (
-    ArrivalSpec,
-    EnsembleSpec,
-    RequestBatchSpec,
-    ScenarioSpec,
-)
+from repro.exceptions import ApiError
+from repro.workloads.spec import EnsembleSpec, RequestBatchSpec, ScenarioSpec
 
 #: The one wire version this tree speaks.  Bump on any incompatible
 #: payload change; ``check_api_version`` rejects everything else with a
 #: stable ``unsupported_version`` error code.
 API_VERSION = 1
-
-
-# ----------------------------------------------------------------- helpers
-def expect_mapping(payload, what: str) -> dict:
-    """The payload must be a JSON object; anything else is an ApiError."""
-    if not isinstance(payload, dict):
-        raise ApiError(
-            f"{what} must be a JSON object, got {type(payload).__name__}",
-            code="malformed_payload",
-        )
-    return payload
-
-
-def require(payload: dict, key: str, what: str):
-    """Fetch a required field, mapping absence to a typed error."""
-    expect_mapping(payload, what)
-    try:
-        return payload[key]
-    except KeyError:
-        raise ApiError(
-            f"{what} is missing required field {key!r}",
-            code="malformed_payload",
-        ) from None
-
-
-def as_float(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ApiError(
-            f"{what} must be a number, got {type(value).__name__}",
-            code="malformed_payload",
-        )
-    return float(value)
-
-
-def as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ApiError(
-            f"{what} must be an integer, got {type(value).__name__}",
-            code="malformed_payload",
-        )
-    return value
-
-
-def as_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ApiError(
-            f"{what} must be a string, got {type(value).__name__}",
-            code="malformed_payload",
-        )
-    return value
-
-
-def as_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ApiError(
-            f"{what} must be a list, got {type(value).__name__}",
-            code="malformed_payload",
-        )
-    return value
 
 
 def check_api_version(payload: dict, what: str = "envelope") -> None:
@@ -121,90 +68,6 @@ def check_api_version(payload: dict, what: str = "envelope") -> None:
             f"this server speaks {API_VERSION}",
             code="unsupported_version",
         )
-
-
-def guard(what: str):
-    """Decorator: re-raise decoding slips inside ``fn`` as ApiError.
-
-    The codecs validate field-by-field, but constructors downstream
-    (``TriParams`` range checks, ``DeploymentRequest`` id checks) raise
-    ``ValueError`` on semantically invalid values — map those to the
-    typed envelope error too, so no wire payload can surface a raw
-    traceback.
-    """
-
-    def wrap(fn):
-        def inner(payload, *args, **kwargs):
-            try:
-                return fn(payload, *args, **kwargs)
-            except ApiError:
-                raise
-            except InvalidSpecError as exc:
-                raise ApiError(
-                    f"invalid {what} payload: {exc}", code="invalid_spec"
-                ) from exc
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ApiError(
-                    f"invalid {what} payload: {exc}", code="invalid_payload"
-                ) from exc
-
-        inner.__name__ = fn.__name__
-        inner.__doc__ = fn.__doc__
-        return inner
-
-    return wrap
-
-
-# --------------------------------------------------------------- TriParams
-def triparams_to_dict(params: TriParams) -> dict:
-    return {
-        "quality": params.quality,
-        "cost": params.cost,
-        "latency": params.latency,
-    }
-
-
-@guard("TriParams")
-def triparams_from_dict(payload) -> TriParams:
-    what = "TriParams"
-    return TriParams(
-        quality=as_float(require(payload, "quality", what), "quality"),
-        cost=as_float(require(payload, "cost", what), "cost"),
-        latency=as_float(require(payload, "latency", what), "latency"),
-    )
-
-
-# ------------------------------------------------------- DeploymentRequest
-def deployment_request_to_dict(request: DeploymentRequest) -> dict:
-    return {
-        "request_id": request.request_id,
-        "params": triparams_to_dict(request.params),
-        "k": request.k,
-        "task_type": request.task_type,
-        "payoff": request.payoff,
-    }
-
-
-@guard("DeploymentRequest")
-def deployment_request_from_dict(payload) -> DeploymentRequest:
-    what = "DeploymentRequest"
-    payoff = expect_mapping(payload, what).get("payoff")
-    return DeploymentRequest(
-        request_id=as_str(require(payload, "request_id", what), "request_id"),
-        params=triparams_from_dict(require(payload, "params", what)),
-        k=as_int(require(payload, "k", what), "k"),
-        task_type=as_str(
-            payload.get("task_type", "generic"), "task_type"
-        ),
-        payoff=None if payoff is None else as_float(payoff, "payoff"),
-    )
-
-
-def deployment_requests_from_list(payload, what: str) -> tuple:
-    return tuple(
-        deployment_request_from_dict(item)
-        for item in as_list(payload, what)
-    )
 
 
 # ------------------------------------------------------------ EnsembleRef
@@ -245,48 +108,52 @@ class EnsembleRef:
     def __hash__(self):
         return hash(self.fingerprint)
 
-    def to_dict(self) -> dict:
-        if self.ensemble is None:
-            return {"fingerprint": self.fingerprint}
-        return {
-            "fingerprint": self.fingerprint,
-            "alpha": self.ensemble.alpha.tolist(),
-            "beta": self.ensemble.beta.tolist(),
-            "names": list(self.ensemble.names),
-        }
 
-    @classmethod
-    def from_dict(cls, payload) -> "EnsembleRef":
-        what = "EnsembleRef"
-        expect_mapping(payload, what)
-        if "alpha" not in payload and "beta" not in payload:
-            return cls.by_fingerprint(
-                as_str(require(payload, "fingerprint", what), "fingerprint")
-            )
-        alpha = as_list(require(payload, "alpha", what), "alpha")
-        beta = as_list(require(payload, "beta", what), "beta")
-        names = payload.get("names")
-        if names is not None:
-            names = [as_str(n, "names[]") for n in as_list(names, "names")]
-        try:
-            ensemble = StrategyEnsemble.from_arrays(
-                np.asarray(alpha, dtype=float),
-                np.asarray(beta, dtype=float),
-                names=names,
-            )
-        except (ValueError, TypeError) as exc:
-            raise ApiError(
-                f"invalid inline ensemble: {exc}", code="invalid_payload"
-            ) from exc
-        ref = cls.of(ensemble)
-        declared = payload.get("fingerprint")
-        if declared is not None and declared != ref.fingerprint:
-            raise ApiError(
-                "inline ensemble does not match its declared fingerprint "
-                f"({declared!r})",
-                code="fingerprint_mismatch",
-            )
-        return ref
+def _ref_to_json(ref: EnsembleRef) -> dict:
+    if ref.ensemble is None:
+        return {"fingerprint": ref.fingerprint}
+    return {
+        "fingerprint": ref.fingerprint,
+        "alpha": ref.ensemble.alpha.tolist(),
+        "beta": ref.ensemble.beta.tolist(),
+        "names": list(ref.ensemble.names),
+    }
+
+
+def _ref_from_json(payload, _key=None) -> EnsembleRef:
+    what = "EnsembleRef"
+    expect_mapping(payload, what)
+    if "alpha" not in payload and "beta" not in payload:
+        return EnsembleRef.by_fingerprint(
+            as_str(require(payload, "fingerprint", what), "fingerprint")
+        )
+    alpha = as_list(require(payload, "alpha", what), "alpha")
+    beta = as_list(require(payload, "beta", what), "beta")
+    names = payload.get("names")
+    if names is not None:
+        names = [as_str(n, "names[]") for n in as_list(names, "names")]
+    try:
+        ensemble = StrategyEnsemble.from_arrays(
+            np.asarray(alpha, dtype=float),
+            np.asarray(beta, dtype=float),
+            names=names,
+        )
+    except (ValueError, TypeError) as exc:
+        raise ApiError(
+            f"invalid inline ensemble: {exc}", code="invalid_payload"
+        ) from exc
+    ref = EnsembleRef.of(ensemble)
+    declared = payload.get("fingerprint")
+    if declared is not None and declared != ref.fingerprint:
+        raise ApiError(
+            "inline ensemble does not match its declared fingerprint "
+            f"({declared!r})",
+            code="fingerprint_mismatch",
+        )
+    return ref
+
+
+declare(EnsembleRef, codec=Codec(_ref_to_json, _ref_from_json))
 
 
 # -------------------------------------------------------------- EngineSpec
@@ -340,71 +207,10 @@ class EngineSpec:
             "solver_options": self.solver_options,
         }
 
-    def to_dict(self) -> dict:
-        out = {
-            "availability": self.availability,
-            "objective": self.objective,
-            "aggregation": self.aggregation,
-            "workforce_mode": self.workforce_mode,
-            "eligibility": self.eligibility,
-            "planner": self.planner,
-            "solver": self.solver,
-        }
-        if self.planner_options is not None:
-            out["planner_options"] = _options_to_jsonable(self.planner_options)
-        if self.solver_options is not None:
-            out["solver_options"] = _options_to_jsonable(self.solver_options)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload) -> "EngineSpec":
-        what = "EngineSpec"
-        expect_mapping(payload, what)
-        defaults = cls(availability=0.0)
-        planner_options = payload.get("planner_options")
-        solver_options = payload.get("solver_options")
-        if planner_options is not None:
-            planner_options = options_from_jsonable(
-                expect_mapping(planner_options, "planner_options")
-            )
-        if solver_options is not None:
-            solver_options = options_from_jsonable(
-                expect_mapping(solver_options, "solver_options")
-            )
-        return cls(
-            availability=as_float(
-                require(payload, "availability", what), "availability"
-            ),
-            objective=as_str(
-                payload.get("objective", defaults.objective), "objective"
-            ),
-            aggregation=as_str(
-                payload.get("aggregation", defaults.aggregation), "aggregation"
-            ),
-            workforce_mode=as_str(
-                payload.get("workforce_mode", defaults.workforce_mode),
-                "workforce_mode",
-            ),
-            eligibility=as_str(
-                payload.get("eligibility", defaults.eligibility), "eligibility"
-            ),
-            planner=as_str(payload.get("planner", defaults.planner), "planner"),
-            planner_options=planner_options,
-            solver=as_str(payload.get("solver", defaults.solver), "solver"),
-            solver_options=solver_options,
-        )
-
-
-def _options_to_jsonable(options: dict) -> dict:
-    """Backend options with tuple values (e.g. ``weights``) as lists."""
-    return {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in options.items()
-    }
-
 
 def options_from_jsonable(options: dict) -> dict:
-    """Inverse of :func:`_options_to_jsonable`: lists back to tuples.
+    """Backend options off the wire: list values (e.g. ``weights``) back
+    to the tuples they were.
 
     Public because envelope decoding (``SimulateRequest`` overrides)
     normalizes backend options through it too.
@@ -415,479 +221,61 @@ def options_from_jsonable(options: dict) -> dict:
     }
 
 
-
-
-# -------------------------------------------------------------- ADPaRResult
-def adpar_result_to_dict(result: ADPaRResult) -> dict:
+def _options_to_jsonable(options: dict) -> dict:
     return {
-        "original": triparams_to_dict(result.original),
-        "alternative": triparams_to_dict(result.alternative),
-        "distance": result.distance,
-        "squared_distance": result.squared_distance,
-        "relaxation": list(result.relaxation),
-        "strategy_indices": list(result.strategy_indices),
-        "strategy_names": list(result.strategy_names),
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in options.items()
     }
 
 
-@guard("ADPaRResult")
-def adpar_result_from_dict(payload) -> ADPaRResult:
-    what = "ADPaRResult"
-    relaxation = as_list(require(payload, "relaxation", what), "relaxation")
-    if len(relaxation) != 3:
-        raise ApiError(
-            "relaxation must have exactly 3 coordinates",
-            code="malformed_payload",
-        )
-    return ADPaRResult(
-        original=triparams_from_dict(require(payload, "original", what)),
-        alternative=triparams_from_dict(require(payload, "alternative", what)),
-        distance=as_float(require(payload, "distance", what), "distance"),
-        squared_distance=as_float(
-            require(payload, "squared_distance", what), "squared_distance"
-        ),
-        relaxation=tuple(as_float(v, "relaxation[]") for v in relaxation),
-        strategy_indices=tuple(
-            as_int(v, "strategy_indices[]")
-            for v in as_list(
-                require(payload, "strategy_indices", what), "strategy_indices"
-            )
-        ),
-        strategy_names=tuple(
-            as_str(v, "strategy_names[]")
-            for v in as_list(
-                require(payload, "strategy_names", what), "strategy_names"
-            )
-        ),
-    )
+def _options_from_json(value, what: str) -> "dict | None":
+    if value is None:
+        return None
+    return options_from_jsonable(expect_mapping(value, what))
 
 
-# -------------------------------------------------------- RequestResolution
-def resolution_to_dict(resolution: RequestResolution) -> dict:
-    return {
-        "request": deployment_request_to_dict(resolution.request),
-        "status": resolution.status.value,
-        "strategy_names": list(resolution.strategy_names),
-        "params": triparams_to_dict(resolution.params),
-        "distance": resolution.distance,
-        "adpar": (
-            None
-            if resolution.adpar is None
-            else adpar_result_to_dict(resolution.adpar)
-        ),
-    }
+_OPTIONS = Codec(_options_to_jsonable, _options_from_json)
+
+declare(
+    EngineSpec,
+    omit=("planner_options", "solver_options"),
+    forms={"planner_options": _OPTIONS, "solver_options": _OPTIONS},
+)
 
 
-@guard("RequestResolution")
-def resolution_from_dict(payload) -> RequestResolution:
-    what = "RequestResolution"
-    adpar = expect_mapping(payload, what).get("adpar")
-    return RequestResolution(
-        request=deployment_request_from_dict(require(payload, "request", what)),
-        status=_enum_from_value(
-            ResolutionStatus, require(payload, "status", what), "status"
-        ),
-        strategy_names=tuple(
-            as_str(v, "strategy_names[]")
-            for v in as_list(
-                require(payload, "strategy_names", what), "strategy_names"
-            )
-        ),
-        params=triparams_from_dict(require(payload, "params", what)),
-        distance=as_float(payload.get("distance", 0.0), "distance"),
-        adpar=None if adpar is None else adpar_result_from_dict(adpar),
-    )
+# ------------------------------------------------------- core payload forms
+# Keys the wire has always required even though the field has a default.
+declare(DeploymentRequest, required=("k",))
+declare(StreamDecision, required=("strategy_names", "workforce_reserved"))
+declare(
+    CacheStats,
+    required=("workforce_hits", "workforce_misses", "adpar_hits", "adpar_misses"),
+)
+declare(RequestBatchSpec, required=("m_requests", "k"))
 
 
-def _enum_from_value(enum_cls, value, what: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise ApiError(
-            f"{what} must be one of "
-            f"{[member.value for member in enum_cls]}, got {value!r}",
-            code="malformed_payload",
-        ) from None
+def _distribution_options_from_json(value, what: str):
+    return "" if value is None else expect_mapping(value, what)
 
 
-# ------------------------------------------------------------- BatchOutcome
-def recommendation_to_dict(rec: StrategyRecommendation) -> dict:
-    return {
-        "request": deployment_request_to_dict(rec.request),
-        "strategy_names": list(rec.strategy_names),
-        "workforce": rec.workforce,
-    }
+# ``options`` is stored as canonical JSON text; the wire carries the
+# mapping itself, and only when there is one.
+declare(
+    EnsembleSpec,
+    required=("n_strategies",),
+    omit=("options",),
+    forms={"options": Codec(json.loads, _distribution_options_from_json)},
+)
+# Only 'trace' scenarios carry a path; omitting the empty default keeps
+# pre-journal payloads byte-identical.
+declare(
+    ScenarioSpec,
+    required=("kind", "ensemble", "requests"),
+    order=("kind", "name", "description", "seed", "tightness"),
+    omit=("trace_path",),
+)
 
+#: Decoders the perf harness imports by name.
+report_from_dict = partial(decode, AggregatorReport)
+stream_decision_from_dict = partial(decode, StreamDecision)
 
-@guard("StrategyRecommendation")
-def recommendation_from_dict(payload) -> StrategyRecommendation:
-    what = "StrategyRecommendation"
-    return StrategyRecommendation(
-        request=deployment_request_from_dict(require(payload, "request", what)),
-        strategy_names=tuple(
-            as_str(v, "strategy_names[]")
-            for v in as_list(
-                require(payload, "strategy_names", what), "strategy_names"
-            )
-        ),
-        workforce=as_float(require(payload, "workforce", what), "workforce"),
-    )
-
-
-def batch_outcome_to_dict(outcome: BatchOutcome) -> dict:
-    return {
-        "objective": outcome.objective,
-        "objective_value": outcome.objective_value,
-        "workforce_available": outcome.workforce_available,
-        "workforce_used": outcome.workforce_used,
-        "satisfied": [recommendation_to_dict(rec) for rec in outcome.satisfied],
-        "unsatisfied": [
-            deployment_request_to_dict(req) for req in outcome.unsatisfied
-        ],
-        "infeasible": [
-            deployment_request_to_dict(req) for req in outcome.infeasible
-        ],
-    }
-
-
-@guard("BatchOutcome")
-def batch_outcome_from_dict(payload) -> BatchOutcome:
-    what = "BatchOutcome"
-    return BatchOutcome(
-        objective=as_str(require(payload, "objective", what), "objective"),
-        objective_value=as_float(
-            require(payload, "objective_value", what), "objective_value"
-        ),
-        workforce_available=as_float(
-            require(payload, "workforce_available", what), "workforce_available"
-        ),
-        workforce_used=as_float(
-            require(payload, "workforce_used", what), "workforce_used"
-        ),
-        satisfied=tuple(
-            recommendation_from_dict(item)
-            for item in as_list(require(payload, "satisfied", what), "satisfied")
-        ),
-        unsatisfied=deployment_requests_from_list(
-            require(payload, "unsatisfied", what), "unsatisfied"
-        ),
-        infeasible=deployment_requests_from_list(
-            payload.get("infeasible", []), "infeasible"
-        ),
-    )
-
-
-# --------------------------------------------------------- AggregatorReport
-def report_to_dict(report: AggregatorReport) -> dict:
-    return {
-        "availability": report.availability,
-        "objective": report.objective,
-        "batch": batch_outcome_to_dict(report.batch),
-        "resolutions": [
-            resolution_to_dict(resolution) for resolution in report.resolutions
-        ],
-    }
-
-
-@guard("AggregatorReport")
-def report_from_dict(payload) -> AggregatorReport:
-    what = "AggregatorReport"
-    return AggregatorReport(
-        availability=as_float(
-            require(payload, "availability", what), "availability"
-        ),
-        objective=as_str(require(payload, "objective", what), "objective"),
-        batch=batch_outcome_from_dict(require(payload, "batch", what)),
-        resolutions=tuple(
-            resolution_from_dict(item)
-            for item in as_list(
-                require(payload, "resolutions", what), "resolutions"
-            )
-        ),
-    )
-
-
-# ----------------------------------------------------------- StreamDecision
-def stream_decision_to_dict(decision: StreamDecision) -> dict:
-    return {
-        "request": deployment_request_to_dict(decision.request),
-        "status": decision.status.value,
-        "strategy_names": list(decision.strategy_names),
-        "workforce_reserved": decision.workforce_reserved,
-        "alternative": (
-            None
-            if decision.alternative is None
-            else adpar_result_to_dict(decision.alternative)
-        ),
-    }
-
-
-@guard("StreamDecision")
-def stream_decision_from_dict(payload) -> StreamDecision:
-    what = "StreamDecision"
-    alternative = expect_mapping(payload, what).get("alternative")
-    return StreamDecision(
-        request=deployment_request_from_dict(require(payload, "request", what)),
-        status=_enum_from_value(
-            StreamStatus, require(payload, "status", what), "status"
-        ),
-        strategy_names=tuple(
-            as_str(v, "strategy_names[]")
-            for v in as_list(
-                require(payload, "strategy_names", what), "strategy_names"
-            )
-        ),
-        workforce_reserved=as_float(
-            require(payload, "workforce_reserved", what), "workforce_reserved"
-        ),
-        alternative=(
-            None if alternative is None else adpar_result_from_dict(alternative)
-        ),
-    )
-
-
-# --------------------------------------------------------------- CacheStats
-def cache_stats_to_dict(stats: CacheStats) -> dict:
-    return {
-        "workforce_hits": stats.workforce_hits,
-        "workforce_misses": stats.workforce_misses,
-        "adpar_hits": stats.adpar_hits,
-        "adpar_misses": stats.adpar_misses,
-    }
-
-
-@guard("CacheStats")
-def cache_stats_from_dict(payload) -> CacheStats:
-    what = "CacheStats"
-    return CacheStats(
-        workforce_hits=as_int(
-            require(payload, "workforce_hits", what), "workforce_hits"
-        ),
-        workforce_misses=as_int(
-            require(payload, "workforce_misses", what), "workforce_misses"
-        ),
-        adpar_hits=as_int(require(payload, "adpar_hits", what), "adpar_hits"),
-        adpar_misses=as_int(
-            require(payload, "adpar_misses", what), "adpar_misses"
-        ),
-    )
-
-
-# ----------------------------------------------------------- WorkloadSpecs
-def ensemble_spec_to_dict(spec: EnsembleSpec) -> dict:
-    out = {
-        "n_strategies": spec.n_strategies,
-        "distribution": spec.distribution,
-    }
-    options = spec.options_dict()
-    if options is not None:
-        out["options"] = options
-    return out
-
-
-@guard("EnsembleSpec")
-def ensemble_spec_from_dict(payload) -> EnsembleSpec:
-    what = "EnsembleSpec"
-    expect_mapping(payload, what)
-    options = payload.get("options")
-    if options is not None:
-        expect_mapping(options, "options")
-    return EnsembleSpec(
-        n_strategies=as_int(
-            require(payload, "n_strategies", what), "n_strategies"
-        ),
-        distribution=as_str(
-            payload.get("distribution", "uniform"), "distribution"
-        ),
-        options="" if options is None else options,
-    )
-
-
-def request_batch_spec_to_dict(spec: RequestBatchSpec) -> dict:
-    return {
-        "m_requests": spec.m_requests,
-        "k": spec.k,
-        "low": spec.low,
-        "high": spec.high,
-        "task_type": spec.task_type,
-        "quality_offset": spec.quality_offset,
-        "prefix": spec.prefix,
-    }
-
-
-@guard("RequestBatchSpec")
-def request_batch_spec_from_dict(payload) -> RequestBatchSpec:
-    what = "RequestBatchSpec"
-    expect_mapping(payload, what)
-    defaults = RequestBatchSpec()
-    return RequestBatchSpec(
-        m_requests=as_int(require(payload, "m_requests", what), "m_requests"),
-        k=as_int(require(payload, "k", what), "k"),
-        low=as_float(payload.get("low", defaults.low), "low"),
-        high=as_float(payload.get("high", defaults.high), "high"),
-        task_type=as_str(
-            payload.get("task_type", defaults.task_type), "task_type"
-        ),
-        quality_offset=as_float(
-            payload.get("quality_offset", defaults.quality_offset),
-            "quality_offset",
-        ),
-        prefix=as_str(payload.get("prefix", defaults.prefix), "prefix"),
-    )
-
-
-def arrival_spec_to_dict(spec: ArrivalSpec) -> dict:
-    return {
-        "process": spec.process,
-        "burst_size": spec.burst_size,
-        "hold_bursts": spec.hold_bursts,
-        "spike_every": spec.spike_every,
-        "spike_factor": spec.spike_factor,
-        "period_bursts": spec.period_bursts,
-        "amplitude": spec.amplitude,
-    }
-
-
-@guard("ArrivalSpec")
-def arrival_spec_from_dict(payload) -> ArrivalSpec:
-    what = "ArrivalSpec"
-    expect_mapping(payload, what)
-    defaults = ArrivalSpec()
-    return ArrivalSpec(
-        process=as_str(payload.get("process", defaults.process), "process"),
-        burst_size=as_int(
-            payload.get("burst_size", defaults.burst_size), "burst_size"
-        ),
-        hold_bursts=as_int(
-            payload.get("hold_bursts", defaults.hold_bursts), "hold_bursts"
-        ),
-        spike_every=as_int(
-            payload.get("spike_every", defaults.spike_every), "spike_every"
-        ),
-        spike_factor=as_float(
-            payload.get("spike_factor", defaults.spike_factor), "spike_factor"
-        ),
-        period_bursts=as_int(
-            payload.get("period_bursts", defaults.period_bursts),
-            "period_bursts",
-        ),
-        amplitude=as_float(
-            payload.get("amplitude", defaults.amplitude), "amplitude"
-        ),
-    )
-
-
-def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
-    out = {
-        "kind": spec.kind,
-        "name": spec.name,
-        "description": spec.description,
-        "seed": spec.seed,
-        "tightness": spec.tightness,
-        "ensemble": ensemble_spec_to_dict(spec.ensemble),
-        "requests": request_batch_spec_to_dict(spec.requests),
-        "arrival": (
-            None if spec.arrival is None else arrival_spec_to_dict(spec.arrival)
-        ),
-        "engine": None if spec.engine is None else spec.engine.to_dict(),
-    }
-    # Only 'trace' scenarios carry a path; omitting the empty default
-    # keeps pre-journal payloads byte-identical.
-    if spec.trace_path:
-        out["trace_path"] = spec.trace_path
-    return out
-
-
-@guard("ScenarioSpec")
-def scenario_spec_from_dict(payload) -> ScenarioSpec:
-    what = "ScenarioSpec"
-    expect_mapping(payload, what)
-    defaults = ScenarioSpec()
-    arrival = payload.get("arrival")
-    engine = payload.get("engine")
-    return ScenarioSpec(
-        kind=as_str(require(payload, "kind", what), "kind"),
-        name=as_str(payload.get("name", ""), "name"),
-        description=as_str(payload.get("description", ""), "description"),
-        seed=as_int(payload.get("seed", defaults.seed), "seed"),
-        tightness=as_float(
-            payload.get("tightness", defaults.tightness), "tightness"
-        ),
-        ensemble=ensemble_spec_from_dict(require(payload, "ensemble", what)),
-        requests=request_batch_spec_from_dict(
-            require(payload, "requests", what)
-        ),
-        arrival=None if arrival is None else arrival_spec_from_dict(arrival),
-        engine=None if engine is None else EngineSpec.from_dict(engine),
-        trace_path=as_str(payload.get("trace_path", ""), "trace_path"),
-    )
-
-
-# --------------------------------------------------------- SimulationReport
-def simulation_report_to_dict(report: SimulationReport) -> dict:
-    return {
-        "scenario": scenario_spec_to_dict(report.scenario),
-        "kind": report.kind,
-        "fingerprint": report.fingerprint,
-        "n_strategies": report.n_strategies,
-        "arrivals": report.arrivals,
-        "elapsed_s": report.elapsed_s,
-        "satisfied": report.satisfied,
-        "alternative": report.alternative,
-        "infeasible": report.infeasible,
-        "admitted": report.admitted,
-        "completed": report.completed,
-        "retried": report.retried,
-        "still_deferred": report.still_deferred,
-        "objective_value": report.objective_value,
-        "workforce_available": report.workforce_available,
-        "workforce_used": report.workforce_used,
-        "utilization": report.utilization,
-        "mean_distance": report.mean_distance,
-        "replay_sessions": report.replay_sessions,
-        "replay_decisions": report.replay_decisions,
-        "replay_flips": report.replay_flips,
-    }
-
-
-@guard("SimulationReport")
-def simulation_report_from_dict(payload) -> SimulationReport:
-    what = "SimulationReport"
-    expect_mapping(payload, what)
-    return SimulationReport(
-        scenario=scenario_spec_from_dict(require(payload, "scenario", what)),
-        kind=as_str(require(payload, "kind", what), "kind"),
-        fingerprint=as_str(require(payload, "fingerprint", what), "fingerprint"),
-        n_strategies=as_int(
-            require(payload, "n_strategies", what), "n_strategies"
-        ),
-        arrivals=as_int(require(payload, "arrivals", what), "arrivals"),
-        elapsed_s=as_float(require(payload, "elapsed_s", what), "elapsed_s"),
-        satisfied=as_int(payload.get("satisfied", 0), "satisfied"),
-        alternative=as_int(payload.get("alternative", 0), "alternative"),
-        infeasible=as_int(payload.get("infeasible", 0), "infeasible"),
-        admitted=as_int(payload.get("admitted", 0), "admitted"),
-        completed=as_int(payload.get("completed", 0), "completed"),
-        retried=as_int(payload.get("retried", 0), "retried"),
-        still_deferred=as_int(payload.get("still_deferred", 0), "still_deferred"),
-        objective_value=as_float(
-            payload.get("objective_value", 0.0), "objective_value"
-        ),
-        workforce_available=as_float(
-            payload.get("workforce_available", 0.0), "workforce_available"
-        ),
-        workforce_used=as_float(
-            payload.get("workforce_used", 0.0), "workforce_used"
-        ),
-        utilization=as_float(payload.get("utilization", 0.0), "utilization"),
-        mean_distance=as_float(
-            payload.get("mean_distance", 0.0), "mean_distance"
-        ),
-        replay_sessions=as_int(
-            payload.get("replay_sessions", 0), "replay_sessions"
-        ),
-        replay_decisions=as_int(
-            payload.get("replay_decisions", 0), "replay_decisions"
-        ),
-        replay_flips=as_int(payload.get("replay_flips", 0), "replay_flips"),
-    )

@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "static project-invariant analysis: lock discipline, wire "
-            "drift, registry coverage"
+            "universe, registry coverage"
         ),
     )
     lint.add_argument(

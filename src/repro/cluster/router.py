@@ -58,6 +58,7 @@ from collections import OrderedDict
 from http.client import HTTPException
 
 from repro.api.client import ServiceClient
+from repro.api.codec import decode
 from repro.api.envelopes import ErrorResponse, StatsResponse
 from repro.api.http import (
     API_PATH,
@@ -281,9 +282,7 @@ class RouterService:
             if "alpha" in ensemble or "beta" in ensemble:
                 if fingerprint is None:
                     try:
-                        fingerprint = EnsembleRef.from_dict(
-                            ensemble
-                        ).fingerprint
+                        fingerprint = decode(EnsembleRef, ensemble).fingerprint
                     except Exception:
                         fingerprint = None
                 if fingerprint is not None:

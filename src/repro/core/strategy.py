@@ -177,6 +177,8 @@ class StrategyEnsemble:
             )
         if alpha.shape[0] == 0:
             raise ValueError("ensemble needs at least one strategy")
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValueError("alpha/beta must be finite")
         self = cls.__new__(cls)
         self._profiles = None
         self.alpha = alpha
@@ -187,6 +189,8 @@ class StrategyEnsemble:
             names = list(names)
             if len(names) != alpha.shape[0]:
                 raise ValueError("names must match the number of strategies")
+            if len(set(names)) != len(names):
+                raise ValueError("strategy names must be unique within an ensemble")
         self.names = names
         self._index = None  # built lazily on first lookup
         return self

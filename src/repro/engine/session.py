@@ -75,12 +75,12 @@ class SessionState:
 
     availability: float
     used: float
-    deferred_floor: "float | None"
-    admitted: int
-    revoked: int
-    completed: int
-    reserved: "tuple[StreamDecision, ...]"
-    deferred: "tuple[DeploymentRequest, ...]"
+    deferred_floor: "float | None" = None
+    admitted: int = 0
+    revoked: int = 0
+    completed: int = 0
+    reserved: "tuple[StreamDecision, ...]" = ()
+    deferred: "tuple[DeploymentRequest, ...]" = ()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class UnknownStrategyError(ReproError, KeyError):
 class ApiError(ReproError):
     """A malformed, unversioned, or otherwise invalid service-API payload.
 
-    Raised by the wire layer (:mod:`repro.api.wire`) when ``from_dict``
+    Raised by the wire codec (:mod:`repro.api.codec`) when ``decode``
     meets a payload it cannot decode — missing fields, wrong types,
     unknown envelope type, unsupported ``api_version`` — and by
     :class:`~repro.api.EngineService` for unknown session/ensemble

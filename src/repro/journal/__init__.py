@@ -15,8 +15,9 @@ log + reenactment replay"):
   under a possibly different :class:`~repro.api.wire.EngineSpec` and
   diff every decision against the recording (``repro replay``).
 
-Journal lines reuse the :mod:`repro.api.wire` codecs, so a trace is the
-same JSON vocabulary clients see on the wire.
+Journal lines go through the one derived codec (:mod:`repro.api.codec`)
+the wire uses, so a trace is the same JSON vocabulary clients see on the
+wire.
 """
 
 from repro.journal.events import (
@@ -30,8 +31,6 @@ from repro.journal.events import (
     SubmitEvent,
     event_from_dict,
     event_to_dict,
-    session_state_from_dict,
-    session_state_to_dict,
 )
 from repro.journal.journal import DecisionJournal, journal_files, read_events
 from repro.journal.replay import (
@@ -65,6 +64,4 @@ __all__ = [
     "read_events",
     "reenact_on_engine",
     "replay_trace",
-    "session_state_from_dict",
-    "session_state_to_dict",
 ]

@@ -1,20 +1,20 @@
-"""Typed journal events and their JSONL codecs.
+"""Typed journal events and their JSONL codec.
 
-One frozen dataclass per event the decision journal records, plus an
-``event_to_dict``/``event_from_dict`` pair following the
-:mod:`repro.api.wire` codec contract (JSON-native output, lossless
-round-trip, typed failure).  Identity payloads — specs, ensembles,
-session snapshots — cross the journal boundary through the existing
-wire codecs, so checkpoints stay greppable in the wire vocabulary and
-decode through the same decoders.  The *high-frequency* payloads are
-deliberately more compact, because their encoding cost is the journal's
-whole hot-path tax: submit requests use a positional
+One frozen dataclass per event the decision journal records;
+:func:`event_to_dict`/:func:`event_from_dict` run the derived codec of
+:mod:`repro.api.codec` (JSON-native output, lossless round-trip, typed
+failure), with each line framed as ``{"event": <kind>, "seq", "ts",
+...fields}``.  Identity payloads — specs, ensembles, session snapshots
+— travel in their wire form, so checkpoints stay greppable in the wire
+vocabulary and decode through the same decoders.  The *high-frequency*
+payloads are declared more compact, because their encoding cost is the
+journal's whole hot-path tax: submit requests use a positional
 ``[quality, cost, latency]`` triple with defaults omitted
-(:func:`journal_request_to_dict`), and decisions — recomputable, since
-recovery re-drives the recorded requests — shrink to
-:class:`DecisionRecord`, just the ``comparison_key`` surface the replay
-differ consumes, instead of full wire decisions that embed their
-request twice over plus the ADPaR working set.
+(:data:`JOURNAL_REQUEST`), and decisions — recomputable, since recovery
+re-drives the recorded requests — shrink to :class:`DecisionRecord`,
+just the ``comparison_key`` surface the replay differ consumes, instead
+of full wire decisions that embed their request twice over plus the
+ADPaR working set.
 
 Framing: the journal writer stamps each event with its monotonically
 increasing journal position ``seq`` and a wall-clock ``ts``; both
@@ -30,21 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api.wire import (
-    EngineSpec,
-    EnsembleRef,
-    as_float,
-    as_int,
-    as_list,
-    as_str,
-    deployment_request_to_dict,
-    deployment_requests_from_list,
-    expect_mapping,
-    guard,
-    require,
-    stream_decision_from_dict,
-    stream_decision_to_dict,
-)
+from repro.api.codec import Form, as_str, decode, declare, encode, require
+from repro.api.wire import EngineSpec, EnsembleRef
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
 from repro.core.streaming import StreamStatus
@@ -53,20 +40,66 @@ from repro.exceptions import ApiError
 
 _WHAT = "journal event"
 
+#: Event kind → event class, filled as each class is defined.
+_KINDS: "dict[str, type]" = {}
+
+
+class _Event:
+    """Base of the journal events.
+
+    Each subclass names a unique ``kind`` (its ``"event"`` tag) and
+    declares its line form at class creation: the tag, then ``seq`` and
+    ``ts``, then its fields; class keywords are
+    :class:`~repro.api.codec.Form` overrides.
+    """
+
+    def __init_subclass__(cls, **overrides):
+        super().__init_subclass__()
+        if cls.kind in _KINDS:
+            raise TypeError(
+                f"journal event kind {cls.kind!r} is already "
+                f"{_KINDS[cls.kind].__name__}'s"
+            )
+        _KINDS[cls.kind] = cls
+        declare(
+            cls,
+            tag=(("event", cls.kind),),
+            order=("seq", "ts"),
+            what=_WHAT,
+            **overrides,
+        )
+
+
+#: TriParams as a positional ``[quality, cost, latency]`` triple.
+TRIPLE = Form(TriParams, positional=True)
+
+#: A submit-stream request in journal form: positional params triple,
+#: defaults omitted — these dominate journal bytes, and the full wire
+#: spelling spent most of a line re-stating field names.
+JOURNAL_REQUEST = Form(
+    DeploymentRequest,
+    what="journal request",
+    keys={"request_id": "id"},
+    omit=("task_type", "payoff"),
+    forms={"params": TRIPLE},
+)
+
 
 @dataclass(frozen=True)
-class EnsembleEvent:
+class EnsembleEvent(_Event, keys={"ref": "ensemble"}):
     """An ensemble became addressable (always precedes its sessions)."""
 
+    kind = "ensemble"
     ref: EnsembleRef
     seq: int = 0
     ts: float = 0.0
 
 
 @dataclass(frozen=True)
-class SessionOpenEvent:
+class SessionOpenEvent(_Event):
     """A streaming session opened under one (fingerprint, spec) identity."""
 
+    kind = "session_open"
     session_id: str
     fingerprint: str
     spec: EngineSpec
@@ -75,9 +108,10 @@ class SessionOpenEvent:
 
 
 @dataclass(frozen=True)
-class SessionCloseEvent:
+class SessionCloseEvent(_Event):
     """A session closed; its reservations are gone."""
 
+    kind = "session_close"
     session_id: str
     seq: int = 0
     ts: float = 0.0
@@ -158,12 +192,27 @@ class DecisionRecord:
         )
 
 
+# The alternative travels as ``[[quality, cost, latency], distance,
+# indices]``; a record's defaults stay off the line.
+declare(AlternativeRecord, positional=True, forms={"params": TRIPLE})
+declare(
+    DecisionRecord,
+    keys={
+        "request_id": "id",
+        "strategy_names": "names",
+        "workforce_reserved": "reserved",
+        "alternative": "alt",
+    },
+    omit=("strategy_names", "workforce_reserved", "alternative"),
+)
+
+
 def _as_records(decisions) -> "tuple[DecisionRecord, ...]":
     return tuple(DecisionRecord.of(d) for d in decisions)
 
 
 @dataclass(frozen=True)
-class SubmitEvent:
+class SubmitEvent(_Event, forms={"requests": JOURNAL_REQUEST}):
     """One admission burst: the requests and the decisions they drew.
 
     ``decisions`` accepts :class:`StreamDecision` values (the service
@@ -172,6 +221,7 @@ class SubmitEvent:
     are defined over records.
     """
 
+    kind = "submit"
     session_id: str
     requests: "tuple[DeploymentRequest, ...]"
     decisions: "tuple[DecisionRecord, ...]"
@@ -183,9 +233,10 @@ class SubmitEvent:
 
 
 @dataclass(frozen=True)
-class RetryEvent:
+class RetryEvent(_Event):
     """A non-empty deferred-queue drain and the decisions it produced."""
 
+    kind = "retry"
     session_id: str
     decisions: "tuple[DecisionRecord, ...]"
     seq: int = 0
@@ -196,15 +247,22 @@ class RetryEvent:
 
 
 @dataclass(frozen=True)
-class ReleaseEvent:
+class ReleaseEvent(_Event):
     """A complete/revoke batch freeing reserved workforce."""
 
+    kind = "release"
     op: str
     session_id: str
     request_ids: "tuple[str, ...]"
     released: float = 0.0
     seq: int = 0
     ts: float = 0.0
+
+    def __post_init__(self):
+        if self.op not in ("complete", "revoke"):
+            raise ValueError(
+                f"release op must be 'complete' or 'revoke', got {self.op!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,7 +281,7 @@ class SessionCheckpoint:
 
 
 @dataclass(frozen=True)
-class CheckpointEvent:
+class CheckpointEvent(_Event):
     """Periodic snapshot of every live session (+ their ensembles inline).
 
     Self-describing: the inline ensembles make checkpoint + tail
@@ -231,370 +289,30 @@ class CheckpointEvent:
     segments' ensemble events were rotated far behind.
     """
 
+    kind = "checkpoint"
     sessions: "tuple[SessionCheckpoint, ...]" = ()
     ensembles: "tuple[EnsembleRef, ...]" = ()
     seq: int = 0
     ts: float = 0.0
 
 
-# ------------------------------------------------------------ SessionState
-def session_state_to_dict(state: SessionState) -> dict:
-    return {
-        "availability": state.availability,
-        "used": state.used,
-        "deferred_floor": state.deferred_floor,
-        "admitted": state.admitted,
-        "revoked": state.revoked,
-        "completed": state.completed,
-        "reserved": [stream_decision_to_dict(d) for d in state.reserved],
-        "deferred": [deployment_request_to_dict(r) for r in state.deferred],
-    }
-
-
-@guard("SessionState")
-def session_state_from_dict(payload) -> SessionState:
-    what = "SessionState"
-    expect_mapping(payload, what)
-    floor = payload.get("deferred_floor")
-    return SessionState(
-        availability=as_float(
-            require(payload, "availability", what), "availability"
-        ),
-        used=as_float(require(payload, "used", what), "used"),
-        deferred_floor=None if floor is None else as_float(floor, "deferred_floor"),
-        admitted=as_int(payload.get("admitted", 0), "admitted"),
-        revoked=as_int(payload.get("revoked", 0), "revoked"),
-        completed=as_int(payload.get("completed", 0), "completed"),
-        reserved=tuple(
-            stream_decision_from_dict(item)
-            for item in as_list(payload.get("reserved", []), "reserved")
-        ),
-        deferred=deployment_requests_from_list(
-            payload.get("deferred", []), "deferred"
-        ),
-    )
-
-
-# ----------------------------------------------------------------- encoders
-def _base(event, kind: str) -> dict:
-    return {"event": kind, "seq": event.seq, "ts": event.ts}
-
-
-def _ensemble_to_dict(event: EnsembleEvent) -> dict:
-    return {**_base(event, "ensemble"), "ensemble": event.ref.to_dict()}
-
-
-def _session_open_to_dict(event: SessionOpenEvent) -> dict:
-    return {
-        **_base(event, "session_open"),
-        "session_id": event.session_id,
-        "fingerprint": event.fingerprint,
-        "spec": event.spec.to_dict(),
-    }
-
-
-def _session_close_to_dict(event: SessionCloseEvent) -> dict:
-    return {**_base(event, "session_close"), "session_id": event.session_id}
-
-
-def _triple_to_list(params: TriParams) -> list:
-    return [params.quality, params.cost, params.latency]
-
-
-def _triple_from_list(value, what: str) -> TriParams:
-    triple = as_list(value, what)
-    if len(triple) != 3:
-        raise ApiError(
-            f"{what} must be a [quality, cost, latency] triple, got "
-            f"{len(triple)} value(s)",
-            code="invalid_payload",
-        )
-    return TriParams(*(as_float(v, f"{what}[]") for v in triple))
-
-
-def journal_request_to_dict(request: DeploymentRequest) -> dict:
-    """A submit-stream request in journal form: positional params
-    triple, defaults omitted — these dominate journal bytes, and the
-    full wire spelling spent most of a line re-stating field names."""
-    out = {
-        "id": request.request_id,
-        "params": _triple_to_list(request.params),
-        "k": request.k,
-    }
-    if request.task_type != "generic":
-        out["task_type"] = request.task_type
-    if request.payoff is not None:
-        out["payoff"] = request.payoff
-    return out
-
-
-@guard("journal request")
-def journal_request_from_dict(payload) -> DeploymentRequest:
-    what = "journal request"
-    expect_mapping(payload, what)
-    payoff = payload.get("payoff")
-    return DeploymentRequest(
-        request_id=as_str(require(payload, "id", what), "id"),
-        params=_triple_from_list(require(payload, "params", what), "params"),
-        k=as_int(payload.get("k", 1), "k"),
-        task_type=as_str(payload.get("task_type", "generic"), "task_type"),
-        payoff=None if payoff is None else as_float(payoff, "payoff"),
-    )
-
-
-def decision_record_to_dict(record: DecisionRecord) -> dict:
-    out = {"id": record.request_id, "status": record.status.value}
-    if record.strategy_names:
-        out["names"] = list(record.strategy_names)
-    if record.workforce_reserved:
-        out["reserved"] = record.workforce_reserved
-    alternative = record.alternative
-    if alternative is not None:
-        out["alt"] = [
-            _triple_to_list(alternative.params),
-            alternative.distance,
-            list(alternative.indices),
-        ]
-    return out
-
-
-@guard("DecisionRecord")
-def decision_record_from_dict(payload) -> DecisionRecord:
-    what = "DecisionRecord"
-    expect_mapping(payload, what)
-    status_value = as_str(require(payload, "status", what), "status")
-    try:
-        status = StreamStatus(status_value)
-    except ValueError:
-        raise ApiError(
-            f"unknown decision status {status_value!r}",
-            code="invalid_payload",
-        ) from None
-    alternative = payload.get("alt")
-    if alternative is not None:
-        triple = as_list(alternative, "alt")
-        if len(triple) != 3:
-            raise ApiError(
-                "alt must be [[quality, cost, latency], distance, "
-                f"indices], got {len(triple)} element(s)",
-                code="invalid_payload",
-            )
-        alternative = AlternativeRecord(
-            params=_triple_from_list(triple[0], "alt params"),
-            distance=as_float(triple[1], "alt distance"),
-            indices=tuple(
-                as_int(v, "alt indices[]")
-                for v in as_list(triple[2], "alt indices")
-            ),
-        )
-    return DecisionRecord(
-        request_id=as_str(require(payload, "id", what), "id"),
-        status=status,
-        strategy_names=tuple(
-            as_str(v, "names[]")
-            for v in as_list(payload.get("names", []), "names")
-        ),
-        workforce_reserved=as_float(payload.get("reserved", 0.0), "reserved"),
-        alternative=alternative,
-    )
-
-
-def _submit_to_dict(event: SubmitEvent) -> dict:
-    return {
-        **_base(event, "submit"),
-        "session_id": event.session_id,
-        "requests": [journal_request_to_dict(r) for r in event.requests],
-        "decisions": [decision_record_to_dict(d) for d in event.decisions],
-    }
-
-
-def _retry_to_dict(event: RetryEvent) -> dict:
-    return {
-        **_base(event, "retry"),
-        "session_id": event.session_id,
-        "decisions": [decision_record_to_dict(d) for d in event.decisions],
-    }
-
-
-def _release_to_dict(event: ReleaseEvent) -> dict:
-    return {
-        **_base(event, "release"),
-        "op": event.op,
-        "session_id": event.session_id,
-        "request_ids": list(event.request_ids),
-        "released": event.released,
-    }
-
-
-def _checkpoint_to_dict(event: CheckpointEvent) -> dict:
-    return {
-        **_base(event, "checkpoint"),
-        "sessions": [
-            {
-                "session_id": entry.session_id,
-                "fingerprint": entry.fingerprint,
-                "spec": entry.spec.to_dict(),
-                "state": session_state_to_dict(entry.state),
-                "seq": entry.seq,
-            }
-            for entry in event.sessions
-        ],
-        "ensembles": [ref.to_dict() for ref in event.ensembles],
-    }
-
-
-_ENCODERS = {
-    EnsembleEvent: _ensemble_to_dict,
-    SessionOpenEvent: _session_open_to_dict,
-    SessionCloseEvent: _session_close_to_dict,
-    SubmitEvent: _submit_to_dict,
-    RetryEvent: _retry_to_dict,
-    ReleaseEvent: _release_to_dict,
-    CheckpointEvent: _checkpoint_to_dict,
-}
-
-
+# ------------------------------------------------------------------- codec
 def event_to_dict(event) -> dict:
     """One journal event as a JSON-native dict (a JSONL line's payload)."""
-    encoder = _ENCODERS.get(type(event))
-    if encoder is None:
+    if not isinstance(event, _Event):
         raise ApiError(
             f"unsupported journal event {type(event).__name__}",
             code="invalid_argument",
         )
-    return encoder(event)
+    return encode(event)
 
 
-# ----------------------------------------------------------------- decoders
-def _session_id(payload) -> str:
-    return as_str(require(payload, "session_id", _WHAT), "session_id")
-
-
-def _decisions(payload) -> tuple:
-    return tuple(
-        decision_record_from_dict(item)
-        for item in as_list(require(payload, "decisions", _WHAT), "decisions")
-    )
-
-
-def _ensemble_from_dict(payload, seq, ts) -> EnsembleEvent:
-    return EnsembleEvent(
-        ref=EnsembleRef.from_dict(require(payload, "ensemble", _WHAT)),
-        seq=seq,
-        ts=ts,
-    )
-
-
-def _session_open_from_dict(payload, seq, ts) -> SessionOpenEvent:
-    return SessionOpenEvent(
-        session_id=_session_id(payload),
-        fingerprint=as_str(
-            require(payload, "fingerprint", _WHAT), "fingerprint"
-        ),
-        spec=EngineSpec.from_dict(require(payload, "spec", _WHAT)),
-        seq=seq,
-        ts=ts,
-    )
-
-
-def _session_close_from_dict(payload, seq, ts) -> SessionCloseEvent:
-    return SessionCloseEvent(session_id=_session_id(payload), seq=seq, ts=ts)
-
-
-def _submit_from_dict(payload, seq, ts) -> SubmitEvent:
-    return SubmitEvent(
-        session_id=_session_id(payload),
-        requests=tuple(
-            journal_request_from_dict(item)
-            for item in as_list(require(payload, "requests", _WHAT), "requests")
-        ),
-        decisions=_decisions(payload),
-        seq=seq,
-        ts=ts,
-    )
-
-
-def _retry_from_dict(payload, seq, ts) -> RetryEvent:
-    return RetryEvent(
-        session_id=_session_id(payload),
-        decisions=_decisions(payload),
-        seq=seq,
-        ts=ts,
-    )
-
-
-def _release_from_dict(payload, seq, ts) -> ReleaseEvent:
-    op = as_str(require(payload, "op", _WHAT), "op")
-    if op not in ("complete", "revoke"):
-        raise ApiError(
-            f"release op must be 'complete' or 'revoke', got {op!r}",
-            code="invalid_payload",
-        )
-    return ReleaseEvent(
-        op=op,
-        session_id=_session_id(payload),
-        request_ids=tuple(
-            as_str(item, "request_ids[]")
-            for item in as_list(
-                require(payload, "request_ids", _WHAT), "request_ids"
-            )
-        ),
-        released=as_float(payload.get("released", 0.0), "released"),
-        seq=seq,
-        ts=ts,
-    )
-
-
-def _session_checkpoint_from_dict(payload) -> SessionCheckpoint:
-    what = "SessionCheckpoint"
-    expect_mapping(payload, what)
-    return SessionCheckpoint(
-        session_id=as_str(require(payload, "session_id", what), "session_id"),
-        fingerprint=as_str(
-            require(payload, "fingerprint", what), "fingerprint"
-        ),
-        spec=EngineSpec.from_dict(require(payload, "spec", what)),
-        state=session_state_from_dict(require(payload, "state", what)),
-        seq=as_int(payload.get("seq", 0), "seq"),
-    )
-
-
-def _checkpoint_from_dict(payload, seq, ts) -> CheckpointEvent:
-    return CheckpointEvent(
-        sessions=tuple(
-            _session_checkpoint_from_dict(item)
-            for item in as_list(payload.get("sessions", []), "sessions")
-        ),
-        ensembles=tuple(
-            EnsembleRef.from_dict(item)
-            for item in as_list(payload.get("ensembles", []), "ensembles")
-        ),
-        seq=seq,
-        ts=ts,
-    )
-
-
-_DECODERS = {
-    "ensemble": _ensemble_from_dict,
-    "session_open": _session_open_from_dict,
-    "session_close": _session_close_from_dict,
-    "submit": _submit_from_dict,
-    "retry": _retry_from_dict,
-    "release": _release_from_dict,
-    "checkpoint": _checkpoint_from_dict,
-}
-
-
-@guard(_WHAT)
 def event_from_dict(payload):
     """Decode one journal line's payload back into its typed event."""
-    expect_mapping(payload, _WHAT)
     kind = as_str(require(payload, "event", _WHAT), "event")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
+    cls = _KINDS.get(kind)
+    if cls is None:
         raise ApiError(
             f"unknown journal event kind {kind!r}", code="invalid_payload"
         )
-    seq = as_int(payload.get("seq", 0), "seq")
-    ts = as_float(payload.get("ts", 0.0), "ts")
-    return decoder(payload, seq, ts)
+    return decode(cls, payload)

@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
-from repro.exceptions import JournalCorruptError
+from repro.exceptions import ApiError, JournalCorruptError
 from repro.journal.events import (
     CheckpointEvent,
     EnsembleEvent,
@@ -70,7 +70,8 @@ def read_events(path) -> list:
 
     ``path`` is a journal directory or a single segment file.  A torn
     final line in any segment (crash mid-append) is dropped; any other
-    malformed line raises :class:`JournalCorruptError`.
+    malformed line raises :class:`JournalCorruptError` naming its
+    ``<segment>:<line>``.
     """
     events = []
     for file in journal_files(path):
@@ -87,7 +88,10 @@ def read_events(path) -> list:
                     f"{file.name}:{index + 1}: unparseable non-tail line "
                     f"({exc})"
                 ) from exc
-            events.append(event_from_dict(payload))
+            try:
+                events.append(event_from_dict(payload))
+            except ApiError as exc:
+                raise JournalCorruptError(f"{file.name}:{index + 1}: {exc}") from exc
     return events
 
 

@@ -77,8 +77,8 @@ class ScenarioRegistry:
 
 
 def _engine(availability: float, **kwargs):
-    # Lazy import: repro.api.wire imports repro.workloads.spec for the
-    # codecs, so the registry must not import it at module load.
+    # Lazy import: repro.api.wire imports repro.workloads.spec to declare
+    # its wire forms, so the registry must not import it at module load.
     from repro.api.wire import EngineSpec
 
     return EngineSpec(availability=availability, **kwargs)

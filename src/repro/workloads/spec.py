@@ -19,7 +19,8 @@ frozen, serializable specs that compose:
   :meth:`ScenarioSpec.build` materializes everything bit-for-bit
   deterministically.
 
-Every spec has a lossless JSON codec in :mod:`repro.api.wire`, so a
+Every spec round-trips losslessly through the JSON codec
+(:func:`repro.api.encode` / :func:`repro.api.decode`), so a
 ``repro serve`` client can describe a 10k-strategy workload in a few
 hundred bytes and let the server materialize it (the ``simulate``
 envelope).  Named spec families live in the

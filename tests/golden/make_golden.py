@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from repro.api import (
@@ -48,20 +49,17 @@ from repro.api import (
     StatsRequest,
     StatsResponse,
     SubmitBatchRequest,
+    decode,
+    encode,
     parse_request,
     parse_response,
-)
-from repro.api.wire import (
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-    simulation_report_from_dict,
-    simulation_report_to_dict,
 )
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest, make_requests
 from repro.core.strategy import StrategyEnsemble
 from repro.core.streaming import StreamDecision, StreamStatus
 from repro.engine.cache import CacheStats
+from repro.engine.session import SessionState
 from repro.journal import (
     CheckpointEvent,
     DecisionJournal,
@@ -74,11 +72,9 @@ from repro.journal import (
     SubmitEvent,
     event_from_dict,
     event_to_dict,
-    session_state_from_dict,
-    session_state_to_dict,
 )
 from repro.utils.rng import spawn_rngs
-from repro.workloads import SimulationReport, default_scenario_registry
+from repro.workloads import ScenarioSpec, SimulationReport, default_scenario_registry
 from repro.workloads.generators import (
     generate_requests,
     generate_strategy_ensemble,
@@ -489,7 +485,7 @@ def _journal_cases() -> list:
         Case("journal", name, value, event_to_dict, event_from_dict)
         for name, value in events
     ] + [
-        Case("journal", name, value, session_state_to_dict, session_state_from_dict)
+        Case("journal", name, value, encode, partial(decode, SessionState))
         for name, value in (
             ("session_state_loaded", loaded),
             ("session_state_floored", floored),
@@ -501,7 +497,7 @@ def _journal_cases() -> list:
 def _scenario_cases(wire_cases: list) -> list:
     registry = default_scenario_registry()
     cases = [
-        Case("scenarios", name, registry.get(name), scenario_spec_to_dict, scenario_spec_from_dict)
+        Case("scenarios", name, registry.get(name), encode, partial(decode, ScenarioSpec))
         for name in registry.names()
     ]
     simulate = next(c for c in wire_cases if c.name == "simulate_result")
@@ -510,8 +506,8 @@ def _scenario_cases(wire_cases: list) -> list:
             "scenarios",
             "simulation_report",
             simulate.value.report,
-            simulation_report_to_dict,
-            simulation_report_from_dict,
+            encode,
+            partial(decode, SimulationReport),
         )
     )
     return cases

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import API_VERSION, EngineSpec, EnsembleRef, ServiceClient
+from repro.api import API_VERSION, EngineSpec, EnsembleRef, ServiceClient, encode
 from repro.cluster import (
     RouterService,
     WorkerSupervisor,
@@ -87,8 +87,8 @@ def test_inline_upload_replicates_to_every_shard(cluster):
     body = router.handle_dict(
         envelope(
             "resolve",
-            ensemble=ref.to_dict(),
-            spec=SPEC.to_dict(),
+            ensemble=encode(ref),
+            spec=encode(SPEC),
             requests=requests,
         )
     )
@@ -104,7 +104,7 @@ def test_inline_upload_replicates_to_every_shard(cluster):
                 envelope(
                     "resolve",
                     ensemble={"fingerprint": ref.fingerprint},
-                    spec=SPEC.to_dict(),
+                    spec=encode(SPEC),
                     requests=requests,
                 )
             )
@@ -121,8 +121,8 @@ def test_by_fingerprint_matches_inline_through_router(cluster):
     inline = router.handle_dict(
         envelope(
             "resolve",
-            ensemble=ref.to_dict(),
-            spec=SPEC.to_dict(),
+            ensemble=encode(ref),
+            spec=encode(SPEC),
             requests=requests,
         )
     )
@@ -130,7 +130,7 @@ def test_by_fingerprint_matches_inline_through_router(cluster):
         envelope(
             "resolve",
             ensemble={"fingerprint": ref.fingerprint},
-            spec=SPEC.to_dict(),
+            spec=encode(SPEC),
             requests=requests,
         )
     )
@@ -143,8 +143,8 @@ def test_session_traffic_sticks_to_its_worker(cluster):
     opened = router.handle_dict(
         envelope(
             "submit_batch",
-            ensemble=EnsembleRef.of(ensemble).to_dict(),
-            spec=SPEC.to_dict(),
+            ensemble=encode(EnsembleRef.of(ensemble)),
+            spec=encode(SPEC),
             requests=request_dicts(seed=31, prefix="s0"),
         )
     )
@@ -242,8 +242,8 @@ def test_router_http_front_door_proxies_end_to_end(cluster):
             body = client.post(
                 envelope(
                     "resolve",
-                    ensemble=EnsembleRef.of(ensemble).to_dict(),
-                    spec=SPEC.to_dict(),
+                    ensemble=encode(EnsembleRef.of(ensemble)),
+                    spec=encode(SPEC),
                     requests=request_dicts(seed=51, prefix="http"),
                 )
             )
@@ -271,8 +271,8 @@ def test_killed_worker_is_survived():
         requests = request_dicts(seed=61, prefix="kill")
         resolve = envelope(
             "resolve",
-            ensemble=ref.to_dict(),
-            spec=SPEC.to_dict(),
+            ensemble=encode(ref),
+            spec=encode(SPEC),
             requests=requests,
         )
         healthy = router.handle_dict(resolve)
@@ -323,8 +323,8 @@ def test_killed_worker_sessions_survive_with_journal(tmp_path):
         opened = router.handle_dict(
             envelope(
                 "submit_batch",
-                ensemble=EnsembleRef.of(ensemble).to_dict(),
-                spec=SPEC.to_dict(),
+                ensemble=encode(EnsembleRef.of(ensemble)),
+                spec=encode(SPEC),
                 requests=request_dicts(seed=71, prefix="j0"),
             )
         )

@@ -28,7 +28,14 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.api import API_VERSION, EngineService, EngineSpec, EnsembleRef, make_server
+from repro.api import (
+    API_VERSION,
+    EngineService,
+    EngineSpec,
+    EnsembleRef,
+    encode,
+    make_server,
+)
 from repro.workloads.generators import generate_strategy_ensemble
 
 AVAILABILITY = 0.7
@@ -93,7 +100,7 @@ def run_trace(post, seed: int, prefix: str, ensemble_ref: dict) -> list:
     canonical: list = []
     session_id = None
     admitted: list = []
-    spec = service_spec().to_dict()
+    spec = encode(service_spec())
     for _ in range(N_OPS):
         op = rng.choice(
             ["submit", "submit", "resolve", "alternatives", "retry",
@@ -171,7 +178,7 @@ def run_trace(post, seed: int, prefix: str, ensemble_ref: dict) -> list:
 
 def test_concurrent_decisions_identical_to_serial_replay(server):
     host, port = server.server_address
-    ensemble_ref = EnsembleRef.of(shared_ensemble()).to_dict()
+    ensemble_ref = encode(EnsembleRef.of(shared_ensemble()))
     barrier = threading.Barrier(N_CLIENTS)
     observed: list = [None] * N_CLIENTS
     errors: list = []
@@ -238,7 +245,7 @@ def test_cluster_decisions_identical_to_serial_replay():
         thread.start()
         try:
             host, port = server.server_address
-            ensemble_ref = EnsembleRef.of(shared_ensemble()).to_dict()
+            ensemble_ref = encode(EnsembleRef.of(shared_ensemble()))
             barrier = threading.Barrier(N_CLIENTS)
             observed: list = [None] * N_CLIENTS
             errors: list = []
@@ -297,7 +304,7 @@ def test_cluster_decisions_identical_to_serial_replay():
 def test_health_answers_while_workers_are_busy(server):
     """GET /v1/health is lock-free: it must answer during heavy traffic."""
     host, port = server.server_address
-    ensemble_ref = EnsembleRef.of(shared_ensemble()).to_dict()
+    ensemble_ref = encode(EnsembleRef.of(shared_ensemble()))
     stop = threading.Event()
     errors: list = []
 

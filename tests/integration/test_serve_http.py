@@ -15,12 +15,21 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.api import API_VERSION, EngineService, EngineSpec, EnsembleRef, make_server
+from repro.api import (
+    API_VERSION,
+    EngineService,
+    EngineSpec,
+    EnsembleRef,
+    decode,
+    encode,
+    make_server,
+)
 from repro.api.wire import report_from_dict, stream_decision_from_dict
 from repro.core.params import TriParams
 from repro.core.request import make_requests
 from repro.core.strategy import StrategyEnsemble
 from repro.engine import RecommendationEngine
+from repro.workloads import SimulationReport
 
 AVAILABILITY = 0.8
 
@@ -93,7 +102,7 @@ def request_dicts():
 
 
 def inline_ensemble() -> dict:
-    return EnsembleRef.of(paper_ensemble()).to_dict()
+    return encode(EnsembleRef.of(paper_ensemble()))
 
 
 def test_health_endpoint(client):
@@ -110,7 +119,7 @@ def test_every_request_type_round_trips(client):
     """plan, resolve, alternatives, submit_batch, retry_deferred,
     complete, close_session, stats — all answered 200 end-to-end."""
     base = f"/v{API_VERSION}"
-    spec = EngineSpec(availability=AVAILABILITY).to_dict()
+    spec = encode(EngineSpec(availability=AVAILABILITY))
     common = {"ensemble": inline_ensemble(), "spec": spec}
 
     status, plan = post(
@@ -187,7 +196,7 @@ def test_served_decisions_identical_to_direct_engine(client):
         envelope(
             "resolve",
             ensemble=inline_ensemble(),
-            spec=spec.to_dict(),
+            spec=encode(spec),
             requests=request_dicts(),
         ),
     )
@@ -201,7 +210,7 @@ def test_served_decisions_identical_to_direct_engine(client):
         envelope(
             "submit_batch",
             ensemble=inline_ensemble(),
-            spec=spec.to_dict(),
+            spec=encode(spec),
             requests=request_dicts(),
         ),
     )
@@ -312,7 +321,7 @@ def test_simulate_batch_scenario_over_http(client):
         f"/v{API_VERSION}/resolve",
         {
             "ensemble": {"fingerprint": report["fingerprint"]},
-            "spec": spec.engine.to_dict(),
+            "spec": encode(spec.engine),
             "requests": request_dicts(),
         },
     )
@@ -322,7 +331,6 @@ def test_simulate_batch_scenario_over_http(client):
 def test_simulate_stream_scenario_over_http(client):
     """POST /v1/simulate for a streaming family: arrival process honoured,
     counters consistent, spec echo round-trips."""
-    from repro.api.wire import simulation_report_from_dict
 
     status, body = post(
         client,
@@ -330,7 +338,7 @@ def test_simulate_stream_scenario_over_http(client):
         {"name": "flash-crowd", "overrides": {"m_requests": 150}},
     )
     assert (status, body["type"]) == (200, "simulate_result")
-    report = simulation_report_from_dict(body["report"])
+    report = decode(SimulationReport, body["report"])
     assert report.kind == "stream"
     assert report.arrivals == 150
     assert report.admitted == report.completed

@@ -22,6 +22,7 @@ import os
 import tempfile
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -284,7 +285,9 @@ def test_torn_final_line_is_dropped(events, data):
 @settings(max_examples=10, deadline=None)
 @given(st.lists(journal_events(), min_size=3, max_size=5))
 def test_corrupt_non_tail_line_raises(events):
-    """Only the *final* line may be torn; mid-file damage is an error."""
+    """Only the *final* line may be torn; mid-file damage is an error
+    that names the damaged line, whether the line is unparseable or
+    valid JSON carrying a mistyped field."""
     with tempfile.TemporaryDirectory() as tmp:
         journal = DecisionJournal(tmp)
         for event in events:
@@ -292,13 +295,12 @@ def test_corrupt_non_tail_line_raises(events):
         journal.close()
         segment = journal_files(tmp)[-1]
         lines = segment.read_bytes().splitlines(keepends=True)
-        lines[0] = lines[0][: max(1, len(lines[0]) // 2)].rstrip() + b"\n"
-        segment.write_bytes(b"".join(lines))
-        try:
-            read_events(tmp)
-        except JournalCorruptError:
-            return
-        raise AssertionError("corrupt non-tail line must raise")
+        torn = lines[0][: max(1, len(lines[0]) // 2)].rstrip() + b"\n"
+        mistyped = json.dumps({**json.loads(lines[0]), "seq": "5"}).encode()
+        for line in (torn, mistyped + b"\n"):
+            segment.write_bytes(b"".join([line, *lines[1:]]))
+            with pytest.raises(JournalCorruptError, match=rf"^{segment.name}:1: "):
+                read_events(tmp)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,11 +1,11 @@
 """Property tests: every wire DTO JSON round-trips losslessly.
 
-For every payload codec and request/response envelope in
+For every payload type and request/response envelope in
 :mod:`repro.api`, a randomized instance must survive
-``from_dict(json.loads(json.dumps(to_dict(x)))) == x`` — the *JSON text*
-round trip, not just the dict one, so the suite fails if any codec emits
-a non-JSON-native value (tuples, numpy scalars, enums) or drops float
-precision.  Ensembles compare by content fingerprint via
+``decode(type(x), json.loads(json.dumps(encode(x)))) == x`` — the *JSON
+text* round trip, not just the dict one, so the suite fails if the codec
+emits a non-JSON-native value (tuples, numpy scalars, enums) or drops
+float precision.  Ensembles compare by content fingerprint via
 :class:`~repro.api.EnsembleRef`.
 """
 
@@ -33,10 +33,11 @@ from repro.api import (
     StatsResponse,
     SubmitBatchRequest,
     SubmitBatchResponse,
+    decode,
+    encode,
     parse_request,
     parse_response,
 )
-from repro.api import wire
 from repro.core.adpar import ADPaRResult
 from repro.core.aggregator import (
     AggregatorReport,
@@ -56,10 +57,10 @@ names = st.text(
 )
 
 
-def wire_trip(to_dict, from_dict, value):
-    """``from_dict`` after a real JSON text round trip of ``to_dict``."""
-    encoded = json.dumps(to_dict(value))
-    return from_dict(json.loads(encoded))
+def wire_trip(value):
+    """``decode`` after a real JSON text round trip of ``encode``."""
+    encoded = json.dumps(encode(value))
+    return decode(type(value), json.loads(encoded))
 
 
 @st.composite
@@ -207,89 +208,57 @@ def cache_stats(draw):
 @settings(max_examples=60, deadline=None)
 @given(triparams())
 def test_triparams_roundtrip(params):
-    assert (
-        wire_trip(wire.triparams_to_dict, wire.triparams_from_dict, params)
-        == params
-    )
+    assert wire_trip(params) == params
 
 
 @settings(max_examples=60, deadline=None)
 @given(requests())
 def test_deployment_request_roundtrip(request):
-    assert (
-        wire_trip(
-            wire.deployment_request_to_dict,
-            wire.deployment_request_from_dict,
-            request,
-        )
-        == request
-    )
+    assert wire_trip(request) == request
 
 
 @settings(max_examples=60, deadline=None)
 @given(adpar_results())
 def test_adpar_result_roundtrip(result):
-    back = wire_trip(
-        wire.adpar_result_to_dict, wire.adpar_result_from_dict, result
-    )
+    back = wire_trip(result)
     assert back == result
 
 
 @settings(max_examples=60, deadline=None)
 @given(resolutions())
 def test_resolution_roundtrip(resolution):
-    assert (
-        wire_trip(wire.resolution_to_dict, wire.resolution_from_dict, resolution)
-        == resolution
-    )
+    assert wire_trip(resolution) == resolution
 
 
 @settings(max_examples=60, deadline=None)
 @given(stream_decisions())
 def test_stream_decision_roundtrip(decision):
-    assert (
-        wire_trip(
-            wire.stream_decision_to_dict,
-            wire.stream_decision_from_dict,
-            decision,
-        )
-        == decision
-    )
+    assert wire_trip(decision) == decision
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch_outcomes())
 def test_batch_outcome_roundtrip(outcome):
-    assert (
-        wire_trip(
-            wire.batch_outcome_to_dict, wire.batch_outcome_from_dict, outcome
-        )
-        == outcome
-    )
+    assert wire_trip(outcome) == outcome
 
 
 @settings(max_examples=40, deadline=None)
 @given(reports())
 def test_report_roundtrip(report):
-    assert (
-        wire_trip(wire.report_to_dict, wire.report_from_dict, report) == report
-    )
+    assert wire_trip(report) == report
 
 
 @settings(max_examples=40, deadline=None)
 @given(cache_stats())
 def test_cache_stats_roundtrip(stats):
-    assert (
-        wire_trip(wire.cache_stats_to_dict, wire.cache_stats_from_dict, stats)
-        == stats
-    )
+    assert wire_trip(stats) == stats
 
 
 @settings(max_examples=30, deadline=None)
 @given(ensembles())
 def test_ensemble_ref_roundtrip_inline(ensemble):
     ref = EnsembleRef.of(ensemble)
-    back = wire_trip(EnsembleRef.to_dict, EnsembleRef.from_dict, ref)
+    back = wire_trip(ref)
     assert back == ref
     # Inline form reconstructs the actual arrays, not just the hash.
     assert back.ensemble is not None
@@ -298,13 +267,13 @@ def test_ensemble_ref_roundtrip_inline(ensemble):
     assert back.ensemble.names == ensemble.names
     # Reference-only form round-trips too and compares equal by hash.
     thin = EnsembleRef.by_fingerprint(ref.fingerprint)
-    assert wire_trip(EnsembleRef.to_dict, EnsembleRef.from_dict, thin) == ref
+    assert wire_trip(thin) == ref
 
 
 @settings(max_examples=60, deadline=None)
 @given(specs())
 def test_engine_spec_roundtrip(spec):
-    back = wire_trip(EngineSpec.to_dict, EngineSpec.from_dict, spec)
+    back = wire_trip(spec)
     assert back == spec
     assert back.pool_key() == spec.pool_key()
 
@@ -417,11 +386,11 @@ def test_scenario_spec_trace_path_roundtrip(trace_path):
         seed=7,
         trace_path=trace_path,
     )
-    encoded = wire.scenario_spec_to_dict(spec)
+    encoded = encode(spec)
     # An empty trace_path is omitted so pre-journal payloads are
     # byte-identical; a set one round-trips verbatim.
     assert ("trace_path" in encoded) == bool(trace_path)
-    back = wire.scenario_spec_from_dict(json.loads(json.dumps(encoded)))
+    back = decode(ScenarioSpec, json.loads(json.dumps(encoded)))
     assert back == spec
 
 
@@ -457,7 +426,5 @@ def test_simulation_report_replay_fields_roundtrip(sessions, decisions, flips):
         replay_decisions=decisions,
         replay_flips=flips,
     )
-    back = wire_trip(
-        wire.simulation_report_to_dict, wire.simulation_report_from_dict, report
-    )
+    back = wire_trip(report)
     assert back == report

@@ -3,8 +3,8 @@
 Three contracts:
 
 * **Lossless JSON round trip** — every spec (randomized and every named
-  catalog family) survives ``from_dict(json.loads(json.dumps(to_dict(x))))
-  == x``, including the ``simulate`` envelopes.
+  catalog family) survives ``decode(type(x), json.loads(json.dumps(
+  encode(x)))) == x``, including the ``simulate`` envelopes.
 * **Seed determinism** — ``ScenarioSpec.build()`` is a pure function of
   the spec: two builds of an equal spec produce bitwise-identical
   ensembles and identical request batches.
@@ -23,10 +23,11 @@ from repro.api import (
     EngineSpec,
     SimulateRequest,
     SimulateResponse,
+    decode,
+    encode,
     parse_request,
     parse_response,
 )
-from repro.api import wire
 from repro.core.strategy import StrategyEnsemble
 from repro.utils.rng import spawn_rngs
 from repro.workloads import (
@@ -129,49 +130,33 @@ def scenario_specs(draw):
     )
 
 
-def wire_trip(to_dict, from_dict, value):
-    return from_dict(json.loads(json.dumps(to_dict(value))))
+def wire_trip(value):
+    return decode(type(value), json.loads(json.dumps(encode(value))))
 
 
 # ------------------------------------------------------------- round trips
 @settings(max_examples=60, deadline=None)
 @given(ensemble_specs())
 def test_ensemble_spec_roundtrip(spec):
-    assert (
-        wire_trip(wire.ensemble_spec_to_dict, wire.ensemble_spec_from_dict, spec)
-        == spec
-    )
+    assert wire_trip(spec) == spec
 
 
 @settings(max_examples=60, deadline=None)
 @given(request_batch_specs())
 def test_request_batch_spec_roundtrip(spec):
-    assert (
-        wire_trip(
-            wire.request_batch_spec_to_dict,
-            wire.request_batch_spec_from_dict,
-            spec,
-        )
-        == spec
-    )
+    assert wire_trip(spec) == spec
 
 
 @settings(max_examples=60, deadline=None)
 @given(arrival_specs())
 def test_arrival_spec_roundtrip(spec):
-    assert (
-        wire_trip(wire.arrival_spec_to_dict, wire.arrival_spec_from_dict, spec)
-        == spec
-    )
+    assert wire_trip(spec) == spec
 
 
 @settings(max_examples=60, deadline=None)
 @given(scenario_specs())
 def test_scenario_spec_roundtrip(spec):
-    assert (
-        wire_trip(wire.scenario_spec_to_dict, wire.scenario_spec_from_dict, spec)
-        == spec
-    )
+    assert wire_trip(spec) == spec
 
 
 def test_every_catalog_family_roundtrips():
@@ -179,9 +164,7 @@ def test_every_catalog_family_roundtrips():
     assert len(registry.names()) >= 8
     for name in registry.names():
         spec = registry.get(name)
-        back = wire_trip(
-            wire.scenario_spec_to_dict, wire.scenario_spec_from_dict, spec
-        )
+        back = wire_trip(spec)
         assert back == spec, name
 
 

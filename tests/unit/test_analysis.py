@@ -21,7 +21,6 @@ from repro.analysis import (
     RULES,
     analyze_locks,
     analyze_registries,
-    analyze_wire,
     diff_against_baseline,
     load_baseline,
     run_analysis,
@@ -115,35 +114,6 @@ class TestLockcheck:
     def test_init_writes_are_exempt(self):
         diagnostics, _ = analyze_locks(load_fixtures("good_locks.py"))
         assert not [d for d in diagnostics if d.rule == "L003"]
-
-
-class TestWirecheck:
-    def _diagnostics(self):
-        sources = load_fixtures("drifted_wire.py")
-        return analyze_wire(sources, codec_files={"fixtures/drifted_wire.py"})
-
-    def test_encoded_not_decoded(self):
-        w001 = [d for d in self._diagnostics() if d.rule == "W001"]
-        assert {d.subject for d in w001} == {"parcel.flagged", "parcel.weight"}
-        flagged = next(d for d in w001 if d.subject == "parcel.flagged")
-        assert flagged.file == "fixtures/drifted_wire.py"
-        assert flagged.line == line_of("drifted_wire.py", '"flagged"')
-
-    def test_decoded_not_encoded(self):
-        w002 = [d for d in self._diagnostics() if d.rule == "W002"]
-        assert {d.subject for d in w002} == {"parcel.priority"}
-        assert w002[0].line == line_of("drifted_wire.py", '"priority"')
-
-    def test_field_never_constructed(self):
-        w003 = [d for d in self._diagnostics() if d.rule == "W003"]
-        assert {d.subject for d in w003} == {"Parcel.insured"}
-        assert w003[0].line == line_of("drifted_wire.py", "insured: bool")
-
-    def test_key_read_through_helper_counts_as_decoded(self):
-        # `parcel_id` flows through require(payload, "parcel_id", ...)
-        # and must NOT be flagged on either side.
-        subjects = {d.subject for d in self._diagnostics()}
-        assert "parcel.parcel_id" not in subjects
 
 
 class TestRegistrycheck:

@@ -14,15 +14,13 @@ from repro.api import (
     SessionOpRequest,
     StatsRequest,
     SubmitBatchRequest,
+    decode,
+    encode,
     error_code_for,
     parse_request,
 )
-from repro.api.wire import (
-    deployment_request_from_dict,
-    triparams_from_dict,
-)
 from repro.core.params import TriParams
-from repro.core.request import make_requests
+from repro.core.request import DeploymentRequest, make_requests
 from repro.core.strategy import StrategyEnsemble
 from repro.exceptions import (
     ApiError,
@@ -64,31 +62,32 @@ def resolve_payload(**overrides) -> dict:
 class TestWireErrors:
     def test_missing_field_is_api_error_not_keyerror(self):
         with pytest.raises(ApiError) as excinfo:
-            triparams_from_dict({"quality": 0.5, "cost": 0.5})
+            decode(TriParams, {"quality": 0.5, "cost": 0.5})
         assert excinfo.value.code == "malformed_payload"
         assert "latency" in str(excinfo.value)
 
     def test_wrong_type_is_api_error_not_typeerror(self):
         with pytest.raises(ApiError):
-            triparams_from_dict({"quality": "high", "cost": 0.5, "latency": 0.5})
+            decode(TriParams, {"quality": "high", "cost": 0.5, "latency": 0.5})
         with pytest.raises(ApiError):
-            triparams_from_dict("not a mapping")
+            decode(TriParams, "not a mapping")
 
     def test_semantically_invalid_value_is_api_error(self):
         # quality=2.0 passes the type check but fails TriParams' range
         # validation — must still surface as the typed error.
         with pytest.raises(ApiError) as excinfo:
-            triparams_from_dict({"quality": 2.0, "cost": 0.5, "latency": 0.5})
+            decode(TriParams, {"quality": 2.0, "cost": 0.5, "latency": 0.5})
         assert excinfo.value.code == "invalid_payload"
 
     def test_empty_request_id_is_api_error(self):
         with pytest.raises(ApiError):
-            deployment_request_from_dict(
+            decode(
+                DeploymentRequest,
                 {
                     "request_id": "",
                     "params": {"quality": 0.5, "cost": 0.5, "latency": 0.5},
                     "k": 1,
-                }
+                },
             )
 
     def test_missing_version_rejected(self):
@@ -108,6 +107,22 @@ class TestWireErrors:
             parse_request(resolve_payload(type="frobnicate"))
         assert excinfo.value.code == "unknown_type"
 
+    def test_inline_ensemble_with_duplicate_names_rejected(self):
+        payload = resolve_payload()
+        del payload["ensemble"]["fingerprint"]
+        payload["ensemble"]["names"] = ["dup"] * len(paper_ensemble().names)
+        out = EngineService().handle_dict(payload)
+        assert (out["type"], out["code"]) == ("error", "invalid_payload")
+
+    def test_inline_ensemble_with_non_finite_models_rejected(self):
+        payload = resolve_payload()
+        del payload["ensemble"]["fingerprint"]
+        payload["ensemble"]["alpha"] = [
+            [float("nan")] * 3 for _ in payload["ensemble"]["alpha"]
+        ]
+        out = EngineService().handle_dict(payload)
+        assert (out["type"], out["code"]) == ("error", "invalid_payload")
+
     def test_fingerprint_mismatch_rejected(self):
         payload = resolve_payload()
         payload["ensemble"]["fingerprint"] = "0" * 64
@@ -123,11 +138,11 @@ class TestEngineSpecEdgeRoundTrips:
         spec = EngineSpec(
             availability=0.5, planner_options={}, solver_options={}
         )
-        assert EngineSpec.from_dict(spec.to_dict()) == spec
+        assert decode(EngineSpec, encode(spec)) == spec
 
     def test_tuple_valued_planner_options_survive(self):
         spec = EngineSpec(availability=0.5, planner_options={"w": (1.0, 2.0)})
-        back = EngineSpec.from_dict(spec.to_dict())
+        back = decode(EngineSpec, encode(spec))
         assert back == spec
         assert back.pool_key() == spec.pool_key()
 
