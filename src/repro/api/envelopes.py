@@ -473,7 +473,12 @@ def parse_request(payload):
     expect_mapping(payload, "request envelope")
     check_api_version(payload, "request envelope")
     envelope_type = require(payload, "type", "request envelope")
-    parser = _REQUEST_TYPES.get(envelope_type)
+    # A non-string tag (a list, an object) is unknown, not unhashable.
+    parser = (
+        _REQUEST_TYPES.get(envelope_type)
+        if isinstance(envelope_type, str)
+        else None
+    )
     if parser is None:
         raise ApiError(
             f"unknown request type {envelope_type!r}; "
@@ -488,7 +493,11 @@ def parse_response(payload):
     expect_mapping(payload, "response envelope")
     check_api_version(payload, "response envelope")
     envelope_type = require(payload, "type", "response envelope")
-    parser = _RESPONSE_TYPES.get(envelope_type)
+    parser = (
+        _RESPONSE_TYPES.get(envelope_type)
+        if isinstance(envelope_type, str)
+        else None
+    )
     if parser is None:
         raise ApiError(
             f"unknown response type {envelope_type!r}",

@@ -86,15 +86,14 @@ from repro.engine import (
     RecommendationEngine,
     ensemble_fingerprint,
 )
-from repro.engine.session import EngineSession, drive_stream
+from repro.engine.session import EngineSession, check_burst, drive_stream
 from repro.exceptions import ApiError, JournalCorruptError
 
 # Submodule imports, not the package: repro.journal's __init__ pulls in
-# the replayer, which drives *this* service — the submodules below are
-# cycle-free.
+# the replayer, which imports *this* service lazily — the submodules
+# below are cycle-free.
 from repro.journal.events import (
     CheckpointEvent,
-    EnsembleEvent,
     ReleaseEvent,
     RetryEvent,
     SessionCheckpoint,
@@ -103,6 +102,7 @@ from repro.journal.events import (
     SubmitEvent,
 )
 from repro.journal.journal import read_events
+from repro.journal.replay import recorded_ensembles, reenact
 from repro.utils.lockdebug import maybe_guarded
 from repro.workloads.registry import (
     ScenarioRegistry,
@@ -539,16 +539,20 @@ class EngineService:
             journal.write_checkpoint(sessions, ensembles.values())
 
     def recover_from_journal(self, journal) -> int:
-        """Rebuild live sessions from a journal's checkpoint + tail.
+        """Rebuild live sessions from a journal's checkpoint + reenactment.
 
         Reads every prior segment under ``journal``'s directory (the
         freshly reopened journal writes to a new segment, so nothing
-        read here is being appended to), restores each session in the
-        *last* checkpoint from its state snapshot, and re-drives only
-        the events a snapshot did not already fold in (``seq`` beyond
-        the per-session checkpoint seq).  Sessions opened after the
-        checkpoint replay from their open events.  Returns the number
-        of live sessions after recovery.
+        read here is being appended to) and registers every recorded
+        ensemble.  Each session in the *last* checkpoint is restored
+        under its recorded id from its state snapshot; then the whole
+        journal walks through :func:`~repro.journal.replay.reenact`,
+        which skips the events a snapshot already folded in (``seq`` at
+        or below its checkpoint ``seq``) and re-opens every other
+        session under its recorded id and spec.  A recorded op that
+        cannot be re-applied raises :class:`JournalCorruptError` naming
+        its session and ``seq``.  Returns the number of live sessions
+        after recovery.
 
         Call *before* :meth:`attach_journal` — recovery re-drives
         decisions through the normal session code paths, and those must
@@ -560,156 +564,69 @@ class EngineService:
                 code="invalid_argument",
             )
         events = read_events(journal.directory)
-        checkpoint_index = None
-        checkpoint = None
-        for index, event in enumerate(events):
-            if isinstance(event, CheckpointEvent):
-                checkpoint_index, checkpoint = index, event
-        snapshot_seq = (
-            {}
-            if checkpoint is None
-            else {s.session_id: s.seq for s in checkpoint.sessions}
-        )
-        # Events for checkpointed sessions that were appended after the
-        # snapshot was taken but landed before the checkpoint line — the
-        # benign checkpoint/append interleaving.  They apply after the
-        # snapshot restores.
-        straddlers: list = []
-        for index, event in enumerate(events):
-            if isinstance(event, CheckpointEvent):
-                if index != checkpoint_index:
-                    continue  # superseded by a later checkpoint
-                for ref in checkpoint.ensembles:
-                    if ref.ensemble is not None:
-                        self.register_ensemble(ref.ensemble)
-                for entry in checkpoint.sessions:
-                    ensemble = self._ensembles.get(entry.fingerprint)
-                    if ensemble is None:
-                        raise JournalCorruptError(
-                            f"checkpoint names session "
-                            f"{entry.session_id!r} under ensemble "
-                            f"{entry.fingerprint[:16]}… but carries no "
-                            "inline copy of it"
-                        )
-                    self._restore_session(
-                        entry.session_id,
-                        ensemble,
-                        entry.spec,
-                        entry.state,
-                        last_seq=entry.seq,
-                    )
-                for straddler in straddlers:
-                    self._apply_event(straddler)
-                continue
-            if isinstance(event, EnsembleEvent):
-                if event.ref.ensemble is not None:
-                    self.register_ensemble(event.ref.ensemble)
-                continue
-            session_id = getattr(event, "session_id", None)
-            if session_id is None:
-                continue
-            if session_id in snapshot_seq:
-                if event.seq <= snapshot_seq[session_id]:
-                    continue  # already folded into the snapshot
-                if checkpoint_index is not None and index < checkpoint_index:
-                    straddlers.append(event)
-                    continue
-            self._apply_event(event)
-        # Resume the session-id counter past every recorded id so a
-        # recovered service never re-mints a journaled session id.
-        highest = 0
-        pattern = re.compile(r"^sess-(\d+)-")
-        recorded_ids = [
-            event.session_id
-            for event in events
-            if isinstance(event, SessionOpenEvent)
-        ] + [
-            entry.session_id
-            for event in events
-            if isinstance(event, CheckpointEvent)
-            for entry in event.sessions
-        ]
-        for session_id in recorded_ids:
-            match = pattern.match(session_id)
-            if match is not None:
-                highest = max(highest, int(match.group(1)))
-        if highest:
-            self._session_seq = itertools.count(highest + 1)
-        restored = len(self._sessions)
-        journal.note_restores(restored)
-        return restored
+        ensembles = recorded_ensembles(events)
+        for ensemble in ensembles.values():
+            self.register_ensemble(ensemble)
+        identity: "dict[str, tuple[str, EngineSpec]]" = {}
 
-    def _apply_event(self, event) -> None:
-        """Re-drive one journaled event against the recovering service."""
-        if isinstance(event, SessionOpenEvent):
-            if event.session_id in self._sessions:
-                return  # already restored from the checkpoint
-            ensemble = self._ensembles.get(event.fingerprint)
+        def engine(recorded):
+            # A checkpoint entry or an open event: id, fingerprint, spec.
+            ensemble = ensembles.get(recorded.fingerprint)
             if ensemble is None:
                 raise JournalCorruptError(
-                    f"journal opens session {event.session_id!r} under "
-                    f"ensemble {event.fingerprint[:16]}… that it never "
-                    "recorded"
+                    f"journal records session {recorded.session_id!r} under "
+                    f"ensemble {recorded.fingerprint[:16]}… but never the "
+                    "ensemble itself"
                 )
-            self._restore_session(
-                event.session_id,
-                ensemble,
-                event.spec,
-                None,
-                last_seq=event.seq,
+            identity[recorded.session_id] = (
+                recorded.fingerprint,
+                recorded.spec,
             )
-            return
-        if isinstance(event, SessionCloseEvent):
-            with self._sessions_lock:
-                self._sessions.pop(event.session_id, None)
-            return
-        handle = self._sessions.get(event.session_id)
-        if handle is None:
-            return  # the journal closes this session later anyway
-        if isinstance(event, SubmitEvent):
-            handle.session.submit_many(list(event.requests))
-        elif isinstance(event, RetryEvent):
-            handle.session.retry_deferred()
-        elif isinstance(event, ReleaseEvent):
-            release = (
-                handle.session.complete
-                if event.op == "complete"
-                else handle.session.revoke
-            )
-            for request_id in event.request_ids:
-                try:
-                    release(request_id)
-                except KeyError:
-                    # Tolerated, not corruption: the reservation may sit
-                    # before this session's checkpoint seq horizon.
-                    pass
-        handle.last_seq = event.seq
+            return self.engine_for(ensemble, recorded.spec)
 
-    def _restore_session(
-        self,
-        session_id: str,
-        ensemble: StrategyEnsemble,
-        spec: "EngineSpec | None",
-        state,
-        last_seq: int = 0,
-    ) -> None:
-        """Re-open a recorded session under its recorded id."""
-        spec = self._resolve_spec(spec)
-        engine = self.engine_for(ensemble, spec)
-        session = (
-            engine.open_session()
-            if state is None
-            else EngineSession.restore(engine, state)
+        checkpoint = next(
+            (e for e in reversed(events) if isinstance(e, CheckpointEvent)),
+            None,
         )
-        handle = _SessionHandle(
-            session_id=session_id,
-            session=session,
-            fingerprint=ensemble_fingerprint(ensemble),
-            spec=spec,
-            last_seq=last_seq,
+        restored = {
+            entry.session_id: (
+                EngineSession.restore(engine(entry), entry.state),
+                entry.seq,
+            )
+            for entry in (checkpoint.sessions if checkpoint else ())
+        }
+
+        def unapplied(event, _decisions, error):
+            if error is not None:
+                raise JournalCorruptError(
+                    f"cannot re-apply the {event.kind} at seq {event.seq} "
+                    f"of session {event.session_id!r}: {error}"
+                ) from error
+
+        live, _opened, _skipped = reenact(
+            events,
+            lambda event: engine(event).open_session(),
+            unapplied,
+            restored,
         )
         with self._sessions_lock:
-            self._sessions[session_id] = handle
+            for session_id, (session, last_seq) in live.items():
+                fingerprint, spec = identity[session_id]
+                self._sessions[session_id] = _SessionHandle(
+                    session_id, session, fingerprint, spec, last_seq
+                )
+        # Resume the session-id counter past every recorded id so a
+        # recovered service never re-mints a journaled session id.
+        numbers = [
+            int(match.group(1))
+            for match in map(re.compile(r"^sess-(\d+)-").match, identity)
+            if match is not None
+        ]
+        if numbers:
+            self._session_seq = itertools.count(max(numbers) + 1)
+        restored_count = len(self._sessions)
+        journal.note_restores(restored_count)
+        return restored_count
 
     # ------------------------------------------------------------ typed ops
     def plan(self, request: PlanRequest) -> PlanResponse:
@@ -758,18 +675,11 @@ class EngineService:
         )
 
     def submit_batch(self, request: SubmitBatchRequest) -> SubmitBatchResponse:
-        # Stricter wire contract than the raw session: burst ids must be
-        # unique and not already active.  The session's submit_many
-        # raises *mid-walk* on a live duplicate, mutating the ledger
-        # before failing — but the error envelope cannot report partial
-        # admissions, so the service validates up front and either the
-        # whole burst applies or none of it does.
+        # The error envelope cannot report partial admissions, so the
+        # burst rule runs up front and either the whole burst applies or
+        # none of it does.  A repeated id outranks every session error.
         ids = [r.request_id for r in request.requests]
-        if len(set(ids)) != len(ids):
-            raise ApiError(
-                "submit_batch request ids must be unique within a burst",
-                code="invalid_argument",
-            )
+        check_burst(ids)
         if request.session_id is not None:
             handle = self._session_handle(request.session_id)
             if request.ensemble is not None or request.spec is not None:
@@ -789,13 +699,7 @@ class EngineService:
         # check between validate and submit (session.lock is an RLock;
         # submit_many re-acquires it harmlessly).
         with handle.session.lock:
-            active = handle.session.active
-            already = next((i for i in ids if i in active), None)
-            if already is not None:
-                raise ApiError(
-                    f"request {already!r} is already active in this session",
-                    code="invalid_argument",
-                )
+            check_burst(ids, handle.session.active)
             try:
                 decisions = handle.session.submit_many(list(request.requests))
             except Exception:

@@ -174,6 +174,10 @@ class RouterService:
             request_type = (
                 payload.get("type") if isinstance(payload, dict) else None
             )
+            if not isinstance(request_type, str):
+                # Unhashable tags must not reach the set lookups below;
+                # the worker answers the typed unknown_type error.
+                request_type = None
             if request_type == "stats":
                 return self._forward_stats()
             if (

@@ -47,7 +47,7 @@ from repro.core.aggregator import AggregatorReport
 from repro.core.request import DeploymentRequest
 from repro.core.streaming import StreamDecision, StreamStatus
 from repro.core.workforce import RequestWorkforce
-from repro.exceptions import InfeasibleRequestError
+from repro.exceptions import ApiError, InfeasibleRequestError
 from repro.utils.lockdebug import maybe_guarded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -447,6 +447,28 @@ class EngineSession:
         streaming ledger.
         """
         return self.engine.resolve(requests)
+
+
+def check_burst(request_ids, active=()) -> None:
+    """The service's burst rule: ids unique within the burst, none active.
+
+    Stricter than :meth:`EngineSession.submit_many`, which raises
+    *mid-walk* on a live duplicate after mutating the ledger: a burst
+    checked here up front applies whole or not at all.  The service
+    checks live bursts with it and reenactment checks recorded ones.
+    Raises the typed ``invalid_argument`` :class:`ApiError`.
+    """
+    if len(set(request_ids)) != len(request_ids):
+        raise ApiError(
+            "submit_batch request ids must be unique within a burst",
+            code="invalid_argument",
+        )
+    already = next((i for i in request_ids if i in active), None)
+    if already is not None:
+        raise ApiError(
+            f"request {already!r} is already active in this session",
+            code="invalid_argument",
+        )
 
 
 def drive_stream(

@@ -48,7 +48,8 @@ class JournalCorruptError(ReproError):
     journal starts a fresh segment, so only a segment's last line can
     legitimately be torn.  Anything else malformed (a bad line with
     valid lines after it, an event referencing an ensemble the journal
-    never recorded) is corruption and raises this.
+    never recorded, a recorded op recovery cannot re-apply) is
+    corruption and raises this.
     """
 
 

@@ -10,10 +10,13 @@ log + reenactment replay"):
   checkpoints carrying :class:`~repro.engine.session.SessionState`
   snapshots so a restarted ``repro serve --journal DIR`` rebuilds all
   live sessions from checkpoint + tail.
-* :func:`~repro.journal.replay.replay_trace` — reenactment (Arab et
-  al., PAPERS.md): re-drive a recorded trace through the real service
-  under a possibly different :class:`~repro.api.wire.EngineSpec` and
-  diff every decision against the recording (``repro replay``).
+* :func:`~repro.journal.replay.reenact` — reenactment (Arab et al.,
+  PAPERS.md): the one walker that re-drives recorded events through
+  engine sessions, shared by recovery, the ``recorded-trace`` scenario
+  and :func:`~repro.journal.replay.replay_trace` (``repro replay``:
+  re-drive a trace under a possibly different
+  :class:`~repro.api.wire.EngineSpec` and diff every decision against
+  the recording).
 
 Journal lines go through the one derived codec (:mod:`repro.api.codec`)
 the wire uses, so a trace is the same JSON vocabulary clients see on the

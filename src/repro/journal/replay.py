@@ -1,11 +1,27 @@
-"""Reenactment replay: re-drive a recorded trace, diff every decision.
+"""Reenactment: re-drive a recorded trace through real sessions.
 
-The reenactment idea (Arab et al., PAPERS.md): a recorded decision
-journal is not just a recovery artifact but a *workload* — re-driving
-its sessions through the real service under a possibly different
-:class:`~repro.api.wire.EngineSpec` answers "what would this engine
-configuration have decided on last week's traffic?" with a structured
-decision diff instead of a guess.
+The reenactment idea (Arab et al., PAPERS.md): a session's state is a
+checkpoint plus a reenacted tail, and a recorded decision journal is not
+just a recovery artifact but a *workload* — re-driving its sessions
+under a possibly different :class:`~repro.api.wire.EngineSpec` answers
+"what would this engine configuration have decided on last week's
+traffic?" with a structured decision diff instead of a guess.
+
+One walker, :func:`reenact`, drives recorded events through engine
+sessions for all three readers of a journal; each caller says only how
+a recorded open becomes a session and what an op that could not be
+applied means:
+
+* journal recovery (``EngineService.recover_from_journal``) restores
+  each session under its recorded id and spec, and raises
+  :class:`~repro.exceptions.JournalCorruptError` for an unapplied op;
+* :func:`replay_trace` — ``repro replay`` — opens each session on the
+  pooled engine for its recorded spec with field overrides applied
+  (``--planner``/``--solver``/...), and pairs an unapplied op's
+  recorded decisions with nothing;
+* :func:`reenact_on_engine` — the ``recorded-trace`` scenario family —
+  opens the primary ensemble's sessions on the scenario's engine and
+  pairs the same way.
 
 Comparison is exact: every recorded/replayed decision pair is matched on
 ``StreamDecision.comparison_key()`` — request id, status, strategy
@@ -17,17 +33,6 @@ spec must reproduce every decision bitwise
 spec surfaces as admit/defer flips, alternative-quality deltas, and
 ledger-counter deltas.
 
-Two drive paths share one event walker:
-
-* :func:`replay_trace` — the ``repro replay`` path: re-drives the trace
-  through a real :class:`~repro.api.EngineService` (typed envelopes,
-  same validation as live traffic), honoring per-session recorded specs
-  with optional field overrides (``--planner``/``--solver``/...).
-* :func:`reenact_on_engine` — the ``simulate`` path: re-drives the
-  primary ensemble's sessions on an already-built engine, which is how
-  a journal file plugs into the scenario envelope as a
-  ``recorded-trace`` workload (:class:`TraceWorkload`).
-
 Service imports are deliberately lazy: this module loads as part of
 ``repro.journal``'s package init, which ``repro.api.service`` itself
 triggers by importing the event codecs.
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from repro.engine.session import check_burst
 from repro.exceptions import (
     InvalidSpecError,
     JournalCorruptError,
@@ -46,15 +52,14 @@ from repro.journal.events import (
     CheckpointEvent,
     EnsembleEvent,
     ReleaseEvent,
-    RetryEvent,
     SessionCloseEvent,
     SessionOpenEvent,
     SubmitEvent,
 )
 from repro.journal.journal import read_events
 
-#: Default cap on materialized per-decision diffs in a report (the
-#: aggregate counters always cover the full trace).
+#: Cap on materialized per-decision diffs in a report (the aggregate
+#: counters always cover the full trace).
 MAX_DIFFS = 64
 
 
@@ -77,32 +82,45 @@ class TraceWorkload:
     arrivals: int
 
 
+def recorded_ensembles(events) -> dict:
+    """Fingerprint → ensemble for every inline ensemble ``events`` record.
+
+    One pass in journal order, first record first: ``ensemble`` events
+    and checkpoint refs alike — a checkpoint embeds its sessions'
+    ensembles, so a segment read on its own still resolves them.
+    """
+    ensembles: "dict[str, object]" = {}
+    for event in events:
+        if isinstance(event, EnsembleEvent):
+            refs = (event.ref,)
+        elif isinstance(event, CheckpointEvent):
+            refs = event.ensembles
+        else:
+            continue
+        for ref in refs:
+            if ref.ensemble is not None:
+                ensembles.setdefault(ref.fingerprint, ref.ensemble)
+    return ensembles
+
+
 def load_trace(path):
     """Read a journal into ``(primary ensemble, TraceWorkload)``.
 
     ``path`` is a journal directory or a single segment file.  Raises
     :class:`JournalCorruptError` when the trace is unreadable or records
     no inline ensemble (a trace without its ensembles cannot be
-    re-driven — checkpoints embed them precisely so rotated-away
-    ``ensemble`` events are not a replay blocker).
+    re-driven).
     """
     events = read_events(path)
-    ensembles: "dict[str, object]" = {}
-    order: "list[str]" = []
+    ensembles = recorded_ensembles(events)
+    if not ensembles:
+        raise JournalCorruptError(
+            f"trace {path} records no inline ensemble; nothing to replay"
+        )
     session_fp: "dict[str, str]" = {}
     submitted: "dict[str, int]" = {}
-
-    def _note(ref) -> None:
-        if ref.ensemble is not None and ref.fingerprint not in ensembles:
-            ensembles[ref.fingerprint] = ref.ensemble
-            order.append(ref.fingerprint)
-
     for event in events:
-        if isinstance(event, EnsembleEvent):
-            _note(event.ref)
-        elif isinstance(event, CheckpointEvent):
-            for ref in event.ensembles:
-                _note(ref)
+        if isinstance(event, CheckpointEvent):
             for entry in event.sessions:
                 session_fp.setdefault(entry.session_id, entry.fingerprint)
         elif isinstance(event, SessionOpenEvent):
@@ -113,11 +131,8 @@ def load_trace(path):
                 submitted[fingerprint] = submitted.get(fingerprint, 0) + len(
                     event.requests
                 )
-    if not ensembles:
-        raise JournalCorruptError(
-            f"trace {path} records no inline ensemble; nothing to replay"
-        )
-    primary = max(order, key=lambda fp: (submitted.get(fp, 0), -order.index(fp)))
+    # max() keeps the first of equal keys: ties go to first recorded.
+    primary = max(ensembles, key=lambda fp: submitted.get(fp, 0))
     sessions = sum(1 for fp in session_fp.values() if fp == primary)
     workload = TraceWorkload(
         trace=str(path),
@@ -212,7 +227,7 @@ class ReplayReport:
     ``decisions`` counts compared pairs; ``identical`` counts pairs
     whose ``comparison_key`` matched exactly; ``flips`` counts status
     flips (a strict subset of non-identical pairs); ``diffs`` holds up
-    to ``max_diffs`` materialized :class:`DecisionDiff` rows, most
+    to :data:`MAX_DIFFS` materialized :class:`DecisionDiff` rows, most
     trace-ordered first (``diffs_truncated`` says whether the cap bit).
     """
 
@@ -296,12 +311,11 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------- event walking
+# ------------------------------------------------------------------ pairs
 class _Pairs:
     """Accumulates recorded/replayed decision pairs into report terms."""
 
-    def __init__(self, max_diffs: int):
-        self.max_diffs = max(0, int(max_diffs))
+    def __init__(self):
         self.decisions = 0
         self.identical = 0
         self.flips = 0
@@ -311,6 +325,21 @@ class _Pairs:
         self.replayed_counts: "dict[str, int]" = {}
         self.reserved_delta = 0.0
         self._distance_deltas: "list[float]" = []
+
+    def add_event(self, event, replayed, _error) -> None:
+        """Pair a submit/retry event's recorded decisions with the
+        replayed ones (``None``: the op went unapplied).
+
+        Pairs match by request id: a burst answers one decision per
+        (unique) id, and a drain's queue may hold different requests
+        after an earlier admit/defer flip.
+        """
+        replayed_by_id = {_request_id(d): d for d in replayed or ()}
+        for recorded in event.decisions:
+            other = replayed_by_id.pop(recorded.request_id, None)
+            self.add(event.session_id, event.kind, recorded, other)
+        for decision in replayed_by_id.values():
+            self.add(event.session_id, event.kind, None, decision)
 
     def add(self, session_id: str, source: str, recorded, replayed) -> None:
         self.decisions += 1
@@ -337,7 +366,7 @@ class _Pairs:
             return
         if _status_str(recorded) != _status_str(replayed):
             self.flips += 1
-        if len(self.diffs) < self.max_diffs:
+        if len(self.diffs) < MAX_DIFFS:
             request = recorded if recorded is not None else replayed
             self.diffs.append(
                 DecisionDiff(
@@ -359,50 +388,15 @@ class _Pairs:
         else:
             self.truncated = True
 
-    def add_submit(self, session_id, recorded, replayed) -> None:
-        # submit_many answers positionally, one decision per request.
-        replayed = list(replayed) if replayed is not None else []
-        for index, decision in enumerate(recorded):
-            other = replayed[index] if index < len(replayed) else None
-            self.add(session_id, "submit", decision, other)
-        for extra in replayed[len(recorded) :]:
-            self.add(session_id, "submit", None, extra)
-
-    def add_retry(self, session_id, recorded, replayed) -> None:
-        # A drain's decisions are matched by request id: the queues may
-        # hold different requests after an earlier admit/defer flip.
-        recorded_by_id = {_request_id(d): d for d in recorded}
-        replayed_by_id = {
-            _request_id(d): d for d in (replayed or [])
-        }
-        for request_id, decision in recorded_by_id.items():
-            self.add(
-                session_id,
-                "retry",
-                decision,
-                replayed_by_id.pop(request_id, None),
-            )
-        for decision in replayed_by_id.values():
-            self.add(session_id, "retry", None, decision)
-
     def report(
-        self,
-        trace: str,
-        sessions: int,
-        skipped_sessions: int,
-        events: int,
-        overrides: "dict | None",
+        self, workload: TraceWorkload, sessions: int, skipped: int, overrides
     ) -> ReplayReport:
-        mean_distance_delta = (
-            sum(self._distance_deltas) / len(self._distance_deltas)
-            if self._distance_deltas
-            else 0.0
-        )
+        deltas = self._distance_deltas
         return ReplayReport(
-            trace=trace,
+            trace=workload.trace,
             sessions=sessions,
-            skipped_sessions=skipped_sessions,
-            events=events,
+            skipped_sessions=skipped,
+            events=len(workload.events),
             decisions=self.decisions,
             identical=self.identical,
             flips=self.flips,
@@ -411,212 +405,124 @@ class _Pairs:
             recorded_counts=self.recorded_counts,
             replayed_counts=self.replayed_counts,
             reserved_delta=self.reserved_delta,
-            mean_distance_delta=mean_distance_delta,
+            mean_distance_delta=sum(deltas) / len(deltas) if deltas else 0.0,
             overrides=dict(overrides or {}),
         )
 
 
-class _ServiceDriver:
-    """Re-drives one recorded session through a live ``EngineService``."""
+# ----------------------------------------------------------------- walker
+def reenact(events, open_session, outcome, restored=None):
+    """Drive recorded events through engine sessions, one rule per case.
 
-    def __init__(self, service, session_id: str):
-        self.service = service
-        self.session_id = session_id
+    ``open_session(event)`` turns a recorded open into an
+    :class:`~repro.engine.session.EngineSession`, or ``None`` to skip
+    that session.  ``outcome(event, decisions, error)`` hears every
+    submit or retry driven on a live session: the decisions it drew, or
+    ``None`` and the :class:`ReproError` that left it unapplied.
+    ``restored`` maps the ids of sessions already rebuilt from a
+    checkpoint to ``(session, checkpoint seq)``.  The rules:
 
-    def submit(self, requests):
-        from repro.api.envelopes import SubmitBatchRequest
+    * an open that is restated (its session live or skipped) is skipped;
+    * an event at or below its session's ``seq`` horizon is skipped — a
+      restored session's horizon starts at its checkpoint ``seq``, so
+      events the snapshot already folded in never apply twice;
+    * a burst the live service would reject (:func:`check_burst`: a
+      repeated id, or an id still active) is not applied, and neither
+      is a submit or retry that raises a :class:`ReproError`;
+    * a release skips ids that are not active;
+    * a close drops the session.
 
-        response = self.service.submit_batch(
-            SubmitBatchRequest(
-                requests=tuple(requests), session_id=self.session_id
-            )
-        )
-        return list(response.decisions)
-
-    def retry(self):
-        from repro.api.envelopes import RetryDeferredRequest
-
-        response = self.service.retry_deferred(
-            RetryDeferredRequest(session_id=self.session_id)
-        )
-        return list(response.decisions)
-
-    def release(self, op: str, request_ids) -> None:
-        from repro.api.envelopes import SessionOpRequest
-
-        # A status flip may have left some recorded reservations never
-        # admitted here — releasing those would be a typed error, and the
-        # interesting signal (the flip) is already in the diff.
-        active = self.service.session(self.session_id).active
-        request_ids = [rid for rid in request_ids if rid in active]
-        if not request_ids:
-            return
-        self.service.session_op(
-            SessionOpRequest(
-                op=op,
-                session_id=self.session_id,
-                request_ids=tuple(request_ids),
-            )
-        )
-
-    def close(self) -> None:
-        self.service.close_session(self.session_id)
-
-
-class _SessionDriver:
-    """Re-drives one recorded session on a bare ``EngineSession``."""
-
-    def __init__(self, session):
-        self.session = session
-
-    def submit(self, requests):
-        return self.session.submit_many(list(requests))
-
-    def retry(self):
-        return self.session.retry_deferred()
-
-    def release(self, op: str, request_ids) -> None:
-        release = self.session.complete if op == "complete" else self.session.revoke
-        active = self.session.active
-        for request_id in request_ids:
-            if request_id in active:
-                release(request_id)
-
-    def close(self) -> None:
-        pass
-
-
-def _walk(events, open_driver, pairs: _Pairs) -> "tuple[int, int]":
-    """Drive every session's events through its driver; returns
-    ``(replayed sessions, skipped sessions)``.
-
-    ``open_driver(event)`` answers a driver or ``None`` (session not
-    replayable — unknown ensemble, out-of-scope fingerprint, or the
-    open itself failed).  Any drive-time :class:`ReproError` pairs the
-    event's recorded decisions with nothing instead of aborting the
-    pass: the failure is itself a decision divergence.
+    Returns ``(live, opened, skipped)``: ``live`` maps each session
+    still open at the end to ``[session, seq of its last event]``;
+    ``opened`` and ``skipped`` count the opens driven and declined.
     """
-    drivers: "dict[str, object]" = {}
+    live = {
+        sid: [session, seq] for sid, (session, seq) in (restored or {}).items()
+    }
     skipped: "set[str]" = set()
-    replayed = 0
+    opened = 0
     for event in events:
+        session_id = getattr(event, "session_id", None)
         if isinstance(event, SessionOpenEvent):
-            if event.session_id in drivers or event.session_id in skipped:
-                continue  # checkpoint recovery can restate an open
-            driver = open_driver(event)
-            if driver is None:
-                skipped.add(event.session_id)
+            if session_id in live or session_id in skipped:
+                continue
+            session = open_session(event)
+            if session is None:
+                skipped.add(session_id)
             else:
-                drivers[event.session_id] = driver
-                replayed += 1
-        elif isinstance(event, SubmitEvent):
-            driver = drivers.get(event.session_id)
-            if driver is None:
-                continue
-            try:
-                decisions = driver.submit(event.requests)
-            except ReproError:
-                decisions = None
-            pairs.add_submit(event.session_id, event.decisions, decisions)
-        elif isinstance(event, RetryEvent):
-            driver = drivers.get(event.session_id)
-            if driver is None:
-                continue
-            try:
-                decisions = driver.retry()
-            except ReproError:
-                decisions = None
-            pairs.add_retry(event.session_id, event.decisions, decisions)
+                live[session_id] = [session, event.seq]
+                opened += 1
+            continue
+        slot = live.get(session_id)
+        if slot is None or event.seq <= slot[1]:
+            continue
+        session, slot[1] = slot[0], event.seq
+        if isinstance(event, SessionCloseEvent):
+            del live[session_id]
         elif isinstance(event, ReleaseEvent):
-            driver = drivers.get(event.session_id)
-            if driver is None:
-                continue
+            release = (
+                session.complete if event.op == "complete" else session.revoke
+            )
+            active = session.active
+            for request_id in event.request_ids:
+                if active.pop(request_id, None) is not None:
+                    release(request_id)
+        else:
+            decisions = error = None
             try:
-                driver.release(event.op, event.request_ids)
-            except ReproError:
-                pass
-        elif isinstance(event, SessionCloseEvent):
-            driver = drivers.pop(event.session_id, None)
-            if driver is not None:
-                try:
-                    driver.close()
-                except ReproError:
-                    pass
-    return replayed, len(skipped)
+                if isinstance(event, SubmitEvent):
+                    check_burst(
+                        [r.request_id for r in event.requests], session.active
+                    )
+                    decisions = session.submit_many(list(event.requests))
+                else:
+                    decisions = session.retry_deferred()
+            except ReproError as exc:
+                error = exc
+            outcome(event, decisions, error)
+    return live, opened, len(skipped)
+
+
+def _diff(workload, open_session, overrides=None) -> ReplayReport:
+    pairs = _Pairs()
+    _live, opened, skipped = reenact(
+        workload.events, open_session, pairs.add_event
+    )
+    return pairs.report(workload, opened, skipped, overrides)
 
 
 # ------------------------------------------------------------- entry points
-def replay_trace(
-    trace,
-    overrides: "dict | None" = None,
-    service=None,
-    max_diffs: int = MAX_DIFFS,
-) -> ReplayReport:
-    """Re-drive a recorded trace through a real service; diff decisions.
+def replay_trace(trace, overrides: "dict | None" = None) -> ReplayReport:
+    """Re-drive a recorded trace through pooled engines; diff decisions.
 
-    ``trace`` is a journal directory/file path or a prepared
-    :class:`TraceWorkload`.  Every recorded ensemble is registered with
-    ``service`` (a fresh private :class:`~repro.api.EngineService` when
-    omitted), then each recorded session re-opens under its *recorded*
-    spec with ``overrides`` applied field-by-field — so ``--solver
-    adpar-epsilon`` reenacts exactly the recorded traffic under one
-    changed knob.  With no overrides the pass must come back
+    ``trace`` is a journal directory or segment file.  Each recorded
+    session re-opens on a private :class:`~repro.api.EngineService`'s
+    pooled engine for its *recorded* ensemble and spec, with
+    ``overrides`` applied field-by-field — so ``--solver adpar-epsilon``
+    reenacts exactly the recorded traffic under one changed knob.  With
+    no overrides the pass must come back
     :attr:`~ReplayReport.bitwise_identical`.
     """
     from repro.api.service import EngineService
-    from repro.api.wire import EnsembleRef
 
-    if isinstance(trace, TraceWorkload):
-        workload = trace
-        events = list(workload.events)
-    else:
-        _, workload = load_trace(trace)
-        events = list(workload.events)
-    if service is None:
-        service = EngineService()
-    known: "set[str]" = set()
+    _, workload = load_trace(trace)
+    ensembles = recorded_ensembles(workload.events)
+    service = EngineService()
 
-    def _register(ref) -> None:
-        if ref.ensemble is not None:
-            service.register_ensemble(ref.ensemble)
-            known.add(ref.fingerprint)
-
-    for event in events:
-        if isinstance(event, EnsembleEvent):
-            _register(event.ref)
-        elif isinstance(event, CheckpointEvent):
-            for ref in event.ensembles:
-                _register(ref)
-
-    pairs = _Pairs(max_diffs)
-
-    def open_driver(event: SessionOpenEvent):
-        if event.fingerprint not in known:
+    def open_session(event: SessionOpenEvent):
+        ensemble = ensembles.get(event.fingerprint)
+        if ensemble is None:
             return None
         spec = apply_overrides(event.spec, overrides)
         try:
-            session_id = service.open_session(
-                EnsembleRef.by_fingerprint(event.fingerprint), spec
-            )
+            return service.engine_for(ensemble, spec).open_session()
         except ReproError:
             return None
-        return _ServiceDriver(service, session_id)
 
-    replayed, skipped = _walk(events, open_driver, pairs)
-    return pairs.report(
-        trace=workload.trace,
-        sessions=replayed,
-        skipped_sessions=skipped,
-        events=len(events),
-        overrides=overrides,
-    )
+    return _diff(workload, open_session, overrides)
 
 
-def reenact_on_engine(
-    engine,
-    workload: TraceWorkload,
-    max_diffs: int = MAX_DIFFS,
-) -> ReplayReport:
+def reenact_on_engine(engine, workload: TraceWorkload) -> ReplayReport:
     """Re-drive a trace's primary-ensemble sessions on a built engine.
 
     The ``recorded-trace`` scenario path: ``engine`` is already
@@ -625,18 +531,10 @@ def reenact_on_engine(
     experiment), so recorded specs are ignored and sessions on other
     ensembles are skipped.
     """
-    pairs = _Pairs(max_diffs)
 
-    def open_driver(event: SessionOpenEvent):
+    def open_session(event: SessionOpenEvent):
         if event.fingerprint != workload.fingerprint:
             return None
-        return _SessionDriver(engine.open_session())
+        return engine.open_session()
 
-    replayed, skipped = _walk(workload.events, open_driver, pairs)
-    return pairs.report(
-        trace=workload.trace,
-        sessions=replayed,
-        skipped_sessions=skipped,
-        events=len(workload.events),
-        overrides=None,
-    )
+    return _diff(workload, open_session)

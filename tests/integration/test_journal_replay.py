@@ -137,6 +137,27 @@ def test_simulate_recorded_trace_family(tmp_path):
     assert "identical" in report.summary()
 
 
+def test_counterfactual_scenario_matches_replay_on_rejected_burst(
+    resubmit_trace,
+):
+    """The scenario and ``repro replay`` share one walker: a recorded
+    burst the counterfactual engine would reject (at availability 0.99
+    the first burst admits ``r2``, so its resubmit meets a still-active
+    id) pairs with nothing in both, instead of aborting the scenario."""
+    replay = replay_trace(resubmit_trace, overrides={"availability": 0.99})
+    assert (replay.decisions, replay.flips) == (13, 3)
+    report = EngineService().handle(
+        SimulateRequest(
+            name="recorded-trace",
+            overrides={"trace_path": resubmit_trace, "availability": 0.99},
+        )
+    ).report
+    assert (report.replay_decisions, report.replay_flips) == (
+        replay.decisions,
+        replay.flips,
+    )
+
+
 def _cli_env() -> dict:
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ)

@@ -1,6 +1,6 @@
 """Property tests for the decision journal: codecs, framing, recovery.
 
-Three contracts:
+Four contracts:
 
 * **Lossless JSON round trip** — every journal event type (randomized
   payloads built from the same strategies the wire round-trip suite
@@ -14,7 +14,11 @@ Three contracts:
 * **Checkpoint + tail ≡ uncrashed** — a service recovered from a
   journal (checkpoint plus tail events, including straddlers appended
   after the snapshot but before the checkpoint line) reproduces the
-  uncrashed session's :class:`SessionState` bitwise.
+  uncrashed session's :class:`SessionState` bitwise.  Over mixed
+  multi-session histories it also equals a full re-drive of the same
+  journal with every checkpoint removed, torn tail or not.
+* **Typed corruption** — a recorded op recovery cannot re-apply raises
+  ``JournalCorruptError`` naming its session and ``seq``.
 """
 
 import json
@@ -424,3 +428,208 @@ def test_recovered_service_reuses_no_recorded_session_id():
             EngineSpec(availability=0.7),
         )
         assert fresh != first
+
+
+def test_unreplayable_op_is_typed_corruption(
+    resubmit_trace, monkeypatch, capsys
+):
+    """A recorded op recovery cannot re-apply — here a resubmit of an id
+    still active — is typed corruption naming its session and seq, which
+    ``repro serve`` reports as an error with exit 2."""
+    segment = journal_files(resubmit_trace)[-1]
+    last_seq = read_events(resubmit_trace)[-1].seq
+    lines = segment.read_text(encoding="utf-8").splitlines()
+    submit = next(
+        json.loads(line)
+        for line in reversed(lines)
+        if json.loads(line)["event"] == "submit"
+    )
+    duplicate = {**submit, "seq": last_seq + 1}
+    with segment.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(duplicate) + "\n")
+
+    journal = DecisionJournal(resubmit_trace)
+    try:
+        with pytest.raises(JournalCorruptError) as excinfo:
+            EngineService().recover_from_journal(journal)
+    finally:
+        journal.close()
+    message = str(excinfo.value)
+    assert f"seq {last_seq + 1}" in message
+    assert repr(submit["session_id"]) in message
+
+    from repro.cli import main
+
+    def serve_must_not_start(*_args, **_kwargs):
+        pytest.fail("serve started over an unrecoverable journal")
+
+    monkeypatch.setattr("repro.api.serve", serve_must_not_start)
+    assert main(["serve", "--journal", resubmit_trace, "--port", "0"]) == 2
+    assert "repro serve: error: cannot re-apply" in capsys.readouterr().err
+
+
+# ------------------------------------------- multi-session recovery gate
+OPS = ("submit", "complete", "revoke", "retry", "close")
+
+
+@st.composite
+def session_histories(draw):
+    """2–4 sessions over one or two ensembles (|S| ≤ 30), driven by a
+    mixed op sequence; sessions open on their first op."""
+    n_sessions = draw(st.integers(2, 4))
+    return {
+        "seed": draw(st.integers(0, 2**31)),
+        "sizes": draw(st.lists(st.integers(5, 30), min_size=1, max_size=2)),
+        "availability": [
+            draw(st.sampled_from([0.45, 0.7, 0.95])) for _ in range(n_sessions)
+        ],
+        "ops": draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(OPS),
+                    st.integers(0, n_sessions - 1),
+                    st.integers(1, 6),
+                    st.booleans(),
+                ),
+                min_size=2,
+                max_size=24,
+            )
+        ),
+        "checkpoint_every": draw(
+            st.sampled_from([1, 2, 3, 5, 8, 13, 1_000_000])
+        ),
+        "straddle": (draw(st.integers(0, 9)), draw(st.integers(0, 4))),
+        "torn": draw(st.booleans()),
+    }
+
+
+def _live_state(service) -> dict:
+    return {
+        sid: (handle.session.snapshot(), handle.last_seq)
+        for sid, handle in service._sessions.items()
+    }
+
+
+def _recovered_state(directory) -> dict:
+    journal = DecisionJournal(directory)
+    try:
+        service = EngineService()
+        service.recover_from_journal(journal)
+    finally:
+        journal.close()
+    return _live_state(service)
+
+
+def _drive_history(service, history) -> None:
+    rng_s, rng_r = spawn_rngs(history["seed"], 2)
+    ensembles = [
+        generate_strategy_ensemble(size, "uniform", rng)
+        for size, rng in zip(
+            history["sizes"], spawn_rngs(rng_s, len(history["sizes"]))
+        )
+    ]
+    ids: "dict[int, str | None]" = {}  # slot -> session id (None: closed)
+    for index, (op, slot, size, resubmit) in enumerate(history["ops"]):
+        if slot not in ids:
+            ids[slot] = service.open_session(
+                ensembles[slot % len(ensembles)],
+                EngineSpec(availability=history["availability"][slot]),
+            )
+        sid = ids[slot]
+        if sid is None:
+            continue
+        session = service.session(sid)
+        if op == "submit":
+            # k=1 over [0.2, 0.8] mixes admitted, deferred and
+            # alternative answers; tighter requests only draw alternatives.
+            burst = generate_requests(
+                size,
+                k=1,
+                seed=rng_r,
+                low=0.2,
+                high=0.8,
+                quality_offset=0.0,
+                prefix=f"s{slot}o{index}-",
+            )
+            if resubmit and session.deferred:
+                burst[0] = session.deferred[0]
+            service.submit_batch(
+                SubmitBatchRequest(requests=tuple(burst), session_id=sid)
+            )
+        elif op in ("complete", "revoke"):
+            active = sorted(session.active)[:size]
+            if active:
+                service.session_op(
+                    SessionOpRequest(
+                        op=op, session_id=sid, request_ids=tuple(active)
+                    )
+                )
+        elif op == "retry":
+            service.retry_deferred(RetryDeferredRequest(session_id=sid))
+        else:
+            service.close_session(sid)
+            ids[slot] = None
+
+
+def _rewrite_journal(directory, keep) -> None:
+    """Rewrite the one segment with ``keep(lines)``'s lines."""
+    (segment,) = journal_files(directory)
+    lines = segment.read_bytes().splitlines(keepends=True)
+    segment.write_bytes(b"".join(keep(lines)))
+
+
+def _is_checkpoint(line: bytes) -> bool:
+    return line.startswith(b'{"event":"checkpoint"')
+
+
+def _tear_last_line(lines):
+    return lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
+
+
+def _straddle(lines, pick: int, by: int):
+    """Make the ``pick``-th checkpoint the last one, ``by`` events late.
+
+    Later checkpoints are dropped, and the picked one moves ``by`` lines
+    on: events its snapshot does not hold then land before it, as when
+    appends race a checkpoint in the live service.
+    """
+    marks = [i for i, line in enumerate(lines) if _is_checkpoint(line)]
+    if not marks or by == 0:
+        return lines
+    at = marks[pick % len(marks)]
+    rest = [line for line in lines[at + 1 :] if not _is_checkpoint(line)]
+    return lines[:at] + rest[:by] + [lines[at]] + rest[by:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(session_histories())
+def test_multi_session_recovery_equals_uncrashed_and_full_redrive(history):
+    """The bounded-recovery gate: over mixed multi-session histories,
+    checkpoint + reenactment recovery gives the same live sessions,
+    snapshots and ``last_seq``s as the uncrashed service and as a full
+    re-drive of the same journal with every checkpoint removed.  A torn
+    last line is compared with the full re-drive only."""
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = DecisionJournal(
+            tmp, checkpoint_every=history["checkpoint_every"]
+        )
+        service = EngineService()
+        service.attach_journal(journal)
+        _drive_history(service, history)
+        uncrashed = _live_state(service)
+        journal.close()
+
+        _rewrite_journal(
+            tmp, lambda lines: _straddle(lines, *history["straddle"])
+        )
+        if history["torn"]:
+            _rewrite_journal(tmp, _tear_last_line)
+        recovered = _recovered_state(tmp)
+        _rewrite_journal(
+            tmp, lambda lines: [ln for ln in lines if not _is_checkpoint(ln)]
+        )
+        redriven = _recovered_state(tmp)
+
+    assert recovered == redriven
+    if not history["torn"]:
+        assert recovered == uncrashed

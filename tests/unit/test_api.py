@@ -1,5 +1,7 @@
 """Unit tests: service-API error contract, engine pooling, sessions."""
 
+import threading
+
 import pytest
 
 from repro.api import (
@@ -17,8 +19,11 @@ from repro.api import (
     decode,
     encode,
     error_code_for,
+    make_server,
     parse_request,
+    parse_response,
 )
+from repro.cluster import RouterService
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest, make_requests
 from repro.core.strategy import StrategyEnsemble
@@ -57,6 +62,32 @@ def resolve_payload(**overrides) -> dict:
     ).to_dict()
     payload.update(overrides)
     return payload
+
+
+#: Envelope type tags no parser knows: a stray name and non-strings.
+UNKNOWN_TAGS = ["frobnicate", 5, None, [], {}]
+UNKNOWN_TAG_IDS = ["name", "number", "null", "list", "object"]
+
+
+class _StubSupervisor:
+    """A one-slot supervisor whose worker is an in-process server."""
+
+    restart_count = 0
+
+    def __init__(self, address):
+        self._address = address
+
+    def slots(self):
+        return (0,)
+
+    def address(self, slot):
+        return self._address
+
+    def notify_failure(self, slot):
+        pass
+
+    def describe(self):
+        return []
 
 
 class TestWireErrors:
@@ -102,10 +133,33 @@ class TestWireErrors:
             parse_request(resolve_payload(api_version=API_VERSION + 1))
         assert excinfo.value.code == "unsupported_version"
 
-    def test_unknown_envelope_type_rejected(self):
+    @pytest.mark.parametrize("parse", [parse_request, parse_response])
+    @pytest.mark.parametrize("tag", UNKNOWN_TAGS, ids=UNKNOWN_TAG_IDS)
+    def test_unknown_envelope_type_rejected(self, parse, tag):
         with pytest.raises(ApiError) as excinfo:
-            parse_request(resolve_payload(type="frobnicate"))
+            parse(resolve_payload(type=tag))
         assert excinfo.value.code == "unknown_type"
+
+    def test_router_answers_unknown_type_tags(self):
+        """Router → worker over HTTP: a non-string tag is a typed
+        ``unknown_type`` answer, not a dropped connection."""
+        server = make_server(EngineService(), coalesce=False)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        router = RouterService(_StubSupervisor(server.server_address[:2]))
+        try:
+            for tag in UNKNOWN_TAGS:
+                out = router.handle_dict(
+                    {"api_version": API_VERSION, "type": tag}
+                )
+                assert (out["type"], out["code"]) == (
+                    "error",
+                    "unknown_type",
+                ), tag
+        finally:
+            router.close()
+            server.shutdown()
+            server.server_close()
 
     def test_inline_ensemble_with_duplicate_names_rejected(self):
         payload = resolve_payload()
