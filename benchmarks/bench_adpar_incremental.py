@@ -1,15 +1,7 @@
-"""Bench: the incremental ADPaR path — indexed batch sweep + delta ticks.
+"""Bench: the incremental ADPaR path — delta ticks over one space chain.
 
-Two pins, recorded to ``BENCH_adpar_incremental.json``:
+One pin, recorded to ``BENCH_adpar_incremental.json``:
 
-* ``test_bench_indexed_batch_speedup`` solves the same Figure-18-scale
-  hard batch (50k strategies, 16 requests, k=5) through ``adpar-exact``
-  (the vectorized column sweep) and ``adpar-incremental`` (the
-  block-summary :class:`~repro.geometry.frontier_index.FrontierIndex`
-  sweep), asserts the answers are identical field-for-field, and pins
-  the indexed path at >= 5x.  The index wins by skipping whole frontier
-  blocks whose minimum z cannot pierce the current best bound, so a
-  regression in the skip gating or the cursor shows up directly here.
 * ``test_bench_streaming_tick_cost`` drives availability ticks through
   :class:`~repro.engine.IncrementalSpaceCache` on a sparse-alpha
   ensemble (only ~0.5% of (strategy, dimension) cells depend on
@@ -21,16 +13,18 @@ Two pins, recorded to ``BENCH_adpar_incremental.json``:
   chain's :class:`~repro.core.relaxation.BufferPool`; losing any of the
   three pushes the ratio over the pin.
 
-Both measurements interleave the two timed legs over several rounds, so
+The measurement interleaves the two timed legs over several rounds, so
 a background-load spike on a shared CI box lands on both sides of the
-ratio instead of one; the batch pin compares round medians, the tick
-pin compares best-of-round means (load only ever adds time, so the
-round minimum is the cleanest estimate of each leg's true cost).
+ratio instead of one, and compares best-of-round means (load only ever
+adds time, so the round minimum is the cleanest estimate of each leg's
+true cost).
+
+The exact sweep's scale pin is ``test_bench_adpar_batch_speedup`` in
+``bench_adpar_solvers.py``.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 from pathlib import Path
 
@@ -39,26 +33,11 @@ import numpy as np
 from bench_recording import record
 
 from repro.core.relaxation import RelaxationSpace
-from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
-from repro.engine import (
-    IncrementalSpaceCache,
-    SolverContext,
-    default_solver_registry,
-)
-from repro.utils.rng import spawn_rngs
-from repro.workloads.generators import generate_adpar_points, hard_request_for
+from repro.engine import IncrementalSpaceCache
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_adpar_incremental.json"
 
-# -- batch pin (Figure-18 scale) --------------------------------------
-N_STRATEGIES = 50000
-N_REQUESTS = 16
-K = 5
-BATCH_ROUNDS = 3
-BATCH_SPEEDUP_FLOOR = 5.0
-
-# -- streaming-tick pin ------------------------------------------------
 TICK_N = 100000
 #: Fraction of (strategy, dimension) cells whose estimate actually
 #: depends on availability; the rest have alpha == 0 and never move.
@@ -69,91 +48,6 @@ TICKS_PER_ROUND = 30
 REBUILDS_PER_ROUND = 5
 TICK_STEP = 0.0004
 TICK_COST_CEILING = 0.1
-
-
-def _batch_workload(seed: int = 43):
-    """One ensemble plus a distinct hard batch per timed round.
-
-    Each round gets fresh request params so neither engine can serve a
-    round from its memoized ADPaR results — the timed legs exercise the
-    sweeps, not the cache.
-    """
-    rng_pts, rng_req = spawn_rngs(seed, 2)
-    points = generate_adpar_points(N_STRATEGIES, "uniform", rng_pts)
-    ensemble = StrategyEnsemble.from_params(points)
-    batches = [
-        [
-            DeploymentRequest(
-                f"r{round_idx}-{i}", hard_request_for(points, rng_req), k=K
-            )
-            for i in range(N_REQUESTS)
-        ]
-        for round_idx in range(BATCH_ROUNDS + 1)
-    ]
-    return ensemble, batches
-
-
-def _indexed_vs_vectorized() -> dict:
-    ensemble, batches = _batch_workload()
-
-    # The pin targets the sweeps themselves, so both backends come from
-    # the registry and share one relaxation space — the engine wrapper
-    # (request hashing, memoization, report assembly) costs the same on
-    # either side and would only dilute the ratio.
-    registry = default_solver_registry()
-    context = SolverContext(ensemble, 1.0).with_space()
-    exact = registry.create("adpar-exact", context, {})
-    indexed = registry.create("adpar-incremental", context, {})
-
-    # Warmup batch: both solvers run once so the timed rounds compare
-    # the sweeps, not who pays for the sorted orders or the block index
-    # — and every answer must match field-for-field.
-    params = [request.params for request in batches[0]]
-    expected = exact.solve_batch(params, K)
-    got = indexed.solve_batch(params, K)
-    for want, have in zip(expected, got):
-        assert have.distance == want.distance
-        assert have.alternative == want.alternative
-        assert have.strategy_indices == want.strategy_indices
-
-    exact_times, indexed_times = [], []
-    for batch in batches[1:]:
-        params = [request.params for request in batch]
-        start = time.perf_counter()
-        expected = exact.solve_batch(params, K)
-        exact_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        got = indexed.solve_batch(params, K)
-        indexed_times.append(time.perf_counter() - start)
-        for want, have in zip(expected, got):
-            assert have.distance == want.distance
-            assert have.alternative == want.alternative
-            assert have.strategy_indices == want.strategy_indices
-
-    exact_s = statistics.median(exact_times)
-    indexed_s = statistics.median(indexed_times)
-    return {
-        "n_strategies": N_STRATEGIES,
-        "n_requests": N_REQUESTS,
-        "k": K,
-        "rounds": BATCH_ROUNDS,
-        "vectorized_s": round(exact_s, 4),
-        "indexed_s": round(indexed_s, 4),
-        "speedup_x": round(exact_s / max(indexed_s, 1e-9), 2),
-        "speedup_floor_x": BATCH_SPEEDUP_FLOOR,
-        "identical": True,
-    }
-
-
-def test_bench_indexed_batch_speedup(benchmark):
-    info = benchmark.pedantic(_indexed_vs_vectorized, rounds=1, iterations=1)
-    benchmark.extra_info.update(info)
-    record(RESULTS_PATH, "indexed_batch", info)
-    assert info["speedup_x"] >= BATCH_SPEEDUP_FLOOR, (
-        f"indexed batch sweep ({info['indexed_s']}s) should beat the "
-        f"vectorized sweep ({info['vectorized_s']}s) by >= "
-        f"{BATCH_SPEEDUP_FLOOR}x, got {info['speedup_x']}x"
-    )
 
 
 def _sparse_ensemble(seed: int = 7) -> StrategyEnsemble:

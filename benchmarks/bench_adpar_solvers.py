@@ -5,21 +5,23 @@ Three pins:
 * ``test_bench_adpar_batch_speedup`` solves the same hard requests
   per-request through the reference :class:`ADPaRExact` (the seed's
   scalar path) and in one :meth:`RecommendationEngine.recommend_alternatives`
-  call (the registry's vectorized batch path), asserts the results are
+  call (the registry's index-pruned batch path), asserts the results are
   identical field-for-field, and pins the batch path at >= 5x faster —
-  a regression in the vectorized sweep or the shared relaxation geometry
+  a regression in the exact sweep or the shared relaxation geometry
   fails the bench.  Figure-18 shape: no request admits ``k`` strategies.
+  Recorded to ``BENCH_adpar_solvers.json`` as ``hard_batch``.
 * ``test_bench_adpar_admissible_batch`` is the serving shape
   (``resolve-small``: |S|=100, 10 requests, k=3, availability 0.6),
   where every request already admits ``k`` strategies and the batch
   path certifies it without a sweep.  It times
-  ``recommend_alternatives`` against a per-request ``_vectorized_sweep``
+  ``recommend_alternatives`` against a per-request ``_indexed_sweep``
   + ``finalize_result`` loop on the same requests, asserts identical
-  results and pins >= 3x, recorded to ``BENCH_adpar_solvers.json`` so
-  ``check_trajectory.py`` re-asserts it.
+  results and pins >= 3x, recorded as ``admissible_batch``.
 * ``test_bench_adpar_backends`` times every registered backend through
   the engine on one workload, so a pathological slowdown in any backend
   shows up in ``extra_info``.
+
+``check_trajectory.py`` re-asserts both recorded pins.
 """
 
 import statistics
@@ -33,7 +35,7 @@ from repro.core.adpar import ADPaRExact, finalize_result
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.engine import RecommendationEngine, default_solver_registry
-from repro.engine.solvers import _vectorized_sweep
+from repro.engine.solvers import _indexed_sweep, _SweepScratch
 from repro.utils.rng import spawn_rngs
 from repro.workloads.generators import (
     generate_adpar_points,
@@ -95,11 +97,18 @@ def _scalar_vs_batch() -> tuple[float, float]:
 def test_bench_adpar_batch_speedup(benchmark):
     scalar_s, batch_s = benchmark.pedantic(_scalar_vs_batch, rounds=1, iterations=1)
     speedup = scalar_s / max(batch_s, 1e-9)
-    benchmark.extra_info["scalar_s"] = round(scalar_s, 4)
-    benchmark.extra_info["batch_s"] = round(batch_s, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 1)
-    benchmark.extra_info["n_strategies"] = N_STRATEGIES
-    benchmark.extra_info["n_requests"] = N_REQUESTS
+    payload = {
+        "n_strategies": N_STRATEGIES,
+        "n_requests": N_REQUESTS,
+        "k": K,
+        "scalar_s": round(scalar_s, 4),
+        "batch_s": round(batch_s, 4),
+        "speedup_x": round(speedup, 2),
+        "speedup_floor_x": SPEEDUP_FLOOR,
+        "identical": True,
+    }
+    benchmark.extra_info.update(payload)
+    record(BENCH_JSON, "hard_batch", payload)
     assert speedup >= SPEEDUP_FLOOR, (
         f"batch path ({batch_s:.3f}s) should beat per-request ADPaRExact "
         f"({scalar_s:.3f}s) by >= {SPEEDUP_FLOOR}x, got {speedup:.1f}x"
@@ -122,6 +131,7 @@ def _admissible_rounds() -> tuple[float, float, float]:
     engine.recommend_alternatives(
         generate_requests(ADMISSIBLE_REQUESTS, k=ADMISSIBLE_K, seed=rng_requests)
     )
+    scratch = _SweepScratch(space.size)
     loop_s, batch_s = [], []
     unchanged = 0
     for _ in range(ADMISSIBLE_ROUNDS):
@@ -133,7 +143,7 @@ def _admissible_rounds() -> tuple[float, float, float]:
         for request in requests:
             origin = space.origin_of(request.params)
             relax = space.relaxations(origin)
-            best = _vectorized_sweep(space, relax, float(origin[0]), request.k)
+            best = _indexed_sweep(space, relax, origin, request.k, scratch)
             expected.append(
                 finalize_result(ensemble, request.params, relax, best, request.k)
             )

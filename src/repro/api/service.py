@@ -29,8 +29,8 @@ straight into :meth:`~EngineService.handle_dict`.  Fine-grained locking
 replaces the transport's former global lock:
 
 * the engine pool, ensemble registry, and workload cache are
-  :class:`_ShardedLRU` maps — striped per-shard locks, global LRU
-  capacity — so lookups on different keys rarely contend;
+  :class:`~repro.utils.lru.LRU` maps, each under its own lock held only
+  for the dict operation — never while an engine is built;
 * sessions are session-affine: every ledger-touching op runs under that
   session's own :class:`~repro.engine.session.EngineSession` lock, so
   two clients hammering different sessions never serialize;
@@ -54,7 +54,6 @@ import json
 import re
 import secrets
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.api.codec import encode
@@ -104,90 +103,13 @@ from repro.journal.events import (
 from repro.journal.journal import read_events
 from repro.journal.replay import recorded_ensembles, reenact
 from repro.utils.lockdebug import maybe_guarded
+from repro.utils.lru import LRU
 from repro.workloads.registry import (
     ScenarioRegistry,
     default_scenario_registry,
 )
 from repro.workloads.simulation import simulate_scenario
 from repro.workloads.spec import ScenarioSpec
-
-
-class _ShardedLRU:
-    """A bounded mapping: striped locks per shard, *global* LRU capacity.
-
-    Keys hash across ``shards`` sections, each an :class:`OrderedDict`
-    guarded by its own lock, so concurrent ``get``/``put`` on different
-    keys almost never contend.  Recency is a process-wide monotonic
-    stamp taken on every touch; each shard keeps itself stamp-ordered
-    (touch = move to end), so the globally least-recent entry is always
-    one of the shard heads.  Eviction scans those heads and removes the
-    minimum-stamp entry, never holding more than one shard lock at a
-    time (no lock-ordering deadlocks).  Run serially this reproduces
-    ``OrderedDict`` ``move_to_end``/``popitem(last=False)`` LRU
-    semantics exactly — the unit tests pin global, not per-shard,
-    eviction order.  Under races eviction may lag a concurrent touch by
-    one step, which here only ever costs re-building a stateless value.
-    """
-
-    def __init__(self, capacity: int, shards: int = 8):
-        self._capacity = max(1, int(capacity))
-        n_shards = max(1, min(int(shards), self._capacity))
-        self._locks = tuple(threading.Lock() for _ in range(n_shards))
-        # key -> (stamp, value); insertion order == stamp order per shard.
-        self._shards: "tuple[OrderedDict, ...]" = tuple(
-            OrderedDict() for _ in range(n_shards)
-        )
-        self._stamp = itertools.count(1)
-
-    def _index(self, key) -> int:
-        return hash(key) % len(self._shards)
-
-    def get(self, key):
-        """The value under ``key`` (marking it most-recent), or ``None``."""
-        i = self._index(key)
-        with self._locks[i]:
-            entry = self._shards[i].get(key)
-            if entry is None:
-                return None
-            self._shards[i][key] = (next(self._stamp), entry[1])
-            self._shards[i].move_to_end(key)
-            return entry[1]
-
-    def put(self, key, value) -> None:
-        """Insert or refresh ``key``, then evict past global capacity."""
-        i = self._index(key)
-        with self._locks[i]:
-            self._shards[i][key] = (next(self._stamp), value)
-            self._shards[i].move_to_end(key)
-        self._evict()
-
-    def _evict(self) -> None:
-        while len(self) > self._capacity:
-            victim = None  # (stamp, shard index, key)
-            for i, lock in enumerate(self._locks):
-                with lock:
-                    head = next(iter(self._shards[i].items()), None)
-                if head is not None and (
-                    victim is None or head[1][0] < victim[0]
-                ):
-                    victim = (head[1][0], i, head[0])
-            if victim is None:
-                return
-            stamp, i, key = victim
-            with self._locks[i]:
-                entry = self._shards[i].get(key)
-                # A concurrent touch re-stamped the candidate; loop and
-                # re-scan rather than evicting a freshly-used entry.
-                if entry is not None and entry[0] == stamp:
-                    del self._shards[i][key]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key) -> bool:
-        i = self._index(key)
-        with self._locks[i]:
-            return key in self._shards[i]
 
 
 @dataclass
@@ -277,13 +199,13 @@ class EngineService:
         self._max_workloads = max(1, int(max_workloads))
         self._max_spec_strategies = max(1, int(max_spec_strategies))
         self._max_spec_requests = max(1, int(max_spec_requests))
-        self._engines = _ShardedLRU(self._max_engines)
-        self._ensembles = _ShardedLRU(self._max_ensembles)
+        self._engines = LRU(self._max_engines)
+        self._ensembles = LRU(self._max_ensembles)
         self._sessions: "dict[str, _SessionHandle]" = {}
         self._sessions_lock = maybe_guarded(
             threading.Lock(), "EngineService._sessions_lock"
         )
-        self._workloads = _ShardedLRU(self._max_workloads)
+        self._workloads = LRU(self._max_workloads)
         self._session_seq = itertools.count(1)
         self._coalescer = None
         self._journal = None
@@ -371,7 +293,7 @@ class EngineService:
         Engines are stateless facades, so any caller holding the same
         identity shares one instance — and through it the service-wide
         cache (workforce aggregates, ADPaR results, relaxation spaces).
-        Construction runs outside the pool's shard locks: two threads
+        Construction runs outside the pool's lock: two threads
         racing on a cold key may both build, but the engine is a pure
         function of the key and both share the cache, so the race only
         costs one duplicate construction.

@@ -54,7 +54,6 @@ import json
 import re
 import signal
 import threading
-from collections import OrderedDict
 from http.client import HTTPException
 
 from repro.api.client import ServiceClient
@@ -72,6 +71,7 @@ from repro.cluster.hashring import HashRing
 from repro.cluster.supervisor import WorkerSupervisor
 from repro.engine.cache import CacheStats
 from repro.utils.lockdebug import maybe_guarded
+from repro.utils.lru import LRU
 
 #: Request types that must reach the worker holding the session.
 SESSION_AFFINE_TYPES = frozenset(
@@ -95,38 +95,6 @@ def _split_session_id(session_id: str) -> "tuple[int, str] | None":
     return int(match.group(1)), match.group(2)
 
 
-class _LRU:
-    """A small thread-safe LRU map (router-side caches)."""
-
-    def __init__(self, capacity: int):
-        self.capacity = max(1, int(capacity))
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, default=None):
-        with self._lock:
-            try:
-                self._data.move_to_end(key)
-                return self._data[key]
-            except KeyError:
-                return default
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
 class RouterService:
     """Route request envelopes across the supervisor's worker shards."""
 
@@ -141,10 +109,10 @@ class RouterService:
         self.ring = HashRing(supervisor.slots(), vnodes=vnodes)
         #: fingerprint → inline ensemble dict, for replication and the
         #: unknown_ensemble self-heal re-inline.
-        self._ensembles = _LRU(max_ensembles)
+        self._ensembles = LRU(max(1, int(max_ensembles)))
         #: fingerprint → slot overrides for ensembles materialized
         #: server-side (simulate) — they exist only on one worker.
-        self._placements = _LRU(max_placements)
+        self._placements = LRU(max(1, int(max_placements)))
         self._local = threading.local()
         self._counters = {
             "forwarded": 0,

@@ -24,9 +24,9 @@ exponential subset-enumeration baseline (ADPaRB).
 This class is the reference implementation (and the only one exposing
 :meth:`~ADPaRExact.trace`).  The public entry point for serving traffic
 is the solver registry — :mod:`repro.engine.solvers` registers this
-algorithm as ``adpar-exact`` (default) next to the weighted variant and
-the §5.2.1 baselines, with a vectorized batch path pinned
-bitwise-identical to this class, and
+algorithm as ``adpar-exact`` (default; ``adpar-incremental`` is the same
+solver) next to the weighted variant and the §5.2.1 baselines, as an
+index-pruned sweep pinned bitwise-identical to this class, and
 :meth:`repro.engine.RecommendationEngine.recommend_alternative` /
 :meth:`~repro.engine.RecommendationEngine.recommend_alternatives` route
 through it with caching.
@@ -84,7 +84,7 @@ def finalize_result(
 ) -> ADPaRResult:
     """Turn a winning relaxation bound into an :class:`ADPaRResult`.
 
-    Shared by the reference sweep and the vectorized registry backend so
+    Shared by the reference sweep and the registry's exact backend so
     the two construct — float for float — the same result object.
     """
     x, y, z = best

@@ -499,27 +499,16 @@ class RelaxationSpace:
         diff = np.subtract(self.points[None, :, :], origins[:, None, :], out=out)
         return np.maximum(diff, 0.0, out=diff)
 
-    def sweep_values(self, origin_x: float) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted relaxed cost column and its unique candidate values.
-
-        Equal — value for value — to ``np.sort`` respectively
-        ``np.unique`` of the relaxation matrix's cost column, but derived
-        from the precomputed :attr:`sorted_x` in ``O(n)``: subtraction
-        and clipping are monotone, so the point order survives.  This is
-        what lets the batch path amortize the per-request sweep setup.
-        """
-        sorted_relax = np.maximum(self.sorted_x - float(origin_x), 0.0)
-        keep = np.empty(sorted_relax.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(sorted_relax[1:], sorted_relax[:-1], out=keep[1:])
-        return sorted_relax, sorted_relax[keep]
-
     def sweep_table(
         self, origin_x: float, eps: float, scratch=None
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """:meth:`sweep_values` plus the per-candidate coverage prefix.
+        """The sweep's cost candidates: ``(sorted_relax, xs, prefix)``.
 
-        ``prefix[j]`` equals
+        ``sorted_relax`` and ``xs`` equal — value for value — ``np.sort``
+        respectively ``np.unique`` of the relaxation matrix's cost
+        column, but are derived from the precomputed :attr:`sorted_x` in
+        ``O(n)``: subtraction and clipping are monotone, so the point
+        order survives.  ``prefix[j]`` equals
         ``np.searchsorted(sorted_relax, xs[j] + eps, side="right")`` —
         the number of rows a sweep admits at candidate ``j`` — but is
         read off the uniqueness mask in ``O(n)``: every row's value *is*

@@ -7,10 +7,10 @@ runners — flows through :class:`RecommendationEngine`:
   (``batch-greedy``, ``payoff-dp``, ``baseline-greedy``,
   ``batch-bruteforce``),
 * ADPaR solver backends are pluggable via :class:`SolverRegistry`
-  (``adpar-exact``, ``adpar-incremental``, ``adpar-weighted``,
-  ``onedim``, ``rtree``, ``bruteforce``), all sharing one
-  :class:`~repro.core.relaxation.RelaxationSpace` per (ensemble,
-  availability),
+  (``adpar-exact`` and its alias ``adpar-incremental``,
+  ``adpar-weighted``, ``onedim``, ``rtree``, ``bruteforce``), all
+  sharing one :class:`~repro.core.relaxation.RelaxationSpace` per
+  (ensemble, availability),
 * :class:`EngineCache` memoizes workforce aggregates, ADPaR results and
   the relaxation geometry across calls and engines,
 * :class:`EngineSession` carries the streaming ledger (admission,

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.engine.solvers import (
     solver_options_key,
 )
 from repro.exceptions import InfeasibleRequestError
+from repro.utils.lru import LRU
 
 #: Sentinel cached for (params, k) pairs whose ADPaR solve proved infeasible.
 _INFEASIBLE = "infeasible"
@@ -93,40 +93,6 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class _LRU:
-    """A size-bounded mapping with least-recently-used eviction.
-
-    Safe under concurrent get/put: one lock per section, held only for
-    the dict operation itself — callers compute values outside it.
-    """
-
-    def __init__(self, max_entries: int):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        # dict.get + move_to_end instead of try/except: misses are the
-        # common cold-path case and must not pay exception dispatch.
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class _ChainEntry:
     """One ensemble's availability chain: head space, anchor, buffers."""
 
@@ -170,7 +136,7 @@ class IncrementalSpaceCache:
             raise ValueError(
                 f"drift_threshold must be > 0, got {drift_threshold}"
             )
-        self._entries = _LRU(max_entries)
+        self._entries = LRU(max_entries)
         self.drift_threshold = float(drift_threshold)
         self._lock = threading.Lock()
         #: Chain telemetry — exported via :meth:`stats_view`.
@@ -253,10 +219,10 @@ class EngineCache:
         max_solver_entries: int = 64,
         max_space_entries: int = 64,
     ):
-        self._workforce = _LRU(max_workforce_entries)
-        self._adpar_results = _LRU(max_adpar_entries)
-        self._adpar_solvers = _LRU(max_solver_entries)
-        self._spaces = _LRU(max_space_entries)
+        self._workforce = LRU(max_workforce_entries)
+        self._adpar_results = LRU(max_adpar_entries)
+        self._adpar_solvers = LRU(max_solver_entries)
+        self._spaces = LRU(max_space_entries)
         #: Delta-maintained space chains; exact-availability hits still
         #: come from the LRU above, but every miss is derived through
         #: the chain so nearby availabilities repair instead of rebuild.
@@ -508,7 +474,7 @@ class EngineCache:
         ``stats`` response without a bespoke codec.
         """
         view = {
-            name: {"entries": len(lru), "capacity": lru.max_entries}
+            name: {"entries": len(lru), "capacity": lru.capacity}
             for name, lru in (
                 ("workforce", self._workforce),
                 ("adpar_results", self._adpar_results),
@@ -518,7 +484,7 @@ class EngineCache:
         }
         view["space_chain"] = {
             "entries": len(self.space_chain),
-            "capacity": self.space_chain._entries.max_entries,
+            "capacity": self.space_chain._entries.capacity,
             **self.space_chain.stats_view(),
         }
         return view

@@ -392,8 +392,8 @@ class RecommendationEngine:
         the engine's configured expectation.  The space comes from the
         cache's :class:`~repro.engine.cache.IncrementalSpaceCache` —
         repaired from the previous tick's head on recycled buffers —
-        and the default backend is the index-pruned incremental sweep;
-        both are bitwise-identical to a cold ``adpar-exact`` solve at
+        and the default backend is the index-pruned exact sweep; the
+        answer is bitwise-identical to a cold ``adpar-exact`` solve at
         the same availability.  Results are not memoized: tick
         availabilities are effectively unique, so caching them would
         only churn the LRU.

@@ -416,8 +416,8 @@ class EngineSession:
         answers ADPaR at that moved availability through the engine's
         delta-maintained space chain — each tick's geometry is repaired
         from the previous tick's on recycled buffers instead of rebuilt
-        — and the index-pruned incremental backend.  Bitwise-identical
-        to a cold ``adpar-exact`` solve at the same availability.
+        — and the index-pruned exact backend.  Bitwise-identical to a
+        cold ``adpar-exact`` solve at the same availability.
         """
         with self.lock:
             remaining = self.remaining

@@ -9,13 +9,12 @@ maps stable backend names to factories so callers (the engine, the CLI's
 rewiring, exactly parallel to :class:`~repro.engine.registry.PlannerRegistry`:
 
 ========================  ====================================================
-``adpar-exact``           Vectorized exact sweep (Theorem 4), pinned
+``adpar-exact``           Index-pruned exact sweep (Theorem 4) over
+                          delta-maintained spaces, pinned
                           bitwise-identical to :class:`ADPaRExact` — the
                           default.
-``adpar-incremental``     Index-pruned exact sweep over delta-maintained
-                          spaces; bitwise-identical to ``adpar-exact``
-                          but skips per-request sorts and prunes frontier
-                          work through a block-summary index.
+``adpar-incremental``     The same solver under a second name, which
+                          engine specs and recorded journals carry.
 ``adpar-weighted``        Exact under a monotone penalty: ``norm`` ∈
                           {l1, l2, linf} and per-dimension ``weights``.
 ``onedim``                Baseline2 — one-parameter-at-a-time refinement
@@ -25,22 +24,23 @@ rewiring, exactly parallel to :class:`~repro.engine.registry.PlannerRegistry`:
                           (exact, exponential).
 ========================  ====================================================
 
-All five share the context's :class:`~repro.core.relaxation.RelaxationSpace`,
+All of them share the context's :class:`~repro.core.relaxation.RelaxationSpace`,
 so one engine comparing several backends over the same ensemble builds
 the unified smaller-is-better geometry once.
 
-Both exact backends' ``solve_batch`` first pass each chunk's ``(r, n, 3)``
-relaxation block through one certificate, :func:`_admissible_results`.
-A request that at least ``k`` strategies already satisfy (zero
-relaxation in all three dimensions) has optimum ``d' = d``: the
-reference sweep's first corner ``(0, 0, 0)`` scores 0 and nothing can
-strictly beat it.  Such requests get their results block-wide, with no
-sweep; every other request runs its sweep unchanged.  On the serving
-benchmark's workloads (``resolve-small``, ``session-journaled``,
-``cluster-routed``, ``alternatives-large``) 100% of ADPaR requests are
-of this kind: the planner refused them on workforce, not on parameters.
-The ``hard_request_for`` traffic of fig17/fig18 and the ADPaR benches
-has none and pays only the ``O(r·n)`` check.
+The exact backend's ``solve_batch`` first passes each chunk's
+``(r, n, 3)`` relaxation block through one certificate,
+:func:`_admissible_results`.  A request that at least ``k`` strategies
+already satisfy (zero relaxation in all three dimensions) has optimum
+``d' = d``: the reference sweep's first corner ``(0, 0, 0)`` scores 0
+and nothing can strictly beat it.  Such requests get their results
+block-wide, with no sweep; every other request runs its sweep
+unchanged.  On the serving benchmark's workloads (``resolve-small``,
+``session-journaled``, ``cluster-routed``, ``alternatives-large``) 100%
+of ADPaR requests are of this kind: the planner refused them on
+workforce, not on parameters.  The ``hard_request_for`` traffic of
+fig17/fig18 and the ADPaR benches has none and pays only the
+``O(r·n)`` check.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.exceptions import InfeasibleRequestError, UnknownSolverError
 from repro.geometry.frontier_index import FrontierCursor
-from repro.geometry.sweepline import block_frontier
 
 _EPS = 1e-12
 
@@ -88,12 +87,29 @@ class SolverContext:
     space: "RelaxationSpace | None" = None
 
     def with_space(self) -> "SolverContext":
-        """This context with a :class:`RelaxationSpace` guaranteed."""
-        if self.space is not None:
-            return self
-        return _dataclass_replace(
-            self, space=RelaxationSpace(self.ensemble, self.availability)
-        )
+        """This context with a :class:`RelaxationSpace` guaranteed.
+
+        The engine cache shares spaces by ensemble fingerprint, so a
+        space may have been built for another ensemble object with the
+        same content: every inline upload decodes a new one.  The
+        context then adopts the space's object, which the baselines'
+        ``space.ensemble is ensemble`` checks accept; a space built for
+        different content is left for the backend to reject.
+        """
+        space = self.space
+        if space is None:
+            return _dataclass_replace(
+                self, space=RelaxationSpace(self.ensemble, self.availability)
+            )
+        if space.ensemble is not self.ensemble:
+            # Deferred: repro.engine.cache imports this module.
+            from repro.engine.cache import ensemble_fingerprint
+
+            if ensemble_fingerprint(space.ensemble) == ensemble_fingerprint(
+                self.ensemble
+            ):
+                return _dataclass_replace(self, ensemble=space.ensemble)
+        return self
 
 
 class AdparSolver(Protocol):
@@ -196,158 +212,14 @@ def _admissible_results(
 
 
 # --------------------------------------------------------------------- exact
-def _vectorized_sweep(
-    space: RelaxationSpace, relax: np.ndarray, origin_x: float, k: int
-) -> tuple[float, float, float]:
-    """The exact sweep of ``ADPaRExact._sweep``, result-identical but fast.
-
-    The reference scan evaluates the full 2-D Pareto frontier at *every*
-    candidate cost relaxation — ``O(|S|)`` work per candidate.  The
-    returned optimum, however, is the lexicographic minimum of
-    ``(X² + Y² + Z², X, Y)`` over all (candidate, frontier-point) pairs
-    (the reference's strict-improvement scan order is exactly that tie
-    break), which licenses two prunes that never change the winner:
-
-    * **Frontier-change gating.**  If no strategy entering at candidate
-      ``x`` pierces the current (quality, latency) staircase, the
-      frontier at ``x`` equals the last evaluated one, so every pair at
-      ``x`` is strictly dominated by the same ``(Y, Z)`` at the smaller,
-      already-evaluated ``x`` — skip without recomputing.  Piercing is a
-      binary search against the staircase corners per entering strategy.
-    * **Global 2-D bound.**  ``G``, the unconstrained-cost optimum of
-      ``Y² + Z²`` (one frontier pass over all strategies), lower-bounds
-      every candidate's 2-D completion, so the scan can stop at
-      ``X² + G ≥ best`` — strictly earlier than the reference's
-      ``X² ≥ best`` Figure-8 bound.
-
-    Candidate values come from the space's presorted cost column
-    (:meth:`RelaxationSpace.sweep_values` matches ``np.unique`` value for
-    value), rows are lexsorted by (quality, latency) once per request,
-    and frontiers are enumerated by
-    :func:`~repro.geometry.sweepline.block_frontier`, which yields
-    exactly what the reference heap sweep yields.  Property tests pin the
-    result bitwise-identical to ``ADPaRExact``.
-    """
-    _, xs = space.sweep_values(origin_x)
-    yz_order = np.lexsort((relax[:, 2], relax[:, 1]))
-    ys = relax[yz_order, 1]
-    zs = relax[yz_order, 2]
-    x_in_yz = relax[yz_order, 0]
-
-    # Admission step per row: row joins S_j iff x_row <= xs[j] + eps,
-    # i.e. at the first candidate whose threshold reaches its value.
-    thresholds = xs + _EPS
-    enter_at = np.searchsorted(thresholds, x_in_yz, side="left")
-    enter_order = np.argsort(enter_at, kind="stable")
-    enter_sorted = enter_at[enter_order]
-    y_entering = ys[enter_order]
-    z_entering = zs[enter_order]
-    starts = np.searchsorted(enter_sorted, np.arange(xs.size + 1), side="left")
-
-    # Unconstrained-cost lower bound on any candidate's 2-D completion.
-    G = min((y * y + z * z for y, z in block_frontier(ys, zs, k)), default=math.inf)
-
-    best_obj = math.inf
-    best: "tuple[float, float, float] | None" = None
-    corners_y: "np.ndarray | None" = None  # current staircase, y ascending
-    corners_z: "np.ndarray | None" = None
-    corners: list[tuple[float, float]] = []
-    members = 0
-    dirty = False
-    for j in range(xs.size):
-        x = float(xs[j])
-        if x * x + G >= best_obj:
-            break  # tighter than the Figure-8 bound; same winner
-        lo, hi = int(starts[j]), int(starts[j + 1])
-        if hi > lo:
-            members += hi - lo
-            if not dirty:
-                if corners_y is None:
-                    dirty = members >= k
-                else:
-                    pos = (
-                        np.searchsorted(corners_y, y_entering[lo:hi], side="right")
-                        - 1
-                    )
-                    pierced = (pos < 0) | (
-                        z_entering[lo:hi] < corners_z[np.maximum(pos, 0)]
-                    )
-                    dirty = bool(pierced.any())
-        if members < k or not dirty:
-            continue
-        mask = enter_at <= j
-        corners = list(block_frontier(ys[mask], zs[mask], k))
-        corners_y = np.array([c[0] for c in corners])
-        corners_z = np.array([c[1] for c in corners])
-        dirty = False
-        for y, z in corners:
-            obj = x * x + y * y + z * z
-            if obj < best_obj:
-                best_obj = obj
-                best = (x, y, z)
-    if best is None:
-        raise InfeasibleRequestError("sweep found no covering relaxation")
-    return best
-
-
-class VectorizedExactSolver:
-    """``adpar-exact``: the default backend, vectorized over blocks.
-
-    Property tests pin both paths — :meth:`solve` and
-    :meth:`solve_batch` — bitwise-identical (distance, alternative
-    parameters, chosen strategy indices) to the reference
-    :class:`~repro.core.adpar.ADPaRExact`.
-    """
-
-    name = "adpar-exact"
-
-    #: Requests per relaxation-matrix block; bounds peak memory at
-    #: ``_CHUNK × n × 3`` floats while keeping the broadcast win.
-    _CHUNK = 128
-
-    def __init__(self, context: SolverContext, options: dict):
-        context = context.with_space()
-        self.ensemble = context.ensemble
-        self.availability = context.availability
-        self.space = context.space
-
-    def solve(
-        self, request: SolverRequest, k: "int | None" = None
-    ) -> ADPaRResult:
-        return self.solve_batch([request], k)[0]
-
-    def solve_batch(
-        self, requests: Sequence[SolverRequest], k: "int | None" = None
-    ) -> list[ADPaRResult]:
-        space = self.space
-        unpacked = [unpack_request(r, k, space.size) for r in requests]
-        results: list[ADPaRResult] = []
-        for start in range(0, len(unpacked), self._CHUNK):
-            part = unpacked[start : start + self._CHUNK]
-            origins = space.origins_of([params for params, _ in part])
-            relax_block = space.relaxation_batch(origins)
-            certified = _admissible_results(self.ensemble, part, relax_block)
-            for (params, kk), origin, relax, result in zip(
-                part, origins, relax_block, certified
-            ):
-                if result is None:
-                    best = _vectorized_sweep(space, relax, float(origin[0]), kk)
-                    result = finalize_result(self.ensemble, params, relax, best, kk)
-                results.append(result)
-        return results
-
-
-# ------------------------------------------------------------- incremental
 def _relax_frontier_order(
-    space: RelaxationSpace,
-    relax: np.ndarray,
-    scratch: "_SweepScratch | None" = None,
+    space: RelaxationSpace, scratch: _SweepScratch
 ) -> np.ndarray:
-    """Row order sorting ``relax`` by ``(relax_y, relax_z)`` — no lexsort.
+    """Row order sorting a request's relaxations by ``(relax_y, relax_z)``.
 
-    The per-dimension relaxations are monotone nondecreasing images of
-    the point coordinates (``max(p − o, 0)``), so the space's precomputed
-    point orders already almost sort them:
+    No lexsort: the per-dimension relaxations are monotone nondecreasing
+    images of the point coordinates (``max(p − o, 0)``), so the space's
+    precomputed point orders already almost sort them:
 
     * rows whose ``relax_y`` clipped to zero, ordered by the global
       z-dimension order (``relax_z`` is monotone in ``point_z``), come
@@ -362,42 +234,28 @@ def _relax_frontier_order(
     are value-identical rows, so their internal order cannot change any
     frontier yield.
 
-    With ``scratch`` (whose ``col_y``/``col_z`` the caller must already
-    hold staged copies of ``relax``'s y/z columns), every ``O(n)``
-    temporary lands in a warm buffer and the two halves compress
-    straight into adjacent slices of ``scratch.order_out`` — the
-    returned order is then a view into the scratch.  Same comparisons,
-    same order, either way.
+    ``scratch.col_y``/``col_z`` must already hold staged copies of the
+    relaxations' y/z columns.  Every ``O(n)`` temporary lands in a warm
+    scratch buffer, and the two halves compress straight into adjacent
+    slices of ``scratch.order_out``; the returned order is that buffer.
     """
     orders = space.dimension_orders
     y_order = orders[1]
     z_order = orders[2]
-    if scratch is None:
-        relax_y = relax[:, 1]
-        relax_z = relax[:, 2]
-        relax_y_sorted = relax_y[y_order]
-        positive = relax_y_sorted > 0.0
-        zero_part = z_order[relax_y[z_order] == 0.0]
-        positive_part = y_order[positive]
-    else:
-        relax_z = scratch.col_z
-        relax_y_sorted = np.take(scratch.col_y, y_order, out=scratch.cursor_y)
-        positive = np.greater(relax_y_sorted, 0.0, out=scratch.mask)
-        zero_by_z = np.take(scratch.col_y, z_order, out=scratch.cursor_z)
-        zero_mask = np.equal(zero_by_z, 0.0, out=scratch.mask2)
-        # relax_y = max(p − o, 0) >= 0, so the two halves partition the
-        # rows and fill order_out exactly.
-        n_zero = int(np.count_nonzero(zero_mask))
-        zero_part = scratch.order_out[:n_zero]
-        np.compress(zero_mask, z_order, out=zero_part)
-        positive_part = scratch.order_out[n_zero:]
-        np.compress(positive, y_order, out=positive_part)
+    relax_z = scratch.col_z
+    relax_y_sorted = np.take(scratch.col_y, y_order, out=scratch.cursor_y)
+    positive = np.greater(relax_y_sorted, 0.0, out=scratch.mask)
+    zero_by_z = np.take(scratch.col_y, z_order, out=scratch.cursor_z)
+    zero_mask = np.equal(zero_by_z, 0.0, out=scratch.mask2)
+    # relax_y = max(p − o, 0) >= 0, so the two halves partition the
+    # rows and fill order_out exactly.
+    n_zero = int(np.count_nonzero(zero_mask))
+    np.compress(zero_mask, z_order, out=scratch.order_out[:n_zero])
+    positive_part = scratch.order_out[n_zero:]
+    np.compress(positive, y_order, out=positive_part)
     if positive_part.size > 1:
-        if scratch is None:
-            relax_y_positive = relax_y_sorted[positive]
-        else:
-            relax_y_positive = scratch.tmp[: positive_part.size]
-            np.compress(positive, relax_y_sorted, out=relax_y_positive)
+        relax_y_positive = scratch.tmp[: positive_part.size]
+        np.compress(positive, relax_y_sorted, out=relax_y_positive)
         collapsed = np.flatnonzero(relax_y_positive[1:] == relax_y_positive[:-1])
         if collapsed.size:
             cursor = 0
@@ -412,8 +270,6 @@ def _relax_frontier_order(
                 positive_part[start : end + 1] = group[
                     np.argsort(relax_z[group], kind="stable")
                 ]
-    if scratch is None:
-        return np.concatenate([zero_part, positive_part])
     return scratch.order_out
 
 
@@ -424,8 +280,8 @@ class _SweepScratch:
     fig18 scale each is large enough that a fresh allocation is served
     by freshly mapped pages, and faulting those in costs more than the
     gathers that fill them.  One scratch per solver keeps the pages warm
-    across a batch.  The values written are produced by the same float
-    operations as the allocating forms, so results are unchanged.
+    across a batch.  The values written are the same floats fresh arrays
+    would hold, so results are unchanged.
     """
 
     __slots__ = (
@@ -479,46 +335,56 @@ def _indexed_sweep(
     relax: np.ndarray,
     origin: np.ndarray,
     k: int,
+    scratch: _SweepScratch,
     block: int = 2048,
-    scratch: "_SweepScratch | None" = None,
 ) -> tuple[float, float, float]:
-    """:func:`_vectorized_sweep`, re-derived over index structures.
+    """The exact sweep of ``ADPaRExact._sweep``, result-identical but fast.
 
-    Result-identical — float for float — to the reference sweep, but
-    every per-request ``O(n log n)`` ingredient is replaced by an
-    ``O(n)`` (or cached) one:
+    The reference scan evaluates the full 2-D Pareto frontier at *every*
+    candidate cost relaxation — ``O(|S|)`` work per candidate.  The
+    returned optimum, however, is the lexicographic minimum of
+    ``(X² + Y² + Z², X, Y)`` over all (candidate, frontier-point) pairs
+    (the reference's strict-improvement scan order is exactly that tie
+    break), which licenses prunes that never change the winner:
 
-    * the (y, z) enumeration order comes from the space's precomputed
-      dimension orders (:func:`_relax_frontier_order`), not a lexsort;
-    * strategies enter by x-rank prefix (``searchsorted`` against the
-      presorted cost column), not an argsort over entry candidates;
-    * the global 2-D bound ``G`` maps the space's cached per-``k``
-      frontier (:meth:`RelaxationSpace.frontier_index`) through the
-      request origin — the mapped minimum is float-equal to the
-      reference's full-set frontier pass;
-    * per-candidate frontiers come from a
-      :class:`~repro.geometry.frontier_index.FrontierCursor`, which
-      repairs the previous frontier with the newly admitted rows
-      instead of rescanning every admitted row — ``O(n)`` total across
-      all of a request's evaluations instead of per evaluation;
-    * candidates whose admitted-norm floor provably cannot beat the
-      running best skip their evaluation outright
-      (:data:`_SKIP_MARGIN`);
-    * the candidate loop itself advances by jump: one vectorized
-      galloping scan over the entering points finds the next candidate
-      whose arrivals pierce the current staircase, so Python touches one
-      iteration per *frontier change* instead of per candidate.
+    * **Frontier-change gating.**  If no strategy entering at candidate
+      ``x`` pierces the current (quality, latency) staircase, the
+      frontier at ``x`` equals the last evaluated one, so every pair at
+      ``x`` is strictly dominated by the same ``(Y, Z)`` at the smaller,
+      already-evaluated ``x``.  One vectorized galloping scan over the
+      entering points finds the next candidate whose arrivals pierce
+      the staircase, so Python touches one iteration per *frontier
+      change* instead of per candidate.
+    * **Global 2-D bound.**  ``G``, the unconstrained-cost optimum of
+      ``Y² + Z²``, lower-bounds every candidate's 2-D completion, so the
+      scan stops at ``X² + G ≥ best`` — strictly earlier than the
+      reference's ``X² ≥ best`` Figure-8 bound.  ``G`` maps the space's
+      cached per-``k`` frontier (:meth:`RelaxationSpace.frontier_index`)
+      through the request origin; the mapped minimum is float-equal to
+      a full-set frontier pass.
+    * **Admitted-norm floor.**  Candidates whose admitted-norm floor
+      provably cannot beat the running best skip their evaluation
+      outright (:data:`_SKIP_MARGIN`).
+
+    Every per-request ``O(n log n)`` ingredient is replaced by an
+    ``O(n)`` (or cached) one: the (y, z) enumeration order comes from
+    the space's precomputed dimension orders
+    (:func:`_relax_frontier_order`), not a lexsort; strategies enter by
+    x-rank prefix (:meth:`RelaxationSpace.sweep_table`), not an argsort
+    over entry candidates; and per-candidate frontiers come from a
+    :class:`~repro.geometry.frontier_index.FrontierCursor`, which
+    repairs the previous frontier with the newly admitted rows instead
+    of rescanning every admitted row.
 
     The staircase-gating and bound-break comparisons are the same float
     expressions as the reference's, evaluated against the same corner
-    values, so the evaluated candidate set — and therefore the winner
-    under the reference's strict-improvement tie-break — is identical.
+    values, so the winner under the reference's strict-improvement
+    tie-break is identical; property tests pin it bitwise against
+    :class:`~repro.core.adpar.ADPaRExact`.
     """
     origin_x = float(origin[0])
     origin_y = float(origin[1])
     origin_z = float(origin[2])
-    if scratch is None or scratch.n != relax.shape[0]:
-        scratch = _SweepScratch(relax.shape[0])
     # Stage the strided (y, z) columns contiguous once; every gather
     # below — and the order derivation — then runs through
     # ``np.take``/``np.compress`` with ``out=`` on warm buffers.
@@ -526,9 +392,9 @@ def _indexed_sweep(
     np.copyto(scratch.col_z, relax[:, 2])
     # Prefix length per candidate: row i is covered at candidate j iff
     # its cost relaxation is within xs[j] + eps — identical admission
-    # rule (and float comparisons) to the reference's enter_at.
+    # rule (and float comparison) to the reference's coverage mask.
     _, xs, prefix = space.sweep_table(origin_x, _EPS, scratch)
-    order = _relax_frontier_order(space, relax, scratch)
+    order = _relax_frontier_order(space, scratch)
     np.take(scratch.col_y, order, out=scratch.cursor_y)
     np.take(scratch.col_z, order, out=scratch.cursor_z)
     cursor = FrontierCursor(scratch.cursor_y, scratch.cursor_z, k, chunk=block)
@@ -630,20 +496,24 @@ def _indexed_sweep(
     return best
 
 
-class IncrementalExactSolver:
-    """``adpar-incremental``: the index-pruned sweep over shared geometry.
+class ExactSolver:
+    """``adpar-exact``: the index-pruned exact sweep (Theorem 4).
 
-    Bitwise-identical outputs to :class:`VectorizedExactSolver` (and
-    therefore to the reference :class:`~repro.core.adpar.ADPaRExact`) —
-    property-pinned for scalar, batch, and availability-tick traffic —
-    while reusing the space's cached frontier index and presorted
-    structures, which the delta chain
-    (:meth:`~repro.core.relaxation.RelaxationSpace.shifted`) maintains
-    across availability ticks instead of rebuilding.
+    Bitwise-identical outputs (distance, alternative parameters, chosen
+    strategy indices) to the reference
+    :class:`~repro.core.adpar.ADPaRExact` — property-pinned for scalar,
+    batch, and availability-tick traffic — while reusing the space's
+    cached frontier index and presorted structures, which the delta
+    chain (:meth:`~repro.core.relaxation.RelaxationSpace.shifted`)
+    maintains across availability ticks instead of rebuilding.
+
+    Option ``block`` (default 2048) is the frontier cursor's chunk size.
     """
 
-    name = "adpar-incremental"
+    name = "adpar-exact"
 
+    #: Requests per relaxation-matrix block; bounds peak memory at
+    #: ``_CHUNK × n × 3`` floats while keeping the broadcast win.
     _CHUNK = 128
 
     def __init__(self, context: SolverContext, options: dict):
@@ -699,12 +569,7 @@ class IncrementalExactSolver:
             ):
                 if result is None:
                     best = _indexed_sweep(
-                        space,
-                        relax,
-                        origin,
-                        kk,
-                        block=self._block,
-                        scratch=sweep_scratch,
+                        space, relax, origin, kk, sweep_scratch, self._block
                     )
                     result = finalize_result(self.ensemble, params, relax, best, kk)
                 results.append(result)
@@ -866,14 +731,13 @@ def _builtin_registry() -> SolverRegistry:
     registry = SolverRegistry()
     registry.register(
         "adpar-exact",
-        VectorizedExactSolver,
-        "vectorized exact sweep (Theorem 4); the default",
+        ExactSolver,
+        "index-pruned exact sweep (Theorem 4); the default",
     )
     registry.register(
         "adpar-incremental",
-        IncrementalExactSolver,
-        "index-pruned exact sweep over delta-maintained spaces; "
-        "bitwise-identical to adpar-exact",
+        ExactSolver,
+        "alias of adpar-exact; specs and journals still carry this name",
     )
     registry.register(
         "adpar-weighted",

@@ -129,9 +129,8 @@ class ParetoSweep:
         Same contract and — pair for pair — the same yielded values as
         :meth:`frontier`, but the per-point Python loop is replaced by
         NumPy filtering over whole candidate blocks (see
-        :func:`block_frontier`).  This is the path the vectorized ADPaR
-        backend sweeps with; :meth:`frontier` remains the heap reference
-        the property tests compare against.
+        :func:`block_frontier`).  :meth:`frontier` remains the heap
+        reference the property tests compare against.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -167,8 +166,9 @@ def block_frontier(
     any point whose ``z`` is not below the heap's maximum at the start of
     its block cannot improve the bound later in that block either.  Whole
     blocks are therefore filtered with one NumPy comparison and Python
-    touches only the (few) improving points, which is what makes the
-    vectorized ADPaR sweep fast on large ensembles.
+    touches only the (few) improving points.  The exact ADPaR sweep's
+    :class:`~repro.geometry.frontier_index.FrontierCursor` is pinned
+    pair for pair against it.
 
     ``ys``/``zs`` must be float arrays pre-sorted lexicographically by
     ``(y, z, original index)`` — callers with unsorted data should use

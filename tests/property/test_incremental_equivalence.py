@@ -1,14 +1,15 @@
 """Differential pins for the incremental ADPaR path.
 
-``adpar-incremental`` re-derives the exact sweep over index structures
-(block-summary frontier index, cached sweep orders, delta-maintained
-spaces), so its gate is the same as the vectorized refactor's was:
-**bitwise** equality with ``adpar-exact`` — scalar, batch, and across
-randomized availability-tick schedules through the
-:class:`IncrementalSpaceCache` chain.  The sweep's edge-case
-ingredients (``block_frontier`` at degenerate block sizes and duplicate
-ties, ``sweep_values``/``sweep_table`` against their raw NumPy
-formulations, ``shifted`` against a cold rebuild) are pinned alongside.
+The exact registry backend (``adpar-exact``, also registered as
+``adpar-incremental``) re-derives the reference sweep over index
+structures (block-summary frontier index, cached sweep orders,
+delta-maintained spaces), so its gate is **bitwise** equality with the
+reference :class:`ADPaRExact` — scalar, batch, and across randomized
+availability-tick schedules through the :class:`IncrementalSpaceCache`
+chain.  The sweep's edge-case ingredients (``block_frontier`` at
+degenerate block sizes and duplicate ties, ``sweep_table`` against its
+raw NumPy formulation, ``shifted`` against a cold rebuild) are pinned
+alongside.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.relaxation import BufferPool, RelaxationSpace
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.engine import IncrementalSpaceCache, RecommendationEngine, SolverContext
-from repro.engine.solvers import IncrementalExactSolver, VectorizedExactSolver
+from repro.engine.solvers import ExactSolver
 from repro.exceptions import InfeasibleRequestError
 from repro.geometry.sweepline import ParetoSweep, block_frontier
 
@@ -73,7 +74,7 @@ def test_block_frontier_degenerate_blocks_match_heap(points, k, block):
 def test_sweep_values_match_numpy_on_duplicate_heavy_points(points, origin_x):
     """Cached-order derivation == raw ``np.sort``/``np.unique``."""
     space = RelaxationSpace(StrategyEnsemble.from_params(points), 1.0)
-    sorted_relax, candidates = space.sweep_values(origin_x)
+    sorted_relax, candidates, _ = space.sweep_table(origin_x, 1e-12)
     raw = np.maximum(space.points[:, 0] - origin_x, 0.0)
     assert np.array_equal(sorted_relax, np.sort(raw))
     assert np.array_equal(candidates, np.unique(raw))
@@ -102,7 +103,7 @@ def test_sweep_table_scratch_and_allocating_forms_agree():
     rng = np.random.default_rng(5)
     points = [TriParams(*np.round(rng.random(3) * 4) / 4) for _ in range(30)]
     space = RelaxationSpace(StrategyEnsemble.from_params(points), 1.0)
-    solver = IncrementalExactSolver(SolverContext(space.ensemble, 1.0, space), {})
+    solver = ExactSolver(SolverContext(space.ensemble, 1.0, space), {})
     scratch = solver._sweep_scratch_for(space.size)
     for origin_x in (0.0, 0.25, 0.3, 1.0):
         plain = space.sweep_table(origin_x, 1e-12)
@@ -136,11 +137,11 @@ def adpar_instances(draw, max_points=9):
     return points, request, k
 
 
-def _solver_pair(ensemble, availability=1.0, block=512):
+def _solver_and_reference(ensemble, availability=1.0, block=512):
     context = SolverContext(ensemble, availability).with_space()
     return (
-        VectorizedExactSolver(context, {}),
-        IncrementalExactSolver(context, {"block": block}),
+        ExactSolver(context, {"block": block}),
+        ADPaRExact(ensemble, availability, space=context.space),
     )
 
 
@@ -148,11 +149,11 @@ def _solver_pair(ensemble, availability=1.0, block=512):
 @given(adpar_instances(), st.sampled_from([1, 2, 512]))
 def test_incremental_scalar_bitwise_identical_to_exact(instance, block):
     points, request, k = instance
-    exact, incremental = _solver_pair(
+    incremental, reference = _solver_and_reference(
         StrategyEnsemble.from_params(points), block=block
     )
     try:
-        expected = exact.solve(request, k)
+        expected = reference.solve(request, k)
     except InfeasibleRequestError:
         with pytest.raises(InfeasibleRequestError):
             incremental.solve(request, k)
@@ -168,9 +169,11 @@ def test_incremental_scalar_bitwise_identical_to_exact(instance, block):
 )
 def test_incremental_batch_bitwise_identical_to_exact(points, requests, k):
     k = min(k, len(points))
-    exact, incremental = _solver_pair(StrategyEnsemble.from_params(points))
+    incremental, reference = _solver_and_reference(
+        StrategyEnsemble.from_params(points)
+    )
     try:
-        expected = exact.solve_batch(requests, k)
+        expected = [reference.solve(request, k) for request in requests]
     except InfeasibleRequestError:
         with pytest.raises(InfeasibleRequestError):
             incremental.solve_batch(requests, k)
@@ -183,20 +186,16 @@ def test_incremental_batch_bitwise_identical_to_exact(points, requests, k):
 @settings(max_examples=100, deadline=None)
 @given(admissible_batches(), st.sampled_from([1, 2, 512]))
 def test_incremental_admissible_batch_bitwise_identical_to_exact(instance, block):
-    """Both exact backends == ``ADPaRExact`` across the batch certificate."""
+    """The exact backend == ``ADPaRExact`` across the batch certificate."""
     points, specs = instance
-    ensemble = StrategyEnsemble.from_params(points)
-    exact, incremental = _solver_pair(ensemble, block=block)
+    incremental, reference = _solver_and_reference(
+        StrategyEnsemble.from_params(points), block=block
+    )
     requests = [
         DeploymentRequest(f"d{i}", params, k=k) for i, (params, k) in enumerate(specs)
     ]
-    reference = ADPaRExact(ensemble, space=exact.space)
-    for request, want, have in zip(
-        requests, exact.solve_batch(requests), incremental.solve_batch(requests)
-    ):
-        expected = reference.solve(request)
-        assert_bitwise_equal(want, expected)
-        assert_bitwise_equal(have, expected)
+    for request, have in zip(requests, incremental.solve_batch(requests)):
+        assert_bitwise_equal(have, reference.solve(request))
 
 
 def test_engine_serves_incremental_backend(table1_ensemble):
@@ -270,9 +269,7 @@ def test_tick_schedule_solves_bitwise_identical_to_cold_exact(seed, schedule):
     chain = IncrementalSpaceCache(drift_threshold=0.3)
     for availability, request, k in schedule:
         space = chain.space_at(ensemble, availability)
-        solver = IncrementalExactSolver(
-            SolverContext(ensemble, availability, space), {}
-        )
+        solver = ExactSolver(SolverContext(ensemble, availability, space), {})
         reference = ADPaRExact(ensemble, availability=availability)
         try:
             expected = reference.solve(request, k)

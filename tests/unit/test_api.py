@@ -7,6 +7,7 @@ import pytest
 from repro.api import (
     API_VERSION,
     AlternativesRequest,
+    AlternativesResponse,
     EngineService,
     EngineSpec,
     EnsembleRef,
@@ -27,12 +28,20 @@ from repro.cluster import RouterService
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest, make_requests
 from repro.core.strategy import StrategyEnsemble
+from repro.engine import (
+    EngineCache,
+    RecommendationEngine,
+    default_solver_registry,
+    ensemble_fingerprint,
+)
 from repro.exceptions import (
     ApiError,
     InfeasibleRequestError,
     UnknownPlannerError,
     UnknownSolverError,
 )
+from repro.utils.rng import spawn_rngs
+from repro.workloads.generators import generate_adpar_points, hard_request_for
 
 
 def paper_ensemble() -> StrategyEnsemble:
@@ -62,6 +71,14 @@ def resolve_payload(**overrides) -> dict:
     ).to_dict()
     payload.update(overrides)
     return payload
+
+
+def hard_case() -> "tuple[StrategyEnsemble, DeploymentRequest]":
+    """An ensemble plus one request no strategy satisfies (k=3)."""
+    rng_points, rng_request = spawn_rngs(43, 2)
+    points = generate_adpar_points(12, "uniform", rng_points)
+    request = DeploymentRequest("hard", hard_request_for(points, rng_request), k=3)
+    return StrategyEnsemble.from_params(points), request
 
 
 #: Envelope type tags no parser knows: a stray name and non-strings.
@@ -551,3 +568,52 @@ class TestStats:
         assert stats.sessions == 0
         assert stats.cache.misses > 0
         assert stats.cache is service.cache.stats
+
+
+class TestEqualContentEnsembles:
+    """Every inline upload decodes a new ensemble object, while the
+    shared cache keys relaxation spaces by content fingerprint: each
+    solver must accept the space built for an earlier equal copy."""
+
+    @pytest.mark.parametrize("solver", default_solver_registry().names())
+    def test_inline_reupload_serves_every_solver(self, solver):
+        ensemble, request = hard_case()
+        ref = EnsembleRef.of(ensemble)
+        service = EngineService()
+        first = service.handle_dict(
+            ResolveRequest(
+                ensemble=ref, requests=(request,), spec=EngineSpec(availability=1.0)
+            ).to_dict()
+        )
+        spec = EngineSpec(availability=1.0, solver=solver)
+        second = service.handle_dict(
+            ResolveRequest(ensemble=ref, requests=(request,), spec=spec).to_dict()
+        )
+        by_fingerprint = EnsembleRef.by_fingerprint(ensemble_fingerprint(ensemble))
+        answer = service.handle_dict(
+            AlternativesRequest(
+                ensemble=by_fingerprint, requests=(request,), spec=spec
+            ).to_dict()
+        )
+        for response in (first, second, answer):
+            assert response["type"] != "error", response
+        direct = RecommendationEngine(ensemble, availability=1.0, solver=solver)
+        assert decode(AlternativesResponse, answer).results == tuple(
+            direct.recommend_alternatives([request])
+        )
+
+    @pytest.mark.parametrize("solver", default_solver_registry().names())
+    def test_shared_cache_engine_accepts_an_equal_copy(self, solver):
+        ensemble, request = hard_case()
+        copy = StrategyEnsemble.from_arrays(
+            ensemble.alpha.copy(), ensemble.beta.copy(), names=ensemble.names
+        )
+        shared = EngineCache()
+        RecommendationEngine(ensemble, availability=1.0, cache=shared)
+        engine = RecommendationEngine(
+            copy, availability=1.0, cache=shared, solver=solver
+        )
+        direct = RecommendationEngine(ensemble, availability=1.0, solver=solver)
+        assert engine.recommend_alternatives([request]) == (
+            direct.recommend_alternatives([request])
+        )

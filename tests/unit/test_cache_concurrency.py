@@ -12,9 +12,13 @@ throughout (a hit never answers with another key's entry).
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
-from repro.engine.cache import EngineCache, _LRU
+import pytest
+
+from repro.engine.cache import EngineCache
+from repro.utils.lru import LRU
 
 N_THREADS = 8
 
@@ -97,27 +101,45 @@ def test_bulk_lookup_accounting_exact_under_threads():
 
 def test_lru_capacity_invariant_under_thread_churn():
     capacity = 8
-    lru = _LRU(capacity)
+    lru = LRU(capacity)
     universe = list(range(capacity * 8))
 
     def worker(rng):
         for _ in range(500):
             key = universe[rng.randrange(len(universe))]
-            if lru.get(key) is None:
+            value = lru.get(key)
+            if value is None:
                 lru.put(key, key * 2)
+            else:
+                assert value == key * 2
             # Capacity must hold at every instant, not just at the end.
             assert len(lru) <= capacity
 
-    _run_threads(worker)
+    # Switch threads far more often than the default 5 ms, so the
+    # workers interleave inside every get/put.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(worker)
+    finally:
+        sys.setswitchinterval(interval)
     assert len(lru) <= capacity
 
 
 def test_lru_serial_semantics_unchanged():
-    """The locked _LRU keeps exact least-recently-used order serially."""
-    lru = _LRU(3)
+    """The locked LRU keeps exact least-recently-used order serially."""
+    lru = LRU(3)
     for key in ("a", "b", "c"):
         lru.put(key, key.upper())
     assert lru.get("a") == "A"  # refresh a: b is now oldest
     lru.put("d", "D")
     assert lru.get("b") is None
     assert [lru.get(k) for k in ("a", "c", "d")] == ["A", "C", "D"]
+    assert lru.get("b", "missing") == "missing"
+    assert lru.get("a", "missing") == "A"  # a is now newest, c oldest
+    assert "c" in lru  # membership does not refresh c ...
+    lru.put("e", "E")
+    assert "c" not in lru  # ... so it is still the one evicted
+    assert len(lru) == lru.capacity == 3
+    with pytest.raises(ValueError):
+        LRU(0)

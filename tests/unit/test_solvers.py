@@ -19,12 +19,10 @@ from repro.engine import (
     default_solver_registry,
     solver_options_key,
 )
-from repro.engine.solvers import (
-    IncrementalExactSolver,
-    VectorizedExactSolver,
-    _admissible_results,
-)
+from repro.engine.solvers import ExactSolver, _admissible_results
 from repro.exceptions import InfeasibleRequestError, UnknownSolverError
+from repro.utils.rng import spawn_rngs
+from repro.workloads.generators import generate_adpar_points, hard_request_for
 
 ALL_BACKENDS = ("adpar-exact", "adpar-weighted", "onedim", "rtree", "bruteforce")
 
@@ -96,6 +94,23 @@ class TestSolverRegistry:
         result = engine.recommend_alternative(HARD_REQUEST, 3)
         assert len(result.strategy_indices) == 3
 
+    def test_exact_names_create_one_solver_equal_to_reference(self):
+        # Specs and journals carry both names; they must answer alike.
+        rng_points, rng_requests = spawn_rngs(43, 2)
+        points = generate_adpar_points(60, "uniform", rng_points)
+        ensemble = StrategyEnsemble.from_params(points)
+        requests = [
+            DeploymentRequest(f"d{i}", hard_request_for(points, rng_requests), k=5)
+            for i in range(8)
+        ]
+        context = SolverContext(ensemble, 1.0).with_space()
+        reference = ADPaRExact(ensemble, space=context.space)
+        expected = [reference.solve(request) for request in requests]
+        for name in ("adpar-exact", "adpar-incremental"):
+            solver = default_solver_registry().create(name, context)
+            assert type(solver) is ExactSolver
+            assert solver.solve_batch(requests) == expected
+
     def test_options_key_canonicalizes(self):
         assert solver_options_key({"weights": [2, 1, 1], "norm": "l1"}) == (
             solver_options_key({"norm": "l1", "weights": (2, 1, 1)})
@@ -113,7 +128,7 @@ class TestRelaxationSpace:
         space = RelaxationSpace(table1_ensemble, 1.0)
         origin = space.origin_of(HARD_REQUEST)
         relax = space.relaxations(origin)
-        sorted_x, unique_x = space.sweep_values(float(origin[0]))
+        sorted_x, unique_x, _ = space.sweep_table(float(origin[0]), 1e-12)
         assert np.array_equal(sorted_x, np.sort(relax[:, 0]))
         assert np.array_equal(unique_x, np.unique(relax[:, 0]))
 
@@ -153,6 +168,30 @@ class TestRelaxationSpace:
             weighted_adpar_brute_force(
                 table1_ensemble, HARD_REQUEST, 3, availability=0.8, space=space
             )
+
+
+    def test_context_adopts_only_an_equal_content_ensemble(self, table1_ensemble):
+        space = RelaxationSpace(table1_ensemble, 0.8)
+        copy = StrategyEnsemble.from_arrays(
+            table1_ensemble.alpha.copy(),
+            table1_ensemble.beta.copy(),
+            names=table1_ensemble.names,
+        )
+        context = SolverContext(copy, 0.8, space).with_space()
+        assert context.ensemble is table1_ensemble
+        renamed = StrategyEnsemble.from_arrays(
+            table1_ensemble.alpha,
+            table1_ensemble.beta,
+            names=[f"other-{name}" for name in table1_ensemble.names],
+        )
+        mismatched = SolverContext(renamed, 0.8, space)
+        assert mismatched.with_space().ensemble is renamed
+        registry = default_solver_registry()
+        for name in ("adpar-weighted", "onedim", "rtree"):
+            with pytest.raises(ValueError):
+                registry.create(name, mismatched)
+        with pytest.raises(ValueError):
+            registry.create("bruteforce", mismatched).solve(HARD_REQUEST, 3)
 
 
 class TestEngineSolverAPI:
@@ -326,7 +365,7 @@ class TestSessionSolverRouting:
 
 
 class TestAdmissibleCertificate:
-    """The exact batch backends' sweep-free answer for admissible requests."""
+    """The exact batch backend's sweep-free answer for admissible requests."""
 
     @pytest.fixture
     def ensemble(self):
@@ -375,15 +414,12 @@ class TestAdmissibleCertificate:
             "k-equals-n": (0, 1, 2, 3, 4),
         }
 
-    @pytest.mark.parametrize(
-        "backend", [VectorizedExactSolver, IncrementalExactSolver]
-    )
-    def test_batch_backends_match_reference_on_both_sides(self, ensemble, backend):
+    def test_batch_backends_match_reference_on_both_sides(self, ensemble):
         context = SolverContext(ensemble, 1.0).with_space()
         requests = [
             DeploymentRequest(name, params, k=k) for name, params, k, _ in self.REQUESTS
         ]
         reference = ADPaRExact(ensemble, space=context.space)
-        got = backend(context, {}).solve_batch(requests)
+        got = ExactSolver(context, {}).solve_batch(requests)
         assert got == [reference.solve(request) for request in requests]
         assert [r.distance == 0.0 for r in got] == [True] * 5 + [False]
