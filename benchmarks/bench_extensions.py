@@ -2,7 +2,7 @@
 
 * DP vs greedy vs brute force on pay-off: solution quality and runtime.
 * Weighted ADPaR across norms: runtime of the generalized sweep.
-* Streaming aggregator: sustained submit/complete throughput.
+* Streaming session: sustained submit/complete throughput.
 """
 
 import numpy as np
@@ -14,7 +14,8 @@ from repro.core.params import TriParams
 from repro.core.payoff_dp import payoff_dynamic_program
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
-from repro.core.streaming import StreamingAggregator, StreamStatus
+from repro.core.streaming import StreamStatus
+from repro.engine import RecommendationEngine
 from repro.utils.tables import format_table
 from repro.workloads.generators import (
     generate_adpar_points,
@@ -112,9 +113,9 @@ def test_bench_streaming_throughput(benchmark):
     requests = generate_requests(200, k=3, seed=42)
 
     def churn():
-        stream = StreamingAggregator(
+        stream = RecommendationEngine(
             ensemble, 0.6, aggregation="max", workforce_mode="strict"
-        )
+        ).open_session()
         admitted = 0
         for request in requests:
             decision = stream.submit(request)

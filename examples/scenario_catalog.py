@@ -71,11 +71,11 @@ for section, usage in stats.occupancy.items():
 # --- closed loop: a scenario against a live deployment window -------------
 pool = WorkerPool(generate_workers(160, seed=5))
 simulator = PlatformSimulator(pool, seed=6, service=service)
-observation, batch_report = simulator.run_scenario(
+observation, loop_report = simulator.run_scenario(
     "paper-batch-small", PAPER_WINDOWS[1]
 )
 print(
     f"\nClosed loop in {observation.window.name}: observed availability "
-    f"{observation.availability:.2f} → {batch_report.satisfied_count} satisfied, "
-    f"{batch_report.alternative_count} alternatives"
+    f"{observation.availability:.2f} → {loop_report.satisfied} satisfied, "
+    f"{loop_report.alternative} alternatives"
 )

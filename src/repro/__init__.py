@@ -21,8 +21,8 @@ Public API highlights:
   (throughput exact, pay-off 1/2-approximate); the ``batch-greedy``
   backend.
 * :class:`repro.ADPaRExact` — exact alternative-parameter recommendation.
-* :class:`repro.Aggregator` / :class:`repro.StratRec` — the end-to-end
-  middle layer (now thin shims over the engine).
+* :class:`repro.StratRec` — the per-task-type facade over the engine:
+  a calibrated model bank plus availability distributions.
 * :mod:`repro.platform` / :mod:`repro.execution` — the simulated crowd
   platform and strategy execution engine standing in for AMT.
 * :mod:`repro.experiments` — regenerates every table and figure of §5.
@@ -32,7 +32,6 @@ from repro.core import (
     ADPaRExact,
     ADPaRResult,
     RelaxationSpace,
-    Aggregator,
     AggregatorReport,
     BatchOutcome,
     BatchStrat,
@@ -87,7 +86,6 @@ __all__ = [
     "ADPaRExact",
     "ADPaRResult",
     "RelaxationSpace",
-    "Aggregator",
     "AggregatorReport",
     "RequestResolution",
     "ResolutionStatus",

@@ -243,22 +243,18 @@ def make_server(
     verbose: bool = False,
     threads: int = DEFAULT_THREADS,
     coalesce: bool = True,
-    coalesce_window_s: float = 0.0,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server fronting one service.
 
     ``port=0`` binds an ephemeral port — read it back from
     ``server.server_address`` (tests and the bench harness do).
     ``threads`` bounds the handler pool; ``coalesce`` attaches a
-    :class:`RequestCoalescer` (window ``coalesce_window_s``) to the
-    service unless it already has one.
+    :class:`RequestCoalescer` to the service unless it already has one.
     """
     server = _PooledHTTPServer((host, port), ApiRequestHandler, threads)
     server.service = service if service is not None else EngineService()
     if coalesce and server.service.coalescer is None:
-        server.service.attach_coalescer(
-            RequestCoalescer(window_s=coalesce_window_s)
-        )
+        server.service.attach_coalescer(RequestCoalescer())
     server.verbose = verbose
     return server
 

@@ -85,7 +85,7 @@ from repro.engine import (
     RecommendationEngine,
     ensemble_fingerprint,
 )
-from repro.engine.session import EngineSession, check_burst, drive_stream
+from repro.engine.session import EngineSession, check_burst
 from repro.exceptions import ApiError, JournalCorruptError
 
 # Submodule imports, not the package: repro.journal's __init__ pulls in
@@ -391,30 +391,6 @@ class EngineService:
     @property
     def session_count(self) -> int:
         return len(self._sessions)
-
-    def drive(
-        self,
-        session_id: str,
-        requests,
-        burst_size: int = 64,
-        hold_bursts: int = 2,
-    ):
-        """Run the canonical burst/complete/retry loop over one session.
-
-        Same contract as :func:`repro.engine.session.drive_stream` — the
-        CLI ``stream`` subcommand and the platform simulator route their
-        cohort traffic through the service with this.  The whole loop
-        holds the session's lock: a drive is one logical replay, and
-        interleaving foreign bursts mid-replay would change its report.
-        """
-        session = self.session(session_id)
-        with session.lock:
-            return drive_stream(
-                session,
-                requests,
-                burst_size=burst_size,
-                hold_bursts=hold_bursts,
-            )
 
     # ------------------------------------------------- checkpoint + recovery
     def _maybe_checkpoint(self) -> None:

@@ -502,15 +502,15 @@ def run_stream(args, out) -> int:
     """The ``stream`` subcommand: a synthetic arrival stream, micro-batched.
 
     Arrivals run through a service session driven by
-    :meth:`~repro.api.EngineService.drive` — the same loop the platform
-    simulator's ``stream_window`` uses: vectorized ``submit_many``
-    bursts, completion waves after ``--hold`` bursts, and deferred-queue
-    retries (O(1) per entry — each entry carries its precomputed
-    aggregate).
+    :func:`~repro.engine.session.drive_stream` — the same loop every
+    ``stream`` scenario uses: vectorized ``submit_many`` bursts,
+    completion waves after ``--hold`` bursts, and deferred-queue retries
+    (O(1) per entry — each entry carries its precomputed aggregate).
     """
     import time
 
     from repro.core.streaming import StreamStatus
+    from repro.engine.session import drive_stream
     from repro.utils.rng import spawn_rngs
     from repro.workloads.generators import (
         generate_requests,
@@ -536,12 +536,12 @@ def run_stream(args, out) -> int:
     except ValueError as exc:
         print(f"repro stream: error: {exc}", file=sys.stderr)
         return 2
+    session = service.session(session_id)
     start = time.perf_counter()
-    decisions, retried = service.drive(
-        session_id, stream, burst_size=args.burst, hold_bursts=args.hold
+    decisions, retried = drive_stream(
+        session, stream, burst_size=args.burst, hold_bursts=args.hold
     )
     elapsed = time.perf_counter() - start
-    session = service.session(session_id)
     counts = {status: 0 for status in StreamStatus}
     for decision in decisions:
         counts[decision.status] += 1

@@ -1,8 +1,10 @@
 """StratRec core: the paper's primary contribution.
 
 Data model (requests, strategies, the 3-parameter space), workforce
-requirement computation, the BatchStrat optimizer, ADPaR-Exact, and the
-Aggregator/StratRec middle layer.
+requirement computation, the BatchStrat optimizer, ADPaR-Exact, the
+resolved-batch and stream-decision data models, and the StratRec
+per-task-type facade.  The middle layer's orchestration lives in
+:class:`repro.engine.RecommendationEngine`.
 """
 
 from repro.core.params import TriParams
@@ -22,7 +24,6 @@ from repro.core.workforce import RequestWorkforce, WorkforceComputer
 from repro.core.batchstrat import BatchOutcome, BatchStrat, StrategyRecommendation
 from repro.core.adpar import ADPaRExact, ADPaRResult, ADPaRTrace
 from repro.core.aggregator import (
-    Aggregator,
     AggregatorReport,
     RequestResolution,
     ResolutionStatus,
@@ -30,7 +31,7 @@ from repro.core.aggregator import (
 from repro.core.stratrec import StratRec, StrategyAdvice
 from repro.core.objectives import MultiGoalObjective
 from repro.core.payoff_dp import payoff_dynamic_program
-from repro.core.streaming import StreamDecision, StreamingAggregator, StreamStatus
+from repro.core.streaming import StreamDecision, StreamStatus
 from repro.core.adpar_variants import (
     RelaxationPenalty,
     WeightedADPaR,
@@ -63,7 +64,6 @@ __all__ = [
     "ADPaRResult",
     "ADPaRTrace",
     "RelaxationSpace",
-    "Aggregator",
     "AggregatorReport",
     "RequestResolution",
     "ResolutionStatus",
@@ -71,7 +71,6 @@ __all__ = [
     "StrategyAdvice",
     "MultiGoalObjective",
     "payoff_dynamic_program",
-    "StreamingAggregator",
     "StreamDecision",
     "StreamStatus",
     "RelaxationPenalty",

@@ -8,9 +8,8 @@ response.
 
 This module owns the *data model* of a resolved batch
 (:class:`ResolutionStatus`, :class:`RequestResolution`,
-:class:`AggregatorReport`); since the engine refactor the orchestration
-itself lives in :class:`repro.engine.RecommendationEngine` and
-:class:`Aggregator` is a thin compatibility shim over it.
+:class:`AggregatorReport`); the orchestration itself is
+:meth:`repro.engine.RecommendationEngine.resolve`.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from repro.core.adpar import ADPaRResult
 from repro.core.batchstrat import BatchOutcome
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
-from repro.core.strategy import StrategyEnsemble
-from repro.modeling.availability import AvailabilityDistribution
 
 
 class ResolutionStatus(enum.Enum):
@@ -77,57 +74,3 @@ class AggregatorReport:
             1 for r in self.resolutions if r.status is ResolutionStatus.ALTERNATIVE
         )
 
-
-class Aggregator:
-    """Batch front end: BatchStrat + ADPaR routing.
-
-    Compatibility shim: constructs a
-    :class:`~repro.engine.RecommendationEngine` and forwards to it.  New
-    code should use the engine directly (planner backends, shared caches,
-    and sessions are only reachable there).
-
-    Parameters
-    ----------
-    ensemble:
-        Candidate strategy profiles.
-    availability:
-        Either an expected workforce fraction in ``[0, 1]`` or a full
-        :class:`AvailabilityDistribution` (its expectation is used,
-        matching §2.1's "StratRec works with expected values").
-    objective, aggregation, workforce_mode, eligibility:
-        Forwarded to :class:`BatchStrat` / the workforce computer.
-    engine:
-        Adopt an existing engine instead of building one (its
-        configuration wins over the other arguments).
-    """
-
-    def __init__(
-        self,
-        ensemble: StrategyEnsemble,
-        availability: "float | AvailabilityDistribution",
-        objective: str = "throughput",
-        aggregation: str = "sum",
-        workforce_mode: str = "paper",
-        eligibility: str = "pool",
-        engine: "object | None" = None,
-    ):
-        # Imported lazily: repro.engine imports this module's data model.
-        from repro.engine import RecommendationEngine
-
-        if engine is None:
-            engine = RecommendationEngine(
-                ensemble,
-                availability,
-                objective=objective,
-                aggregation=aggregation,
-                workforce_mode=workforce_mode,
-                eligibility=eligibility,
-            )
-        self.engine: RecommendationEngine = engine
-        self.ensemble = self.engine.ensemble
-        self.availability = self.engine.availability
-        self.objective = self.engine.objective
-
-    def process(self, requests: "list[DeploymentRequest]") -> AggregatorReport:
-        """Serve a batch: optimize, then recommend alternatives for the rest."""
-        return self.engine.resolve(requests)

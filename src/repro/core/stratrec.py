@@ -2,7 +2,8 @@
 
 Ties the pieces together for applications: a model bank calibrated per
 (task type, strategy), availability distributions estimated from platform
-history, and the Aggregator/ADPaR pipeline.  The execution-level
+history, and one :class:`~repro.engine.RecommendationEngine` per task
+type running the BatchStrat/ADPaR pipeline.  The execution-level
 experiments (Figure 13) use :meth:`StratRec.recommend_strategy` to pick
 the deployment strategy an actual (simulated) campaign should run with.
 """
@@ -109,7 +110,7 @@ class StratRec:
         """The recommendation engine serving one task type.
 
         The ensemble is rebuilt from the (possibly re-calibrated) model
-        bank on every call — matching the seed's per-call Aggregator — and
+        bank on every call — the seed built it afresh per call too — and
         the engine is memoized by its content fingerprint, so a bank
         update transparently yields a fresh engine while unchanged banks
         reuse the old one.  Engines share :attr:`cache`, so workforce

@@ -3,16 +3,14 @@
 "How to design StratRec for a fully dynamic stream-like setting of
 incoming deployment requests, where the deployment requests could be
 revoked, remains an important open problem."  This module defines the
-stream decision data model and the legacy :class:`StreamingAggregator`
-interface: requests arrive one at a time, a workforce ledger tracks the
-remaining availability, admitted requests hold a reservation until
-completed or revoked, and requests that do not fit are answered with
-ADPaR alternatives instead of a bare rejection.
-
-Since the engine refactor the ledger itself lives in
-:class:`repro.engine.EngineSession` (which adds deferred-retry);
-:class:`StreamingAggregator` is a thin compatibility shim over one
-session.
+stream decision data model (:class:`StreamStatus`,
+:class:`StreamDecision`).  The ledger that produces the decisions is
+:class:`repro.engine.EngineSession` (``engine.open_session()``):
+requests arrive one at a time, a workforce ledger tracks the remaining
+availability, admitted requests hold a reservation until completed or
+revoked, requests that do not fit are answered with ADPaR alternatives
+instead of a bare rejection, and deferred requests are retried once
+capacity frees.
 
 Online greedy admission has no competitive guarantee for pay-off (the
 adversary can always burn the budget) — this is an engineering extension,
@@ -25,9 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.core.adpar import ADPaRResult
-from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
-from repro.core.strategy import StrategyEnsemble
 
 
 class StreamStatus(enum.Enum):
@@ -75,104 +71,3 @@ class StreamDecision:
             alternative,
         )
 
-
-class StreamingAggregator:
-    """Online admission with a workforce ledger and revocation.
-
-    Compatibility shim over :meth:`RecommendationEngine.open_session`;
-    parameters mirror :class:`~repro.core.batchstrat.BatchStrat`.  The
-    ledger starts at ``availability`` and is debited on admission and
-    credited on :meth:`revoke` / :meth:`complete`.
-    """
-
-    def __init__(
-        self,
-        ensemble: StrategyEnsemble,
-        availability: float,
-        aggregation: str = "sum",
-        workforce_mode: str = "paper",
-        eligibility: str = "pool",
-        engine: "object | None" = None,
-    ):
-        # Imported lazily: repro.engine imports this module's data model.
-        from repro.engine import RecommendationEngine
-
-        if engine is None:
-            engine = RecommendationEngine(
-                ensemble,
-                availability,
-                aggregation=aggregation,
-                workforce_mode=workforce_mode,
-                eligibility=eligibility,
-            )
-        self.engine: RecommendationEngine = engine
-        self.ensemble = self.engine.ensemble
-        self.availability = self.engine.availability
-        self._session = self.engine.open_session()
-
-    # ----------------------------------------------------------------- state
-    @property
-    def session(self):
-        """The underlying :class:`repro.engine.EngineSession`."""
-        return self._session
-
-    @property
-    def remaining(self) -> float:
-        """Workforce still unreserved."""
-        return self._session.remaining
-
-    @property
-    def active(self) -> "dict[str, StreamDecision]":
-        """Currently admitted (not yet completed/revoked) requests."""
-        return self._session.active
-
-    @property
-    def admitted_count(self) -> int:
-        return self._session.admitted_count
-
-    @property
-    def revoked_count(self) -> int:
-        return self._session.revoked_count
-
-    @property
-    def completed_count(self) -> int:
-        return self._session.completed_count
-
-    @property
-    def deferred(self) -> "list[DeploymentRequest]":
-        """Requests answered DEFERRED, in arrival order, awaiting retry."""
-        return self._session.deferred
-
-    # ---------------------------------------------------------------- submit
-    def submit(self, request: DeploymentRequest) -> StreamDecision:
-        """Process one arriving request against the current ledger."""
-        return self._session.submit(request)
-
-    def submit_many(
-        self, requests: "list[DeploymentRequest]"
-    ) -> list[StreamDecision]:
-        """Admit one arrival burst through the vectorized session path.
-
-        Decisions are identical to submitting one at a time; the model
-        inversions and ADPaR fallbacks run as two batch passes instead of
-        per-request scalar solves.
-        """
-        return self._session.submit_many(requests)
-
-    def retry_deferred(self) -> list[StreamDecision]:
-        """Resubmit deferred requests against freed capacity (O(1)/entry)."""
-        return self._session.retry_deferred()
-
-    # ------------------------------------------------------------ lifecycle
-    def revoke(self, request_id: str) -> float:
-        """Cancel an admitted request; returns the workforce released."""
-        return self._session.revoke(request_id)
-
-    def complete(self, request_id: str) -> float:
-        """Mark an admitted request finished; its workforce is released."""
-        return self._session.complete(request_id)
-
-    # ---------------------------------------------------------------- stats
-    def utilization(self) -> float:
-        """Reserved fraction of the availability budget."""
-        return self._session.utilization()

@@ -17,10 +17,8 @@ runners — flows through :class:`RecommendationEngine`:
   revocation, deferred-retry) with a vectorized burst path
   (:meth:`~EngineSession.submit_many`) and an O(1)-retry deferred queue
   whose entries carry their precomputed aggregates
-  (:class:`DeferredEntry`).
-
-The legacy :class:`repro.Aggregator` and
-:class:`repro.StreamingAggregator` remain as thin shims over this layer.
+  (:class:`DeferredEntry`), and :func:`drive_stream` runs the
+  burst/complete/retry admission loop over one session.
 """
 
 from repro.engine.cache import (

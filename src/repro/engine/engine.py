@@ -1,9 +1,10 @@
 """The unified recommendation engine — every entry point's one seam.
 
 The seed wired ``BatchStrat`` + ``ADPaRExact`` + ``WorkforceComputer``
-separately in the Aggregator, the streaming ledger, the CLI, the platform
-simulator and each experiment runner.  :class:`RecommendationEngine` is
-the single service layer they all route through instead:
+separately in its batch front end, its streaming ledger, the CLI, the
+platform simulator and each experiment runner.
+:class:`RecommendationEngine` is the single service layer they all route
+through instead:
 
 * a pluggable planner backend (:mod:`repro.engine.registry`) decides
   which requests to satisfy,
@@ -13,8 +14,9 @@ the single service layer they all route through instead:
 * a shared :class:`~repro.engine.cache.EngineCache` memoizes per-request
   workforce aggregates, ADPaR fallbacks, and the relaxation geometry
   across calls and engines,
-* :meth:`resolve` reproduces the legacy Aggregator contract
-  decision-for-decision (differential-tested), and
+* :meth:`resolve` is the paper's Aggregator (Figure 1): it reproduces
+  the seed's hand-wired BatchStrat + ADPaR pipeline decision-for-decision
+  (differential-tested), and
 * :meth:`open_session` subsumes the streaming ledger: admission,
   revocation and deferred-retry live in one place.
 """
@@ -208,7 +210,7 @@ class RecommendationEngine:
     ) -> AggregatorReport:
         """Serve a batch end-to-end: plan, then ADPaR for the rest.
 
-        This is the legacy ``Aggregator.process`` contract: every request
+        The paper's Aggregator (Figure 1, §2.2): every request
         resolves to SATISFIED (with its k strategies), ALTERNATIVE (with
         ADPaR's closest parameters), or INFEASIBLE.  The unsatisfied
         remainder is solved through the solver backend's batch path, so
@@ -315,10 +317,6 @@ class RecommendationEngine:
             batch=batch,
             resolutions=tuple(resolutions),
         )
-
-    def resolve_one(self, request: DeploymentRequest) -> RequestResolution:
-        """Resolve a single request (a batch of one)."""
-        return self.resolve([request]).resolutions[0]
 
     # ----------------------------------------------------------------- adpar
     def _as_adpar_request(

@@ -7,10 +7,10 @@ reservation until completed or revoked, and requests that do not fit are
 answered with ADPaR alternatives produced by the owning engine's
 configured solver backend (``solver=``/``solver_options=`` on the
 engine), so a session opened on an ``onedim`` or ``adpar-weighted``
-engine answers with that backend.  Decisions are identical to the legacy
-``StreamingAggregator`` (differential-tested); on top of it the session
-remembers DEFERRED requests and can retry them once capacity frees —
-previously every caller re-implemented that loop.
+engine answers with that backend.  Decisions are identical to the seed's
+streaming ledger (differential-tested against a reference oracle); on
+top of it the session remembers DEFERRED requests and can retry them
+once capacity frees — previously every caller re-implemented that loop.
 
 The streaming hot path is vectorized (the "fully dynamic stream" the
 paper's §7 leaves open, served at batch-path speed):
@@ -31,8 +31,8 @@ paper's §7 leaves open, served at batch-path speed):
   entry in model work, and a min-requirement early exit makes a drain
   against insufficient capacity O(1) total.
 
-One-shot batches go through :meth:`resolve_batch`, so a session is the
-single API surface for both batch and streaming traffic.
+One-shot batches go through :meth:`RecommendationEngine.resolve` on the
+session's :attr:`~EngineSession.engine`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.aggregator import AggregatorReport
 from repro.core.request import DeploymentRequest
 from repro.core.streaming import StreamDecision, StreamStatus
 from repro.core.workforce import RequestWorkforce
@@ -438,16 +437,6 @@ class EngineSession:
             requests, remaining, k=k, solver=solver
         )
 
-    # ----------------------------------------------------------------- batch
-    def resolve_batch(self, requests: "list[DeploymentRequest]") -> AggregatorReport:
-        """One-shot batch resolution through the owning engine.
-
-        Batch planning works from the full availability budget (the
-        legacy Aggregator contract); it does not debit this session's
-        streaming ledger.
-        """
-        return self.engine.resolve(requests)
-
 
 def check_burst(request_ids, active=()) -> None:
     """The service's burst rule: ids unique within the burst, none active.
@@ -480,15 +469,17 @@ def drive_stream(
 ) -> "tuple[list[StreamDecision], int]":
     """Run the canonical high-traffic admission loop over one session.
 
-    The one driver behind the CLI ``stream`` subcommand and the platform
-    simulator's ``stream_window``: arrivals are admitted per micro-burst
-    through :meth:`EngineSession.submit_many`; deployments admitted
-    ``hold_bursts`` bursts ago complete and free their workforce; the
-    deferred queue is retried after every completion wave, with
-    retry-admitted deployments joining the youngest cohort so they too
-    complete ``hold_bursts`` bursts later.  After the last burst the
-    remaining cohorts are flushed oldest-first, retrying after each wave
-    so late capacity still serves the queue.
+    The one driver behind the CLI ``stream`` subcommand and every
+    ``stream`` scenario (:func:`~repro.workloads.simulate_scenario`,
+    hence ``EngineService.simulate`` and
+    ``PlatformSimulator.run_scenario``): arrivals are admitted per
+    micro-burst through :meth:`EngineSession.submit_many`; deployments
+    admitted ``hold_bursts`` bursts ago complete and free their
+    workforce; the deferred queue is retried after every completion
+    wave, with retry-admitted deployments joining the youngest cohort so
+    they too complete ``hold_bursts`` bursts later.  After the last burst
+    the remaining cohorts are flushed oldest-first, retrying after each
+    wave so late capacity still serves the queue.
 
     Returns ``(decisions, retried)``: every decision in production order
     (burst answers interleaved with retry answers, so

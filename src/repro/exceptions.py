@@ -68,10 +68,10 @@ class UnknownScenarioError(ReproError, KeyError):
 class InvalidSpecError(ReproError, TypeError):
     """A workload spec was built or overridden with invalid fields.
 
-    Raised by ``ScenarioSpec.with_`` (and the scenario shims) when a
-    sweep override names a field the spec does not have, instead of the
-    bare ``TypeError`` ``dataclasses.replace`` would leak — the service
-    API maps it to the stable ``invalid_spec`` error code.  Subclasses
-    ``TypeError`` so legacy callers that caught the old error keep
-    working.
+    Raised by ``ScenarioSpec.with_`` (and every sub-spec's ``with_``)
+    when a sweep override names a field the spec does not have, instead
+    of the bare ``TypeError`` ``dataclasses.replace`` would leak — the
+    service API maps it to the stable ``invalid_spec`` error code.
+    Subclasses ``TypeError`` so legacy callers that caught the old error
+    keep working.
     """

@@ -17,7 +17,6 @@ from repro.platform.simulator import (
     DeploymentWindow,
     PAPER_WINDOWS,
     PlatformSimulator,
-    StreamWindowReport,
     WindowObservation,
 )
 from repro.platform.history import AvailabilityRecord, HistoryLog
@@ -34,7 +33,6 @@ __all__ = [
     "DeploymentWindow",
     "PAPER_WINDOWS",
     "PlatformSimulator",
-    "StreamWindowReport",
     "WindowObservation",
     "AvailabilityRecord",
     "HistoryLog",

@@ -7,6 +7,9 @@ simulator reproduces that: each window has a base participation level,
 workers arrive as a Poisson process thinned by that level and stay for
 random sessions, and the observed availability is the fraction of the
 recruited cap that actually undertook the HIT — the paper's ``x'/x``.
+:meth:`PlatformSimulator.run_scenario` closes Figure 1's loop: a
+declarative scenario runs through the service at that observed
+availability.
 """
 
 from __future__ import annotations
@@ -60,52 +63,15 @@ class WindowObservation:
     engaged_workers: tuple[Worker, ...]
 
 
-@dataclass(frozen=True)
-class StreamWindowReport:
-    """Outcome of streaming one request arrival sequence through a window.
-
-    ``decisions`` holds every decision in the order it was produced —
-    burst admissions interleaved with deferred retries — so
-    ``len(decisions) == arrivals + retried``.
-    """
-
-    observation: WindowObservation
-    decisions: tuple
-    arrivals: int
-    retried: int
-    admitted: int
-    completed: int
-    alternative: int
-    infeasible: int
-    still_deferred: int
-    utilization: float
-
-
-#: RecommendationEngine kwargs that map 1:1 onto an EngineSpec — batches
-#: built from exactly these route through the shared EngineService pool.
-_SPEC_KWARGS = frozenset(
-    (
-        "objective",
-        "aggregation",
-        "workforce_mode",
-        "eligibility",
-        "planner",
-        "planner_options",
-        "solver",
-        "solver_options",
-    )
-)
-
-
 class PlatformSimulator:
     """Simulates worker participation for deployments on the platform.
 
-    ``service`` is the :class:`~repro.api.EngineService` the closed-loop
-    helpers (:meth:`resolve_batch`, :meth:`stream_window`) route their
-    recommendation traffic through — engines are pooled per (ensemble,
-    configuration) and share the service cache across windows, so
-    repeated deployments against the same ensemble skip model inversion.
-    A private service is created lazily when omitted.
+    ``service`` is the :class:`~repro.api.EngineService` the closed loop
+    (:meth:`run_scenario`) routes its recommendation traffic through —
+    engines are pooled per (ensemble, configuration) and share the
+    service cache across windows, so repeated deployments against the
+    same ensemble skip model inversion.  A private service is created
+    lazily when omitted.
     """
 
     def __init__(
@@ -120,33 +86,12 @@ class PlatformSimulator:
 
     @property
     def service(self):
-        """The lazily created service behind the closed-loop helpers."""
+        """The lazily created service behind :meth:`run_scenario`."""
         if self._service is None:
             from repro.api import EngineService
 
             self._service = EngineService()
         return self._service
-
-    def _engine_for(self, ensemble, availability, engine_factory, engine_kwargs):
-        """An engine at the observed availability — pooled when possible.
-
-        A custom ``engine_factory`` or engine kwargs outside the
-        :class:`~repro.api.EngineSpec` surface (``cache=``, custom
-        registries) fall back to direct construction, preserving the
-        legacy contract exactly.
-        """
-        if engine_factory is not None or not _SPEC_KWARGS.issuperset(engine_kwargs):
-            from repro.engine import RecommendationEngine
-
-            factory = (
-                engine_factory if engine_factory is not None else RecommendationEngine
-            )
-            return factory(ensemble, availability, **engine_kwargs)
-        from repro.api import EngineSpec
-
-        return self.service.engine_for(
-            ensemble, EngineSpec(availability=availability, **engine_kwargs)
-        )
 
     def run_window(
         self,
@@ -219,103 +164,6 @@ class PlatformSimulator:
             engaged_workers=tuple(engaged),
         )
 
-    def resolve_batch(
-        self,
-        ensemble,
-        requests,
-        window: DeploymentWindow,
-        task_type: str = "translation",
-        strategy_name: str = "SEQ-IND-CRO",
-        engine_factory=None,
-        **engine_kwargs,
-    ):
-        """Deploy a window, then resolve a batch at the *observed* availability.
-
-        This is the closed loop of Figure 1: the platform layer measures
-        ``x'/x`` from a live window and feeds it to the recommendation
-        engine — through the simulator's :class:`~repro.api.EngineService`
-        pool — instead of every caller hand-wiring the two.  Returns
-        ``(observation, report)``; ``engine_kwargs`` (objective, planner,
-        ...) become the engine's :class:`~repro.api.EngineSpec`, and
-        ``engine_factory`` (or kwargs outside the spec surface, e.g.
-        ``cache=``) bypasses the service for a directly constructed
-        engine (tests, instrumented engines).
-        """
-        observation = self.run_window(
-            window, task_type, strategy_name=strategy_name
-        )
-        engine = self._engine_for(
-            ensemble, observation.availability, engine_factory, engine_kwargs
-        )
-        return observation, engine.resolve(requests)
-
-    def stream_window(
-        self,
-        ensemble,
-        requests,
-        window: DeploymentWindow,
-        task_type: str = "translation",
-        strategy_name: str = "SEQ-IND-CRO",
-        burst_size: int = 32,
-        hold_bursts: int = 2,
-        engine_factory=None,
-        schedule=None,
-        **engine_kwargs,
-    ) -> "StreamWindowReport":
-        """Deploy a window, then stream arriving requests through a session.
-
-        The streaming counterpart of :meth:`resolve_batch` (and the §7
-        dynamic setting end-to-end): the observed availability ``x'/x``
-        seeds an :class:`~repro.engine.EngineSession` and the arrivals
-        run through :func:`repro.engine.session.drive_stream` — vectorized
-        micro-bursts, completion waves after ``hold_bursts`` bursts, and
-        deferred-queue retries (O(1) in model work via carried
-        aggregates).  Decisions per request are identical to submitting
-        one at a time — only the per-arrival cost changes.
-
-        Because successive windows share the service cache, each
-        window's relaxation geometry is *repaired* from the previous
-        window's through the cache's incremental space chain (the
-        observed availabilities drift, they don't jump), rather than
-        rebuilt from scratch; mid-stream the session can answer
-        :meth:`~repro.engine.session.EngineSession.alternatives_at_remaining`
-        against its live ledger through the same delta path.
-        """
-        from repro.core.streaming import StreamStatus
-        from repro.engine.session import drive_stream
-
-        if burst_size < 1:
-            raise ValueError("burst_size must be >= 1")
-        if hold_bursts < 1:
-            raise ValueError("hold_bursts must be >= 1")
-        observation = self.run_window(window, task_type, strategy_name=strategy_name)
-        engine = self._engine_for(
-            ensemble, observation.availability, engine_factory, engine_kwargs
-        )
-        session = engine.open_session()
-        decisions, retried = drive_stream(
-            session,
-            requests,
-            burst_size=burst_size,
-            hold_bursts=hold_bursts,
-            schedule=schedule,
-        )
-        by_status = {status: 0 for status in StreamStatus}
-        for decision in decisions:
-            by_status[decision.status] += 1
-        return StreamWindowReport(
-            observation=observation,
-            decisions=tuple(decisions),
-            arrivals=len(requests),
-            retried=retried,
-            admitted=session.admitted_count,
-            completed=session.completed_count,
-            alternative=by_status[StreamStatus.ALTERNATIVE],
-            infeasible=by_status[StreamStatus.INFEASIBLE],
-            still_deferred=len(session.deferred),
-            utilization=session.utilization(),
-        )
-
     def run_scenario(
         self,
         scenario,
@@ -325,56 +173,36 @@ class PlatformSimulator:
     ):
         """Run one declarative scenario against a live deployment window.
 
-        The service-level closed loop: the platform measures ``x'/x``
-        from the window, the scenario — a
-        :class:`~repro.workloads.spec.ScenarioSpec` or a
-        :class:`~repro.workloads.registry.ScenarioRegistry` family name —
-        materializes its workload, and the traffic runs at the *observed*
+        The closed loop of Figure 1: the platform measures ``x'/x`` from
+        the window, and the scenario — a
+        :class:`~repro.workloads.spec.ScenarioSpec` or a family name in
+        the service's :class:`~repro.workloads.registry.ScenarioRegistry`
+        — runs through :meth:`EngineService.simulate
+        <repro.api.EngineService.simulate>` at the *observed*
         availability (the scenario's own ``availability`` knob is
         superseded by the measurement; every other engine knob applies).
-        ``batch`` scenarios return ``(observation, AggregatorReport)``
-        via :meth:`resolve_batch`; ``stream`` scenarios return a
-        :class:`StreamWindowReport` via :meth:`stream_window`, honouring
-        the arrival process's burst schedule and ordering.
+        ``batch`` scenarios resolve their requests, ``stream`` scenarios
+        drive their arrival schedule through a session, and ``trace``
+        scenarios reenact their recorded journal.  Returns
+        ``(observation, SimulationReport)``.  ``adpar`` scenarios raise
+        :class:`ValueError`: their strategy points do not depend on the
+        workforce, so a window has nothing to feed them.
         """
-        from repro.workloads import default_scenario_registry
+        from repro.api import SimulateRequest
 
         if isinstance(scenario, str):
-            scenario = default_scenario_registry().get(scenario)
+            scenario = self.service.scenario_registry.get(scenario)
         if scenario.kind == "adpar":
             raise ValueError(
                 "adpar scenarios have no platform counterpart; use "
                 "EngineService.simulate"
             )
-        ensemble, requests = scenario.build()
-        engine_kwargs = {}
-        if scenario.engine is not None:
-            engine_kwargs = {
-                key: value
-                for key, value in scenario.engine.engine_kwargs().items()
-                if key != "availability" and value is not None
-            }
-        if scenario.kind == "stream":
-            ordered, arrival, schedule = scenario.arrival_plan(requests)
-            return self.stream_window(
-                ensemble,
-                ordered,
-                window,
-                task_type=task_type,
-                strategy_name=strategy_name,
-                burst_size=arrival.burst_size,
-                hold_bursts=arrival.hold_bursts,
-                schedule=schedule,
-                **engine_kwargs,
-            )
-        return self.resolve_batch(
-            ensemble,
-            requests,
-            window,
-            task_type=task_type,
-            strategy_name=strategy_name,
-            **engine_kwargs,
+        observation = self.run_window(
+            window, task_type, strategy_name=strategy_name
         )
+        spec = scenario.with_(availability=observation.availability)
+        response = self.service.simulate(SimulateRequest(scenario=spec))
+        return observation, response.report
 
     def observe_availability(
         self,

@@ -9,10 +9,9 @@ Three layers:
   :class:`ArrivalSpec`, :class:`ScenarioSpec`) and
   :mod:`repro.workloads.simulation` (:class:`SimulationReport`).
 * :mod:`repro.workloads.registry` — the :class:`ScenarioRegistry`
-  catalog of named scenario families (``repro simulate --list``).
-
-:class:`BatchScenario` / :class:`ADPaRScenario` are legacy shims over
-the spec layer.
+  catalog of named scenario families (``repro simulate --list``); the
+  §5.2.2 defaults are ``paper-batch[-small]`` and
+  ``paper-adpar[-small]``.
 """
 
 from repro.workloads.generators import (
@@ -25,12 +24,6 @@ from repro.workloads.generators import (
     register_distribution,
 )
 from repro.workloads.registry import ScenarioRegistry, default_scenario_registry
-from repro.workloads.scenarios import (
-    BatchScenario,
-    ADPaRScenario,
-    default_batch_scenario,
-    default_adpar_scenario,
-)
 from repro.workloads.simulation import SimulationReport, simulate_scenario
 from repro.workloads.spec import (
     ARRIVAL_PROCESSES,
@@ -44,9 +37,7 @@ from repro.workloads.spec import (
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "ADPaRScenario",
     "ArrivalSpec",
-    "BatchScenario",
     "DISTRIBUTIONS",
     "EnsembleSpec",
     "RequestBatchSpec",
@@ -54,8 +45,6 @@ __all__ = [
     "ScenarioRegistry",
     "ScenarioSpec",
     "SimulationReport",
-    "default_adpar_scenario",
-    "default_batch_scenario",
     "default_scenario_registry",
     "distribution_names",
     "generate_adpar_points",

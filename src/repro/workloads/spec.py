@@ -387,7 +387,7 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------ overrides
     #: Flat override aliases ``with_`` routes into sub-specs, so sweeps
-    #: read like the legacy scenarios: ``spec.with_(n_strategies=500,
+    #: stay one flat call: ``spec.with_(n_strategies=500,
     #: availability=0.3, burst_size=128)``.
     _ENSEMBLE_KEYS = frozenset(("n_strategies", "distribution"))
     _REQUEST_KEYS = frozenset(
@@ -510,7 +510,7 @@ class ScenarioSpec:
         ``batch`` / ``stream`` kinds return ``(ensemble, requests)``;
         ``adpar`` returns ``(ensemble, hard_request)`` where the request
         is a deliberately unsatisfiable :class:`TriParams` near the point
-        cloud (the legacy ``ADPaRScenario`` contract); ``trace`` reads
+        cloud (the seed's ADPaR setup, §5.2.2); ``trace`` reads
         the recorded journal at ``trace_path`` and returns ``(ensemble,
         TraceWorkload)`` — deterministic by construction, the trace *is*
         the workload.  ``rng`` overrides the spec seed — how the
@@ -543,8 +543,8 @@ class ScenarioSpec:
 
         The one place the effective :class:`ArrivalSpec` (spec's own, or
         the steady default), the arrival ordering, and the burst schedule
-        are derived — the service simulator and the platform closed loop
-        both drive streams through this.
+        are derived — :func:`~repro.workloads.simulate_scenario` drives
+        every stream through this, the platform closed loop included.
         """
         arrival = self.arrival if self.arrival is not None else ArrivalSpec()
         ordered = arrival.order(requests)

@@ -8,12 +8,13 @@ maximally chaotic collaboration.
 import numpy as np
 import pytest
 
-from repro.core.aggregator import Aggregator, ResolutionStatus
+from repro.core.aggregator import ResolutionStatus
 from repro.core.batchstrat import BatchStrat
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest, make_requests
 from repro.core.strategy import StrategyEnsemble
-from repro.core.streaming import StreamingAggregator, StreamStatus
+from repro.core.streaming import StreamStatus
+from repro.engine import RecommendationEngine
 from repro.execution.editwar import CollaborationDynamics
 from repro.execution.engine import ExecutionEngine
 from repro.execution.tasks import make_translation_tasks
@@ -35,7 +36,7 @@ class TestZeroAvailability:
         alpha = np.array([[0.0, 1.0, 0.0]])
         beta = np.array([[0.9, 0.0, 0.2]])
         ensemble = StrategyEnsemble.from_arrays(alpha, beta)
-        stream = StreamingAggregator(ensemble, 0.0)
+        stream = RecommendationEngine(ensemble, 0.0).open_session()
         decision = stream.submit(
             DeploymentRequest("a", TriParams(0.5, 0.4, 0.9), k=1)
         )
@@ -48,7 +49,7 @@ class TestAllInfeasibleBatch:
         requests = make_requests(
             [(0.99, 0.01, 0.01), (0.95, 0.05, 0.05)], k=2
         )
-        report = Aggregator(table1_ensemble, 0.8).process(requests)
+        report = RecommendationEngine(table1_ensemble, 0.8).resolve(requests)
         assert report.satisfied_count == 0
         assert report.alternative_count == 2
         for resolution in report.resolutions:
@@ -77,8 +78,8 @@ class TestDegenerateCatalogs:
 
     def test_point_availability_distribution(self, table1_ensemble):
         dist = AvailabilityDistribution.point(0.0)
-        aggregator = Aggregator(table1_ensemble, dist)
-        report = aggregator.process(make_requests([(0.5, 0.9, 0.9)], k=1))
+        engine = RecommendationEngine(table1_ensemble, dist)
+        report = engine.resolve(make_requests([(0.5, 0.9, 0.9)], k=1))
         # Constant models are availability-independent; still resolvable.
         assert report.resolutions[0].status is not None
 

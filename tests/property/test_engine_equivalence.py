@@ -1,11 +1,11 @@
 """Differential tests: the engine must match the legacy wiring exactly.
 
-The refactor is gated AWDIT-style: the legacy Aggregator/StreamingAggregator
-pipelines (BatchStrat + ADPaRExact wired by hand, as in the seed) are
-re-implemented here verbatim as reference oracles, and the engine-routed
-resolutions must be decision-for-decision identical — statuses, strategy
-names, alternative parameters, and distances — across random workloads,
-with the cache cold *and* warm.
+The refactor is gated AWDIT-style: the seed's batch front end and
+streaming ledger (BatchStrat + ADPaRExact wired by hand) are
+re-implemented here verbatim as reference oracles, and the engine's
+resolutions and session decisions must be decision-for-decision
+identical — statuses, strategy names, alternative parameters, and
+distances — across random workloads, with the cache cold *and* warm.
 """
 
 import numpy as np
@@ -103,7 +103,7 @@ def legacy_aggregator_process(
 
 
 class LegacyStreaming:
-    """The seed's StreamingAggregator, reproduced as a reference oracle."""
+    """The seed's streaming ledger, reproduced as a reference oracle."""
 
     def __init__(self, ensemble, availability, aggregation, workforce_mode):
         self.ensemble = ensemble

@@ -8,9 +8,10 @@ Three contracts:
 * **Seed determinism** — ``ScenarioSpec.build()`` is a pure function of
   the spec: two builds of an equal spec produce bitwise-identical
   ensembles and identical request batches.
-* **Shim fidelity** — the legacy ``BatchScenario`` / ``ADPaRScenario``
-  shims reproduce their seed-era outputs exactly (the generator calls
-  re-implemented inline here, pinned against the delegating shims).
+* **Seed fidelity** — ``ScenarioSpec(kind="batch" | "adpar").build()``
+  reproduces the seed-era generator pipeline exactly (the generator
+  calls re-implemented inline here).  The pins keep their ``*_shim_*``
+  names from the seed-era scenario classes they first pinned.
 """
 
 import json
@@ -31,9 +32,7 @@ from repro.api import (
 from repro.core.strategy import StrategyEnsemble
 from repro.utils.rng import spawn_rngs
 from repro.workloads import (
-    ADPaRScenario,
     ArrivalSpec,
-    BatchScenario,
     EnsembleSpec,
     RequestBatchSpec,
     ScenarioSpec,
@@ -231,7 +230,7 @@ def test_arrival_schedule_covers_exactly(spec, arrivals):
     assert all(size >= 1 for size in schedule)
 
 
-# ------------------------------------------------------------ shim fidelity
+# ------------------------------------------------------------ seed fidelity
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(1, 100),
@@ -243,22 +242,25 @@ def test_arrival_schedule_covers_exactly(spec, arrivals):
 def test_batch_scenario_shim_matches_seed_implementation(
     n, m, k, distribution, seed
 ):
-    """The delegating shim == the seed-era build, bit for bit."""
-    shim_ensemble, shim_requests = BatchScenario(
-        n_strategies=n, m_requests=m, k=k, distribution=distribution, seed=seed
+    """A batch spec's build == the seed-era build, bit for bit."""
+    spec_ensemble, spec_requests = ScenarioSpec(
+        kind="batch",
+        ensemble=EnsembleSpec(n_strategies=n, distribution=distribution),
+        requests=RequestBatchSpec(m_requests=m, k=k),
+        seed=seed,
     ).build()
     rng_strategies, rng_requests = spawn_rngs(seed, 2)
     ensemble = generate_strategy_ensemble(n, distribution, rng_strategies)
     requests = generate_requests(m, k, rng_requests)
-    np.testing.assert_array_equal(shim_ensemble.alpha, ensemble.alpha)
-    np.testing.assert_array_equal(shim_ensemble.beta, ensemble.beta)
-    assert [r.request_id for r in shim_requests] == [
+    np.testing.assert_array_equal(spec_ensemble.alpha, ensemble.alpha)
+    np.testing.assert_array_equal(spec_ensemble.beta, ensemble.beta)
+    assert [r.request_id for r in spec_requests] == [
         r.request_id for r in requests
     ]
-    assert [r.params.as_tuple() for r in shim_requests] == [
+    assert [r.params.as_tuple() for r in spec_requests] == [
         r.params.as_tuple() for r in requests
     ]
-    assert [r.k for r in shim_requests] == [r.k for r in requests]
+    assert [r.k for r in spec_requests] == [r.k for r in requests]
 
 
 @settings(max_examples=15, deadline=None)
@@ -271,25 +273,33 @@ def test_batch_scenario_shim_matches_seed_implementation(
 def test_adpar_scenario_shim_matches_seed_implementation(
     n, distribution, seed, tightness
 ):
-    shim_ensemble, shim_request = ADPaRScenario(
-        n_strategies=n, distribution=distribution, seed=seed, tightness=tightness
+    """An adpar spec's build == the seed-era build, bit for bit."""
+    spec_ensemble, spec_request = ScenarioSpec(
+        kind="adpar",
+        ensemble=EnsembleSpec(n_strategies=n, distribution=distribution),
+        requests=RequestBatchSpec(m_requests=1, k=5),
+        seed=seed,
+        tightness=tightness,
     ).build()
     rng_points, rng_request = spawn_rngs(seed, 2)
     points = generate_adpar_points(n, distribution, rng_points)
     request = hard_request_for(points, rng_request, tightness=tightness)
     expected = StrategyEnsemble.from_params(points)
-    assert shim_request == request
-    np.testing.assert_array_equal(shim_ensemble.alpha, expected.alpha)
-    np.testing.assert_array_equal(shim_ensemble.beta, expected.beta)
+    assert spec_request == request
+    np.testing.assert_array_equal(spec_ensemble.alpha, expected.alpha)
+    np.testing.assert_array_equal(spec_ensemble.beta, expected.beta)
 
 
 def test_shim_build_pinned_to_seed_constants():
-    """Absolute pin: the default shims' first draws never drift."""
-    ensemble, requests = BatchScenario(
-        n_strategies=3, m_requests=2, k=4, seed=7
+    """Absolute pin: a batch spec's first draws never drift."""
+    ensemble, requests = ScenarioSpec(
+        kind="batch",
+        ensemble=EnsembleSpec(n_strategies=3),
+        requests=RequestBatchSpec(m_requests=2, k=4),
+        seed=7,
     ).build()
-    # Regenerated from the seed implementation at the time of the shim
-    # rewrite; any change to the spawn/generate pipeline breaks this.
+    # Regenerated from the seed implementation; any change to the
+    # spawn/generate pipeline breaks this.
     rng_strategies, rng_requests = spawn_rngs(7, 2)
     expected = generate_strategy_ensemble(3, "uniform", rng_strategies)
     np.testing.assert_array_equal(ensemble.alpha, expected.alpha)

@@ -1,19 +1,21 @@
-"""Unit tests for the Aggregator and StratRec facade."""
+"""Unit tests for the Aggregator (``RecommendationEngine.resolve``) and
+the StratRec facade."""
 
 import pytest
 
-from repro.core.aggregator import Aggregator, ResolutionStatus
+from repro.core.aggregator import ResolutionStatus
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest, make_requests
 from repro.core.strategy import StrategyEnsemble
 from repro.core.stratrec import StratRec
+from repro.engine import RecommendationEngine
 from repro.experiments.fig13_effectiveness import build_model_bank
 from repro.modeling.availability import AvailabilityDistribution
 
 
 class TestAggregator:
     def test_running_example_resolutions(self, table1_ensemble, table1_requests):
-        report = Aggregator(table1_ensemble, 0.8).process(table1_requests)
+        report = RecommendationEngine(table1_ensemble, 0.8).resolve(table1_requests)
         assert report.satisfied_count == 1
         assert report.alternative_count == 2
         d3 = report.resolution_for("d3")
@@ -25,29 +27,29 @@ class TestAggregator:
 
     def test_distribution_availability_uses_expectation(self, table1_ensemble, table1_requests):
         dist = AvailabilityDistribution.from_pairs([(0.7, 0.5), (0.9, 0.5)])
-        aggregator = Aggregator(table1_ensemble, dist)
-        assert aggregator.availability == pytest.approx(0.8)
+        engine = RecommendationEngine(table1_ensemble, dist)
+        assert engine.availability == pytest.approx(0.8)
 
     def test_infeasible_when_k_exceeds_catalog(self, table1_ensemble):
         requests = make_requests([(0.5, 0.5, 0.5)], k=9)
-        report = Aggregator(table1_ensemble, 0.8).process(requests)
+        report = RecommendationEngine(table1_ensemble, 0.8).resolve(requests)
         assert report.resolutions[0].status is ResolutionStatus.INFEASIBLE
         assert report.resolutions[0].strategy_names == ()
 
     def test_duplicate_request_ids_rejected(self, table1_ensemble):
         req = DeploymentRequest("dup", TriParams(0.5, 0.5, 0.5), k=1)
         with pytest.raises(ValueError):
-            Aggregator(table1_ensemble, 0.8).process([req, req])
+            RecommendationEngine(table1_ensemble, 0.8).resolve([req, req])
 
     def test_unknown_resolution_lookup_raises(self, table1_ensemble, table1_requests):
-        report = Aggregator(table1_ensemble, 0.8).process(table1_requests)
+        report = RecommendationEngine(table1_ensemble, 0.8).resolve(table1_requests)
         with pytest.raises(KeyError):
             report.resolution_for("nope")
 
     def test_alternative_strategies_satisfy_alternative_params(
         self, table1_ensemble, table1_requests
     ):
-        report = Aggregator(table1_ensemble, 0.8).process(table1_requests)
+        report = RecommendationEngine(table1_ensemble, 0.8).resolve(table1_requests)
         params = table1_ensemble.estimate_params(0.8)
         names = table1_ensemble.names
         for resolution in report.resolutions:

@@ -132,12 +132,6 @@ class TestCache:
 
 
 class TestEngineAPI:
-    def test_resolve_one_matches_batch_of_one(self, engine, table1_requests):
-        single = engine.resolve_one(table1_requests[0])
-        batch = engine.resolve([table1_requests[0]]).resolutions[0]
-        assert single.status == batch.status
-        assert single.strategy_names == batch.strategy_names
-
     def test_recommend_alternative_accepts_bare_params(self, engine):
         result = engine.recommend_alternative(TriParams(0.9, 0.1, 0.1), k=2)
         assert len(result.strategy_names) == 2
@@ -247,11 +241,6 @@ class TestSession:
         second = small_engine.open_session()
         second.submit(self.request("a"))
         assert small_engine.stats.workforce_misses == misses
-
-    def test_resolve_batch_through_session(self, small_engine):
-        session = small_engine.open_session()
-        report = session.resolve_batch([self.request("a"), self.request("b")])
-        assert report.satisfied_count == 2
 
     def test_retry_uses_carried_aggregate(self, small_engine):
         """A retry is pure ledger arithmetic: no model inversion at all."""

@@ -1,14 +1,23 @@
 """Unit tests for the crowd-platform simulator."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.streaming import StreamStatus
+from repro.engine import RecommendationEngine, drive_stream
+from repro.journal.replay import reenact_on_engine
 from repro.platform.events import DiscreteEventSimulator, Event
 from repro.platform.history import AvailabilityRecord, HistoryLog
 from repro.platform.hit import HIT, QualificationTest
 from repro.platform.pool import RecruitmentPolicy, WorkerPool
 from repro.platform.simulator import PAPER_WINDOWS, DeploymentWindow, PlatformSimulator
 from repro.platform.worker import Worker, generate_workers
+from repro.utils.rng import spawn_rngs
+from repro.workloads import default_scenario_registry
+from repro.workloads.generators import generate_requests, generate_strategy_ensemble
 
 
 def make_worker(**overrides):
@@ -198,60 +207,26 @@ class TestSimulator:
 
 
 class TestStreamWindow:
+    """A window's observed availability streamed through ``drive_stream``."""
+
     @staticmethod
     def _world():
-        from repro.utils.rng import spawn_rngs
-        from repro.workloads.generators import (
-            generate_requests,
-            generate_strategy_ensemble,
-        )
-
         rng_s, rng_r = spawn_rngs(11, 2)
         ensemble = generate_strategy_ensemble(20, "uniform", rng_s)
         requests = generate_requests(60, k=3, seed=rng_r)
         return ensemble, requests
 
-    def test_stream_window_accounting(self):
-        ensemble, requests = self._world()
+    @staticmethod
+    def _availability():
         pool = WorkerPool(generate_workers(120, seed=3))
-        simulator = PlatformSimulator(pool, seed=5)
-        report = simulator.stream_window(
-            ensemble,
-            requests,
-            PAPER_WINDOWS[1],
-            burst_size=16,
-            aggregation="max",
+        observation = PlatformSimulator(pool, seed=5).run_window(
+            PAPER_WINDOWS[1], "translation"
         )
-        assert report.arrivals == len(requests)
-        assert len(report.decisions) == report.arrivals + report.retried
-        assert report.completed <= report.admitted
-        assert 0.0 <= report.observation.availability <= 1.0
-        assert 0.0 <= report.utilization <= 1.0
-        # Every arrival ends in exactly one terminal state.
-        assert (
-            report.admitted
-            + report.alternative
-            + report.infeasible
-            + report.still_deferred
-            == report.arrivals
-        )
+        return observation.availability
 
-    def test_stream_window_decisions_match_scalar_session(self):
-        """The streamed decisions per arrival equal a scalar-driven replay."""
-        from repro.engine import RecommendationEngine
-
-        ensemble, requests = self._world()
-        pool = WorkerPool(generate_workers(120, seed=3))
-        report = PlatformSimulator(pool, seed=5).stream_window(
-            ensemble, requests, PAPER_WINDOWS[1], burst_size=16, hold_bursts=2
-        )
-        # Replay the exact same schedule scalar-wise on a fresh session at
-        # the same observed availability.
-        engine = RecommendationEngine(ensemble, report.observation.availability)
-        session = engine.open_session()
-        replayed = []
-        cohorts = []
-        from repro.core.streaming import StreamStatus
+    @staticmethod
+    def _scalar_replay(session, requests, sizes, hold_bursts):
+        """``drive_stream``'s loop, one ``submit`` at a time."""
 
         def admitted(batch):
             return [
@@ -260,11 +235,15 @@ class TestStreamWindow:
                 if d.status is StreamStatus.ADMITTED
             ]
 
-        for start in range(0, len(requests), 16):
-            batch = [session.submit(r) for r in requests[start : start + 16]]
+        replayed = []
+        cohorts = []
+        start = 0
+        for size in sizes:
+            batch = [session.submit(r) for r in requests[start : start + size]]
+            start += size
             replayed.extend(batch)
             cohorts.append(admitted(batch))
-            if len(cohorts) > 2:
+            if len(cohorts) > hold_bursts:
                 for rid in cohorts.pop(0):
                     session.complete(rid)
                 retries = session.retry_deferred()
@@ -279,17 +258,159 @@ class TestStreamWindow:
                 cohorts[-1].extend(admitted(retries))
             elif retries:
                 cohorts.append(admitted(retries))
-        assert [
-            (d.request.request_id, d.status) for d in report.decisions
-        ] == [(d.request.request_id, d.status) for d in replayed]
+        return replayed
+
+    def test_stream_window_accounting(self):
+        ensemble, requests = self._world()
+        availability = self._availability()
+        session = RecommendationEngine(
+            ensemble, availability, aggregation="max"
+        ).open_session()
+        decisions, retried = drive_stream(session, requests, burst_size=16)
+        assert len(decisions) == len(requests) + retried
+        assert session.completed_count <= session.admitted_count
+        assert 0.0 <= session.utilization() <= 1.0
+        statuses = [d.status for d in decisions]
+        # Every arrival ends in exactly one terminal state.
+        assert (
+            session.admitted_count
+            + statuses.count(StreamStatus.ALTERNATIVE)
+            + statuses.count(StreamStatus.INFEASIBLE)
+            + len(session.deferred)
+            == len(requests)
+        )
+
+    def test_stream_window_decisions_match_scalar_session(self):
+        """The streamed decisions per arrival equal a scalar-driven replay."""
+        ensemble, requests = self._world()
+        availability = self._availability()
+        streamed, _ = drive_stream(
+            RecommendationEngine(ensemble, availability).open_session(),
+            requests,
+            burst_size=16,
+            hold_bursts=2,
+        )
+        # Replay the exact same schedule scalar-wise on a fresh session at
+        # the same observed availability.
+        replayed = self._scalar_replay(
+            RecommendationEngine(ensemble, availability).open_session(),
+            requests,
+            [16] * 3 + [12],
+            hold_bursts=2,
+        )
+        assert [d.comparison_key() for d in streamed] == [
+            d.comparison_key() for d in replayed
+        ]
+
+    def test_stream_window_schedule_matches_scalar_session(self):
+        """An explicit burst schedule replaces the constant burst size."""
+        ensemble, requests = self._world()
+        availability = self._availability()
+        schedule = [5, 17, 1, 30, 7]
+        streamed, _ = drive_stream(
+            RecommendationEngine(ensemble, availability).open_session(),
+            requests,
+            burst_size=64,
+            hold_bursts=3,
+            schedule=schedule,
+        )
+        replayed = self._scalar_replay(
+            RecommendationEngine(ensemble, availability).open_session(),
+            requests,
+            schedule,
+            hold_bursts=3,
+        )
+        assert [d.comparison_key() for d in streamed] == [
+            d.comparison_key() for d in replayed
+        ]
 
     def test_stream_window_validates_parameters(self):
         ensemble, requests = self._world()
-        simulator = PlatformSimulator(WorkerPool(generate_workers(50, seed=3)))
+        session = RecommendationEngine(ensemble, 0.5).open_session()
+        for kwargs in (
+            {"burst_size": 0},
+            {"hold_bursts": 0},
+            {"schedule": [10, 0, 50]},
+            {"schedule": [10, 20]},
+        ):
+            with pytest.raises(ValueError):
+                drive_stream(session, requests, **kwargs)
+        # Rejected before the first burst: the ledger is untouched.
+        assert session.admitted_count == 0
+        assert session.deferred == []
+
+
+class TestRunScenario:
+    """The closed loop: a scenario at a window's observed availability."""
+
+    @staticmethod
+    def _simulator():
+        return PlatformSimulator(WorkerPool(generate_workers(160, seed=5)), seed=6)
+
+    def test_batch_family(self):
+        observation, report = self._simulator().run_scenario(
+            "paper-batch-small", PAPER_WINDOWS[1]
+        )
+        assert report.kind == "batch"
+        assert report.scenario.engine.availability == observation.availability
+        spec = default_scenario_registry().get("paper-batch-small")
+        ensemble, requests = spec.build()
+        engine_spec = replace(spec.engine, availability=observation.availability)
+        direct = RecommendationEngine(ensemble, **engine_spec.engine_kwargs())
+        expected = direct.resolve(requests)
+        assert report.arrivals == len(requests)
+        assert (report.satisfied, report.alternative) == (
+            expected.satisfied_count,
+            expected.alternative_count,
+        )
+        assert report.satisfied + report.alternative + report.infeasible == len(
+            requests
+        )
+        assert report.objective_value == expected.batch.objective_value
+
+    def test_stream_family(self):
+        observation, report = self._simulator().run_scenario(
+            "diurnal-stream", PAPER_WINDOWS[1]
+        )
+        assert report.kind == "stream"
+        assert report.scenario.engine.availability == observation.availability
+        # A mix of outcomes, so the identity below is not vacuous.
+        assert report.admitted > 0 and report.alternative > 0
+        assert report.completed <= report.admitted
+        assert 0.0 <= report.utilization <= 1.0
+        assert (
+            report.admitted
+            + report.alternative
+            + report.infeasible
+            + report.still_deferred
+            == report.arrivals
+        )
+
+    def test_adpar_scenario_rejected(self):
         with pytest.raises(ValueError):
-            simulator.stream_window(ensemble, requests, PAPER_WINDOWS[0], burst_size=0)
-        with pytest.raises(ValueError):
-            simulator.stream_window(ensemble, requests, PAPER_WINDOWS[0], hold_bursts=0)
+            self._simulator().run_scenario("paper-adpar", PAPER_WINDOWS[1])
+
+    def test_recorded_trace_reenacts_at_observed_availability(self):
+        recorded = Path(__file__).resolve().parents[1] / "golden" / "recorded"
+        spec = default_scenario_registry().create(
+            "recorded-trace", trace_path=str(recorded)
+        )
+        observation, report = self._simulator().run_scenario(
+            spec, PAPER_WINDOWS[1]
+        )
+        assert report.kind == "trace"
+        assert report.scenario.engine.availability == observation.availability
+        ensemble, workload = spec.build()
+        expected = reenact_on_engine(
+            RecommendationEngine(ensemble, observation.availability), workload
+        )
+        assert report.replay_decisions == expected.decisions > 0
+        assert report.replay_sessions == expected.sessions
+        assert report.replay_flips == expected.flips
+        assert (report.satisfied, report.alternative) == (
+            expected.identical,
+            expected.changed,
+        )
 
 
 class TestHistory:

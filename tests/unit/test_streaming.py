@@ -1,4 +1,5 @@
-"""Unit tests for the streaming aggregator (online admission + revocation)."""
+"""Unit tests for streaming admission: an engine session's ledger (online
+admission, revocation, deferred retry)."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
-from repro.core.streaming import StreamingAggregator, StreamStatus
+from repro.core.streaming import StreamStatus
+from repro.engine import RecommendationEngine
 
 
 @pytest.fixture
@@ -22,7 +24,7 @@ def request(rid, cost=0.4, quality=0.5):
 
 class TestAdmission:
     def test_admits_until_budget_exhausted(self, modeled):
-        stream = StreamingAggregator(modeled, availability=1.0)
+        stream = RecommendationEngine(modeled, 1.0).open_session()
         assert stream.submit(request("a", 0.4)).status is StreamStatus.ADMITTED
         assert stream.submit(request("b", 0.4)).status is StreamStatus.ADMITTED
         third = stream.submit(request("c", 0.4))
@@ -30,13 +32,13 @@ class TestAdmission:
         assert stream.remaining == pytest.approx(0.2)
 
     def test_admitted_carries_strategies_and_reservation(self, modeled):
-        stream = StreamingAggregator(modeled, availability=1.0)
+        stream = RecommendationEngine(modeled, 1.0).open_session()
         decision = stream.submit(request("a", 0.4))
         assert decision.strategy_names == ("s1",)
         assert decision.workforce_reserved == pytest.approx(0.4)
 
     def test_duplicate_active_id_rejected(self, modeled):
-        stream = StreamingAggregator(modeled, availability=1.0)
+        stream = RecommendationEngine(modeled, 1.0).open_session()
         stream.submit(request("a"))
         with pytest.raises(ValueError):
             stream.submit(request("a"))
@@ -44,21 +46,21 @@ class TestAdmission:
     def test_oversized_request_gets_alternative(self, modeled):
         # quality 0.95 is beyond the constant 0.9 model: unsatisfiable as
         # stated at any workforce, so ADPaR proposes alternative params.
-        stream = StreamingAggregator(modeled, availability=1.0)
+        stream = RecommendationEngine(modeled, 1.0).open_session()
         decision = stream.submit(request("huge", cost=0.5, quality=0.95))
         assert decision.status is StreamStatus.ALTERNATIVE
         assert decision.alternative is not None
         assert decision.alternative.alternative.quality <= 0.9 + 1e-9
 
     def test_infeasible_when_k_exceeds_catalog(self, modeled):
-        stream = StreamingAggregator(modeled, availability=1.0)
+        stream = RecommendationEngine(modeled, 1.0).open_session()
         big_k = DeploymentRequest("k9", TriParams(0.5, 0.4, 0.9), k=9)
         assert stream.submit(big_k).status is StreamStatus.INFEASIBLE
 
 
 class TestLifecycle:
     def test_revoke_releases_workforce(self, modeled):
-        stream = StreamingAggregator(modeled, availability=0.8)
+        stream = RecommendationEngine(modeled, 0.8).open_session()
         stream.submit(request("a", 0.5))
         assert stream.submit(request("b", 0.5)).status is StreamStatus.DEFERRED
         released = stream.revoke("a")
@@ -67,24 +69,24 @@ class TestLifecycle:
         assert stream.revoked_count == 1
 
     def test_complete_counts_separately(self, modeled):
-        stream = StreamingAggregator(modeled, availability=0.8)
+        stream = RecommendationEngine(modeled, 0.8).open_session()
         stream.submit(request("a", 0.5))
         stream.complete("a")
         assert stream.completed_count == 1
         assert stream.remaining == pytest.approx(0.8)
 
     def test_release_unknown_id_raises(self, modeled):
-        stream = StreamingAggregator(modeled, availability=0.8)
+        stream = RecommendationEngine(modeled, 0.8).open_session()
         with pytest.raises(KeyError):
             stream.revoke("ghost")
 
     def test_utilization(self, modeled):
-        stream = StreamingAggregator(modeled, availability=0.8)
+        stream = RecommendationEngine(modeled, 0.8).open_session()
         stream.submit(request("a", 0.4))
         assert stream.utilization() == pytest.approx(0.5)
 
     def test_active_view_is_a_copy(self, modeled):
-        stream = StreamingAggregator(modeled, availability=0.8)
+        stream = RecommendationEngine(modeled, 0.8).open_session()
         stream.submit(request("a", 0.4))
         view = stream.active
         view.clear()
@@ -92,18 +94,20 @@ class TestLifecycle:
 
 
 class TestShimPassthroughs:
+    """The burst and deferred-queue surface of ``engine.open_session()``."""
+
     def test_submit_many_matches_loop(self, modeled):
         requests = [request(f"r{i}", 0.3) for i in range(5)]
-        loop = StreamingAggregator(modeled, availability=1.0)
+        loop = RecommendationEngine(modeled, 1.0).open_session()
         expected = [loop.submit(r) for r in requests]
-        burst = StreamingAggregator(modeled, availability=1.0)
+        burst = RecommendationEngine(modeled, 1.0).open_session()
         got = burst.submit_many(requests)
         assert [d.status for d in got] == [d.status for d in expected]
         assert burst.remaining == loop.remaining
         assert burst.admitted_count == loop.admitted_count
 
     def test_deferred_and_retry_passthrough(self, modeled):
-        stream = StreamingAggregator(modeled, availability=0.8)
+        stream = RecommendationEngine(modeled, 0.8).open_session()
         stream.submit(request("a", 0.5))
         assert stream.submit(request("b", 0.5)).status is StreamStatus.DEFERRED
         assert [r.request_id for r in stream.deferred] == ["b"]
@@ -125,7 +129,7 @@ class TestStreamVsBatch:
         ]
         availability = 0.9
         batch = BatchStrat(modeled, availability).run(requests, "throughput")
-        stream = StreamingAggregator(modeled, availability)
+        stream = RecommendationEngine(modeled, availability).open_session()
         ordered = sorted(requests, key=lambda r: r.cost)
         admitted = {
             r.request_id

@@ -9,12 +9,7 @@ from repro.workloads.generators import (
     generate_strategy_ensemble,
     hard_request_for,
 )
-from repro.workloads.scenarios import (
-    ADPaRScenario,
-    BatchScenario,
-    default_adpar_scenario,
-    default_batch_scenario,
-)
+from repro.workloads.registry import default_scenario_registry
 
 
 class TestStrategyGenerator:
@@ -96,40 +91,49 @@ class TestADPaRGenerator:
 
 
 class TestScenarios:
+    """The §5.2.2 defaults as registry entries, swept via ``with_``."""
+
     def test_batch_defaults_match_paper(self):
-        scenario = default_batch_scenario()
-        assert (scenario.n_strategies, scenario.m_requests, scenario.k) == (
-            10_000,
-            10,
-            10,
-        )
-        assert scenario.availability == 0.5
+        spec = default_scenario_registry().get("paper-batch")
+        assert (
+            spec.ensemble.n_strategies,
+            spec.requests.m_requests,
+            spec.requests.k,
+        ) == (10_000, 10, 10)
+        assert spec.engine.availability == 0.5
 
     def test_brute_force_variant_is_small(self):
-        scenario = default_batch_scenario(brute_force=True)
-        assert scenario.n_strategies == 30
-        assert scenario.m_requests == 5
+        spec = default_scenario_registry().get("paper-batch-small")
+        assert spec.ensemble.n_strategies == 30
+        assert spec.requests.m_requests == 5
 
     def test_batch_build_is_deterministic(self):
-        s = BatchScenario(n_strategies=20, m_requests=4, seed=3)
-        ens1, req1 = s.build()
-        ens2, req2 = s.build()
+        spec = default_scenario_registry().create(
+            "paper-batch", n_strategies=20, m_requests=4, seed=3
+        )
+        ens1, req1 = spec.build()
+        ens2, req2 = spec.build()
         np.testing.assert_array_equal(ens1.alpha, ens2.alpha)
         assert [r.params.as_tuple() for r in req1] == [
             r.params.as_tuple() for r in req2
         ]
 
     def test_with_override(self):
-        scenario = BatchScenario().with_(k=25)
-        assert scenario.k == 25
-        assert scenario.n_strategies == 10_000
+        spec = default_scenario_registry().get("paper-batch").with_(k=25)
+        assert spec.requests.k == 25
+        assert spec.ensemble.n_strategies == 10_000
 
     def test_adpar_defaults(self):
-        assert default_adpar_scenario().n_strategies == 200
-        assert default_adpar_scenario(brute_force=True).n_strategies == 20
+        registry = default_scenario_registry()
+        assert registry.get("paper-adpar").ensemble.n_strategies == 200
+        assert registry.get("paper-adpar-small").ensemble.n_strategies == 20
 
     def test_adpar_build(self):
-        ensemble, request = ADPaRScenario(n_strategies=30, seed=4).build()
+        ensemble, request = (
+            default_scenario_registry()
+            .create("paper-adpar", n_strategies=30, seed=4)
+            .build()
+        )
         assert len(ensemble) == 30
         points = ensemble.estimate_params(1.0)
         assert not any(request.satisfied_by(p) for p in points)
