@@ -3,7 +3,7 @@
 Each benchmark file in this directory records its scenario and headline
 numbers into a ``BENCH_<area>.json`` via :func:`bench_recording.record`,
 including the floor/ceiling it was pinned against (``speedup_floor_x``,
-``tick_cost_ceiling_x``, ...).  The benches assert their own pins when
+``latency_ceiling_x``, ...).  The benches assert their own pins when
 they *run*, but the JSON files outlive the run — they are the repo's
 perf trajectory.  This checker re-asserts every recorded pin against
 the recorded measurement, so a regression that sneaks into a committed
@@ -41,7 +41,6 @@ BENCH_DIR = Path(__file__).parent
 
 #: Irregular limit-key → measured-key spellings, per section.
 MEASURED_FOR = {
-    ("streaming_tick", "tick_cost_ceiling_x"): "tick_over_rebuild_x",
     ("spec_materialization", "ceiling_x"): "overhead_x",
     ("dispatch_overhead", "ceiling_x"): "overhead_x",
     ("cluster_scale_out", "speedup_floor_x"): "scale_4v1_x",

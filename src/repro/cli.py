@@ -538,7 +538,7 @@ def run_stream(args, out) -> int:
         return 2
     session = service.session(session_id)
     start = time.perf_counter()
-    decisions, retried = drive_stream(
+    decisions, retried, peak = drive_stream(
         session, stream, burst_size=args.burst, hold_bursts=args.hold
     )
     elapsed = time.perf_counter() - start
@@ -561,7 +561,7 @@ def run_stream(args, out) -> int:
     )
     print(
         f"throughput={args.arrivals / max(elapsed, 1e-9):.0f} req/s "
-        f"({elapsed * 1e3:.1f} ms), utilization={session.utilization():.2f}",
+        f"({elapsed * 1e3:.1f} ms), utilization={peak:.2f}",
         file=out,
     )
     print(

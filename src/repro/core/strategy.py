@@ -119,6 +119,16 @@ class StrategyProfile:
         return self.models.workforce_required(request_params, mode=mode)
 
 
+def _check_names(names: "list[str]") -> None:
+    """Reject duplicate names, and NUL inside a name: the content
+    fingerprint joins names on NUL, so a NUL inside a name would let two
+    ensembles share one fingerprint."""
+    if len(set(names)) != len(names):
+        raise ValueError("strategy names must be unique within an ensemble")
+    if any("\x00" in name for name in names):
+        raise ValueError("strategy names must not contain NUL")
+
+
 class StrategyEnsemble:
     """A columnar collection of strategy profiles.
 
@@ -148,8 +158,7 @@ class StrategyEnsemble:
             dtype=float,
         )
         names = [p.name for p in profiles]
-        if len(set(names)) != len(names):
-            raise ValueError("strategy profile names must be unique within an ensemble")
+        _check_names(names)
         self.names = names
         self._index: "dict[str, int] | None" = {
             name: i for i, name in enumerate(names)
@@ -189,8 +198,7 @@ class StrategyEnsemble:
             names = list(names)
             if len(names) != alpha.shape[0]:
                 raise ValueError("names must match the number of strategies")
-            if len(set(names)) != len(names):
-                raise ValueError("strategy names must be unique within an ensemble")
+            _check_names(names)
         self.names = names
         self._index = None  # built lazily on first lookup
         return self

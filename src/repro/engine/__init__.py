@@ -25,7 +25,6 @@ from repro.engine.cache import (
     CacheStats,
     CachingWorkforceComputer,
     EngineCache,
-    IncrementalSpaceCache,
     ensemble_fingerprint,
 )
 from repro.engine.engine import RecommendationEngine
@@ -51,7 +50,6 @@ __all__ = [
     "DeferredEntry",
     "drive_stream",
     "EngineCache",
-    "IncrementalSpaceCache",
     "CacheStats",
     "CachingWorkforceComputer",
     "ensemble_fingerprint",

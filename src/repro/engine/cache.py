@@ -27,14 +27,13 @@ unaffected.
 from __future__ import annotations
 
 import hashlib
-import sys
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.adpar import ADPaRResult
-from repro.core.relaxation import BufferPool, RelaxationSpace, reclaim_space
+from repro.core.relaxation import RelaxationSpace
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.core.workforce import RequestWorkforce, WorkforceComputer
@@ -93,106 +92,37 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class _ChainEntry:
-    """One ensemble's availability chain: head space, anchor, buffers."""
+class SpaceCache(LRU):
+    """Relaxation spaces keyed by (ensemble fingerprint, availability).
 
-    __slots__ = ("space", "anchor", "pool")
-
-    def __init__(self, space: RelaxationSpace, anchor: float, pool: BufferPool):
-        self.space = space
-        self.anchor = anchor
-        self.pool = pool
-
-
-class IncrementalSpaceCache:
-    """Delta-maintained :class:`RelaxationSpace` chains across availability.
-
-    Keyed by ensemble fingerprint; each entry holds the chain *head* —
-    the space at the most recently requested availability — plus the
-    availability the chain was last fully rebuilt at (its *anchor*) and
-    a :class:`~repro.core.relaxation.BufferPool` of recycled arrays.  A
-    tick within ``drift_threshold`` of the anchor derives the next head
-    with :meth:`RelaxationSpace.shifted` — per-column delta
-    re-estimation plus sort-order repair on warm pooled buffers —
-    instead of an O(n log n) rebuild; past the threshold the chain
-    re-anchors with a full build, bounding how far repair chains stray
-    from a fresh argsort's memory layout.  Either way the returned
-    space is bitwise-identical to ``RelaxationSpace(ensemble,
-    availability)``.
-
-    Retired heads are destructively reclaimed into the pool *only* when
-    their reference count proves no caller still holds them (and, per
-    buffer, no derived space shares them), so handing spaces to
-    long-lived solver contexts stays safe — such spaces simply opt out
-    of recycling.
-
-    Unlike the pure-value LRU sections, chain advancement is serialized
-    under one lock: reclamation transfers buffer ownership, which is
-    not an idempotent recompute.
+    The engine cache's one store of :class:`RelaxationSpace` objects:
+    every backend over the same estimation context reads the same space,
+    and a miss builds it cold in :meth:`space_at`.  A build runs outside
+    the LRU's lock; two threads missing one key build bitwise-equal
+    spaces and the later ``put`` wins.
     """
 
-    def __init__(self, max_entries: int = 64, drift_threshold: float = 0.25):
-        if drift_threshold <= 0:
-            raise ValueError(
-                f"drift_threshold must be > 0, got {drift_threshold}"
-            )
-        self._entries = LRU(max_entries)
-        self.drift_threshold = float(drift_threshold)
-        self._lock = threading.Lock()
-        #: Chain telemetry — exported via :meth:`stats_view`.
-        self.hits = 0
-        self.shifts = 0
-        self.rebuilds = 0
-        self.reclaimed = 0
+    def space_for(
+        self, ensemble: StrategyEnsemble, availability: float
+    ) -> RelaxationSpace:
+        """The cached space for one context, built on a miss."""
+        key = (ensemble_fingerprint(ensemble), availability)
+        space = self.get(key)
+        if space is None:
+            space = self.space_at(ensemble, availability)
+            self.put(key, space)
+        return space
 
     def space_at(
         self, ensemble: StrategyEnsemble, availability: float
     ) -> RelaxationSpace:
-        """The space at ``availability``, derived from the chain head."""
-        availability = float(availability)
-        key = ensemble_fingerprint(ensemble)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                space = RelaxationSpace(ensemble, availability)
-                self._entries.put(
-                    key, _ChainEntry(space, availability, BufferPool())
-                )
-                self.rebuilds += 1
-                return space
-            head = entry.space
-            if head.availability == availability:
-                self.hits += 1
-                return head
-            if abs(availability - entry.anchor) > self.drift_threshold:
-                space = RelaxationSpace(ensemble, availability)
-                entry.anchor = availability
-                self.rebuilds += 1
-            else:
-                space = head.shifted(availability, pool=entry.pool)
-                self.shifts += 1
-            entry.space = space
-            self._retire(head, entry.pool)
-            return space
+        """The miss path: parameter estimation plus the unified matrix."""
+        return RelaxationSpace(ensemble, availability)
 
-    def _retire(self, head: RelaxationSpace, pool: BufferPool) -> None:
-        # Three references when nobody else holds the retired head: the
-        # caller's local, this frame's parameter, and the getrefcount
-        # argument.  Callers that kept the space keep it valid.
-        if sys.getrefcount(head) == 3:
-            self.reclaimed += reclaim_space(head, pool)
 
-    def stats_view(self) -> "dict[str, int]":
-        """JSON-native chain counters (hits/shifts/rebuilds/reclaimed)."""
-        return {
-            "hits": self.hits,
-            "shifts": self.shifts,
-            "rebuilds": self.rebuilds,
-            "reclaimed": self.reclaimed,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
+#: Older name of :class:`SpaceCache`: ``perfbench/tracing.py`` patches
+#: ``IncrementalSpaceCache.space_at`` as its ``engine.space`` layer.
+IncrementalSpaceCache = SpaceCache
 
 
 #: Cache identity of one per-request workforce aggregate: a flat tuple
@@ -222,11 +152,7 @@ class EngineCache:
         self._workforce = LRU(max_workforce_entries)
         self._adpar_results = LRU(max_adpar_entries)
         self._adpar_solvers = LRU(max_solver_entries)
-        self._spaces = LRU(max_space_entries)
-        #: Delta-maintained space chains; exact-availability hits still
-        #: come from the LRU above, but every miss is derived through
-        #: the chain so nearby availabilities repair instead of rebuild.
-        self.space_chain = IncrementalSpaceCache(max_entries=max_space_entries)
+        self._spaces = SpaceCache(max_space_entries)
         self.stats = CacheStats()
         # Counter increments are load/add/store in CPython — racy across
         # threads without this; accounting must stay exact (hits + misses
@@ -287,30 +213,7 @@ class EngineCache:
         (ensemble, availability) reads the same space — the geometry is
         built once and reused.
         """
-        key = (ensemble_fingerprint(ensemble), float(availability))
-        space = self._spaces.get(key)
-        if space is None:
-            # Misses route through the incremental chain: when a nearby
-            # availability was built before (streaming windows, figure
-            # sweeps), the space is repaired from it rather than rebuilt
-            # — bitwise the same either way.  Spaces retained here are
-            # reference-protected from buffer reclamation.
-            space = self.space_chain.space_at(ensemble, float(availability))
-            self._spaces.put(key, space)
-        return space
-
-    def relaxation_space_at(
-        self, ensemble: StrategyEnsemble, availability: float
-    ) -> RelaxationSpace:
-        """The chain-head space at a *streaming* availability tick.
-
-        Unlike :meth:`relaxation_space`, the result is not pinned in the
-        exact-availability LRU: successive ticks retire their
-        predecessor, whose buffers are recycled once no caller holds it.
-        This is the engine-session reserve/complete/revoke path, where
-        each availability value is typically seen once.
-        """
-        return self.space_chain.space_at(ensemble, float(availability))
+        return self._spaces.space_for(ensemble, float(availability))
 
     def adpar_solver(
         self,
@@ -473,7 +376,7 @@ class EngineCache:
         JSON-native by construction, so the service can embed it in the
         ``stats`` response without a bespoke codec.
         """
-        view = {
+        return {
             name: {"entries": len(lru), "capacity": lru.capacity}
             for name, lru in (
                 ("workforce", self._workforce),
@@ -482,12 +385,6 @@ class EngineCache:
                 ("spaces", self._spaces),
             )
         }
-        view["space_chain"] = {
-            "entries": len(self.space_chain),
-            "capacity": self.space_chain._entries.capacity,
-            **self.space_chain.stats_view(),
-        }
-        return view
 
     def __len__(self) -> int:
         return len(self._workforce) + len(self._adpar_results)

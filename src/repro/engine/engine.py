@@ -44,7 +44,6 @@ from repro.engine.registry import (
 from repro.engine.session import EngineSession
 from repro.engine.solvers import (
     AdparSolver,
-    SolverContext,
     SolverRegistry,
     default_solver_registry,
 )
@@ -373,52 +372,6 @@ class RecommendationEngine:
             options=self._solver_options,
             registry=self.solver_registry,
         )
-
-    def recommend_alternative_at(
-        self,
-        request: "DeploymentRequest | TriParams",
-        availability: float,
-        k: "int | None" = None,
-        solver: str = "adpar-incremental",
-    ) -> ADPaRResult:
-        """Closest alternative at a *live* availability, via the delta path.
-
-        The streaming counterpart of :meth:`recommend_alternative`:
-        ``availability`` is whatever the caller's ledger says right now
-        (e.g. an :class:`~repro.engine.session.EngineSession`'s
-        remaining workforce after reserve/complete/revoke ticks), not
-        the engine's configured expectation.  The space comes from the
-        cache's :class:`~repro.engine.cache.IncrementalSpaceCache` —
-        repaired from the previous tick's head on recycled buffers —
-        and the default backend is the index-pruned exact sweep; the
-        answer is bitwise-identical to a cold ``adpar-exact`` solve at
-        the same availability.  Results are not memoized: tick
-        availabilities are effectively unique, so caching them would
-        only churn the LRU.
-        """
-        request = self._as_adpar_request(request, k)
-        return self._solver_at(availability, solver).solve(request)
-
-    def recommend_alternatives_at(
-        self,
-        requests: "list[DeploymentRequest | TriParams]",
-        availability: float,
-        k: "int | None" = None,
-        solver: str = "adpar-incremental",
-    ) -> list[ADPaRResult]:
-        """Batch :meth:`recommend_alternative_at` over one shared space."""
-        prepared = [self._as_adpar_request(r, k) for r in requests]
-        return self._solver_at(availability, solver).solve_batch(prepared)
-
-    def _solver_at(self, availability: float, solver: str) -> AdparSolver:
-        """An ephemeral backend over the chain-head space at a tick."""
-        space = self.cache.relaxation_space_at(self.ensemble, availability)
-        context = SolverContext(
-            ensemble=self.ensemble,
-            availability=float(availability),
-            space=space,
-        )
-        return self.solver_registry.create(solver, context, self._solver_options)
 
     def recommend_alternatives(
         self,

@@ -402,41 +402,6 @@ class EngineSession:
                 )
             return decisions
 
-    # ------------------------------------------------------- live geometry
-    def alternative_at_remaining(
-        self,
-        request: DeploymentRequest,
-        k: "int | None" = None,
-        solver: str = "adpar-incremental",
-    ) -> ADPaRResult:
-        """Closest alternative at the session's *live* remaining workforce.
-
-        Every reserve/complete/revoke tick moves :attr:`remaining`; this
-        answers ADPaR at that moved availability through the engine's
-        delta-maintained space chain — each tick's geometry is repaired
-        from the previous tick's on recycled buffers instead of rebuilt
-        — and the index-pruned exact backend.  Bitwise-identical to a
-        cold ``adpar-exact`` solve at the same availability.
-        """
-        with self.lock:
-            remaining = self.remaining
-        return self.engine.recommend_alternative_at(
-            request, remaining, k=k, solver=solver
-        )
-
-    def alternatives_at_remaining(
-        self,
-        requests: "list[DeploymentRequest]",
-        k: "int | None" = None,
-        solver: str = "adpar-incremental",
-    ) -> list[ADPaRResult]:
-        """Batch :meth:`alternative_at_remaining` over one shared space."""
-        with self.lock:
-            remaining = self.remaining
-        return self.engine.recommend_alternatives_at(
-            requests, remaining, k=k, solver=solver
-        )
-
 
 def check_burst(request_ids, active=()) -> None:
     """The service's burst rule: ids unique within the burst, none active.
@@ -466,7 +431,7 @@ def drive_stream(
     burst_size: int = 64,
     hold_bursts: int = 2,
     schedule: "list[int] | None" = None,
-) -> "tuple[list[StreamDecision], int]":
+) -> "tuple[list[StreamDecision], int, float]":
     """Run the canonical high-traffic admission loop over one session.
 
     The one driver behind the CLI ``stream`` subcommand and every
@@ -481,10 +446,13 @@ def drive_stream(
     the remaining cohorts are flushed oldest-first, retrying after each
     wave so late capacity still serves the queue.
 
-    Returns ``(decisions, retried)``: every decision in production order
-    (burst answers interleaved with retry answers, so
-    ``len(decisions) == len(requests) + retried``) and the number of
-    retry decisions among them.
+    Returns ``(decisions, retried, peak)``: every decision in production
+    order (burst answers interleaved with retry answers, so
+    ``len(decisions) == len(requests) + retried``), the number of retry
+    decisions among them, and the highest
+    :meth:`EngineSession.utilization` seen after any burst or retry
+    wave.  The peak is the stream's utilization figure: once every
+    cohort has completed the ledger is empty again.
 
     ``schedule`` overrides the constant ``burst_size`` with explicit
     per-burst sizes (the declarative
@@ -512,6 +480,7 @@ def drive_stream(
             )
     decisions: list[StreamDecision] = []
     retried = 0
+    peak = 0.0
 
     def admitted_ids(batch):
         return [
@@ -521,16 +490,19 @@ def drive_stream(
         ]
 
     def complete_cohort(cohort):
+        nonlocal peak
         for request_id in cohort:
             session.complete(request_id)
         retries = session.retry_deferred()
         decisions.extend(retries)
+        peak = max(peak, session.utilization())
         return retries
 
     cohorts: "deque[list[str]]" = deque()
     for start, stop in zip(bounds, bounds[1:]):
         batch = session.submit_many(list(requests[start:stop]))
         decisions.extend(batch)
+        peak = max(peak, session.utilization())
         cohorts.append(admitted_ids(batch))
         if len(cohorts) > hold_bursts:
             retries = complete_cohort(cohorts.popleft())
@@ -543,4 +515,4 @@ def drive_stream(
             cohorts[-1].extend(admitted_ids(retries))
         elif retries:
             cohorts.append(admitted_ids(retries))
-    return decisions, retried
+    return decisions, retried, peak

@@ -9,10 +9,10 @@ maps stable backend names to factories so callers (the engine, the CLI's
 rewiring, exactly parallel to :class:`~repro.engine.registry.PlannerRegistry`:
 
 ========================  ====================================================
-``adpar-exact``           Index-pruned exact sweep (Theorem 4) over
-                          delta-maintained spaces, pinned
-                          bitwise-identical to :class:`ADPaRExact` — the
-                          default.
+``adpar-exact``           Index-pruned exact sweep (Theorem 4) over the
+                          space's presorted orders and cached global
+                          frontier, pinned bitwise-identical to
+                          :class:`ADPaRExact` — the default.
 ``adpar-incremental``     The same solver under a second name, which
                           engine specs and recorded journals carry.
 ``adpar-weighted``        Exact under a monotone penalty: ``norm`` ∈
@@ -63,7 +63,7 @@ from repro.core.relaxation import RelaxationSpace
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.exceptions import InfeasibleRequestError, UnknownSolverError
-from repro.geometry.frontier_index import FrontierCursor
+from repro.geometry.sweepline import FrontierCursor
 
 _EPS = 1e-12
 
@@ -359,9 +359,9 @@ def _indexed_sweep(
       ``Y² + Z²``, lower-bounds every candidate's 2-D completion, so the
       scan stops at ``X² + G ≥ best`` — strictly earlier than the
       reference's ``X² ≥ best`` Figure-8 bound.  ``G`` maps the space's
-      cached per-``k`` frontier (:meth:`RelaxationSpace.frontier_index`)
+      cached per-``k`` frontier (:meth:`RelaxationSpace.global_frontier`)
       through the request origin; the mapped minimum is float-equal to
-      a full-set frontier pass.
+      one over the heap reference's frontier.
     * **Admitted-norm floor.**  Candidates whose admitted-norm floor
       provably cannot beat the running best skip their evaluation
       outright (:data:`_SKIP_MARGIN`).
@@ -372,9 +372,9 @@ def _indexed_sweep(
     (:func:`_relax_frontier_order`), not a lexsort; strategies enter by
     x-rank prefix (:meth:`RelaxationSpace.sweep_table`), not an argsort
     over entry candidates; and per-candidate frontiers come from a
-    :class:`~repro.geometry.frontier_index.FrontierCursor`, which
-    repairs the previous frontier with the newly admitted rows instead
-    of rescanning every admitted row.
+    :class:`~repro.geometry.sweepline.FrontierCursor`, which repairs the
+    previous frontier with the newly admitted rows instead of rescanning
+    every admitted row.
 
     The staircase-gating and bound-break comparisons are the same float
     expressions as the reference's, evaluated against the same corner
@@ -423,7 +423,7 @@ def _indexed_sweep(
     np.multiply(entering_z, entering_z, out=scratch.bound)
     np.add(prefix_min_norm, scratch.bound, out=prefix_min_norm)
     np.minimum.accumulate(prefix_min_norm, out=prefix_min_norm)
-    global_y, global_z = space.frontier_index.global_pairs(k)
+    global_y, global_z = space.global_frontier(k)
     mapped_y = np.maximum(global_y - origin_y, 0.0)
     mapped_z = np.maximum(global_z - origin_z, 0.0)
     G = float(np.min(mapped_y * mapped_y + mapped_z * mapped_z))
@@ -502,10 +502,8 @@ class ExactSolver:
     Bitwise-identical outputs (distance, alternative parameters, chosen
     strategy indices) to the reference
     :class:`~repro.core.adpar.ADPaRExact` — property-pinned for scalar,
-    batch, and availability-tick traffic — while reusing the space's
-    cached frontier index and presorted structures, which the delta
-    chain (:meth:`~repro.core.relaxation.RelaxationSpace.shifted`)
-    maintains across availability ticks instead of rebuilding.
+    batch, and per-availability traffic — while reusing the space's
+    presorted orders and its cached per-``k`` global frontier.
 
     Option ``block`` (default 2048) is the frontier cursor's chunk size.
     """

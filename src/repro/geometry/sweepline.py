@@ -8,12 +8,15 @@ list.  :class:`ParetoSweep` is the 2-D subroutine: given points with two
 remaining free dimensions it enumerates the Pareto frontier of
 ``(Y, Z)`` pairs such that choosing bound ``(Y, Z)`` covers at least ``k``
 points — a sorted sweep over one dimension with a size-``k`` max-heap over
-the other.
+the other.  :func:`block_frontier` is its array form over presorted
+points, and :class:`FrontierCursor` replays it over the growing admitted
+prefixes of the exact ADPaR sweep.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -167,8 +170,7 @@ def block_frontier(
     its block cannot improve the bound later in that block either.  Whole
     blocks are therefore filtered with one NumPy comparison and Python
     touches only the (few) improving points.  The exact ADPaR sweep's
-    :class:`~repro.geometry.frontier_index.FrontierCursor` is pinned
-    pair for pair against it.
+    :class:`FrontierCursor` is pinned pair for pair against it.
 
     ``ys``/``zs`` must be float arrays pre-sorted lexicographically by
     ``(y, z, original index)`` — callers with unsorted data should use
@@ -205,3 +207,100 @@ def block_frontier(
                 best_z = z_bound
                 yield (float(ys[i + offset]), z_bound)
         i = j
+
+
+class FrontierCursor:
+    """Incremental k-coverage frontier over a *growing* admitted prefix.
+
+    The sweep evaluates frontiers at strictly increasing admission
+    prefixes of one fixed point sequence.  Recomputing each frontier
+    from all admitted rows costs ``O(n)`` per evaluation; the cursor
+    instead exploits a monotonicity of the k-heap scan: the running
+    k-th-smallest-``z`` envelope of a *superset* is pointwise at or
+    below that of a subset, so a row that failed ``z < cur`` once can
+    never pass it again and is discarded forever.  Each evaluation then
+    touches only the prior evaluation's *survivors* (rows that entered
+    the heap — a near-frontier-sized set) plus the rows newly admitted
+    since, which makes the total work per request ``O(n)`` across all
+    evaluations instead of ``O(n)`` per evaluation.
+
+    The yielded ``(Y, Z)`` pairs are exactly — float for float — what
+    :func:`block_frontier` produces over the admitted subsequence in the
+    same order: discarded rows never touch the heap there either, and
+    the remaining rows are processed in the identical relative order
+    with the identical float comparisons.
+
+    Parameters
+    ----------
+    ys, zs:
+        The full point sequence in enumeration (``y``-sorted) order.
+    k:
+        Coverage requirement; fixed for the cursor's lifetime.
+    chunk:
+        Rows filtered per vectorized step of the scan.
+    """
+
+    def __init__(self, ys: np.ndarray, zs: np.ndarray, k: int, chunk: int = 1024):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        self._ys = ys
+        self._zs = zs
+        self._k = k
+        self._chunk = int(chunk)
+        self._survivors = np.empty(0, dtype=np.intp)
+
+    def frontier(
+        self, new_positions: np.ndarray
+    ) -> "tuple[list[float], list[float]]":
+        """Frontier pairs after admitting ``new_positions`` (sorted).
+
+        ``new_positions`` are enumeration-order positions of the rows
+        admitted since the previous call, ascending and disjoint from
+        everything admitted before.
+        """
+        merged = np.concatenate([self._survivors, new_positions])
+        merged.sort(kind="stable")
+        ys, zs = self._ys, self._zs
+        k = self._k
+        out_y: list[float] = []
+        out_z: list[float] = []
+        survivors: list[int] = []
+        keep = survivors.append
+        heap: list[float] = []
+        cur = math.inf
+        i = 0
+        m = merged.size
+        while i < m and len(heap) < k:
+            pos = int(merged[i])
+            z = float(zs[pos])
+            keep(pos)
+            heapq.heappush(heap, -z)
+            if len(heap) == k:
+                cur = -heap[0]
+                out_y.append(float(ys[pos]))
+                out_z.append(cur)
+            i += 1
+        replace = heapq.heapreplace
+        chunk = self._chunk
+        while i < m:
+            part = merged[i : i + chunk]
+            zc = zs[part]
+            for offset in (zc < cur).nonzero()[0].tolist():
+                z = float(zc[offset])
+                if z >= cur:
+                    # cur dropped below z after the chunk filter — the
+                    # row is dead now and, by monotonicity, forever.
+                    continue
+                pos = int(part[offset])
+                keep(pos)
+                replace(heap, -z)
+                top = -heap[0]
+                if top < cur:
+                    cur = top
+                    out_y.append(float(ys[pos]))
+                    out_z.append(cur)
+            i += chunk
+        self._survivors = np.asarray(survivors, dtype=np.intp)
+        return out_y, out_z

@@ -1,8 +1,9 @@
 """One bounded, thread-safe least-recently-used map.
 
-The engine cache's sections and space chains, the service's engine
-pool, ensemble registry and workload cache, and the router's
-inline-ensemble and placement maps are all :class:`LRU` instances.
+The engine cache's sections (its relaxation spaces included), the
+service's engine pool, ensemble registry and workload cache, and the
+router's inline-ensemble and placement maps are all :class:`LRU`
+instances.
 """
 
 from __future__ import annotations

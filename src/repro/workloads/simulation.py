@@ -28,8 +28,10 @@ class SimulationReport:
     One flat record covering all scenario kinds; fields that do not
     apply to a kind hold their zero value (e.g. ``admitted`` for a
     batch run, ``objective_value`` for an ADPaR run, the ``replay_*``
-    trio for anything but a ``trace`` reenactment).  ``elapsed_s`` is
-    wall-clock and therefore the one non-reproducible field.
+    trio for anything but a ``trace`` reenactment).  A stream's
+    ``utilization`` is the peak reserved fraction of its availability
+    budget over the drive.  ``elapsed_s`` is wall-clock and therefore
+    the one non-reproducible field.
     """
 
     scenario: ScenarioSpec
@@ -155,7 +157,7 @@ def simulate_scenario(
         ordered, arrival, schedule = spec.arrival_plan(list(payload))
         session = engine.open_session()
         start = time.perf_counter()
-        decisions, retried = drive_stream(
+        decisions, retried, peak = drive_stream(
             session,
             ordered,
             burst_size=arrival.burst_size,
@@ -177,7 +179,7 @@ def simulate_scenario(
             completed=session.completed_count,
             retried=retried,
             still_deferred=len(session.deferred),
-            utilization=session.utilization(),
+            utilization=peak,
             **common,
         )
 

@@ -1,15 +1,14 @@
-"""Differential pins for the incremental ADPaR path.
+"""Differential pins for the index-pruned exact ADPaR sweep.
 
 The exact registry backend (``adpar-exact``, also registered as
-``adpar-incremental``) re-derives the reference sweep over index
-structures (block-summary frontier index, cached sweep orders,
-delta-maintained spaces), so its gate is **bitwise** equality with the
-reference :class:`ADPaRExact` — scalar, batch, and across randomized
-availability-tick schedules through the :class:`IncrementalSpaceCache`
-chain.  The sweep's edge-case ingredients (``block_frontier`` at
-degenerate block sizes and duplicate ties, ``sweep_table`` against its
-raw NumPy formulation, ``shifted`` against a cold rebuild) are pinned
-alongside.
+``adpar-incremental``) re-derives the reference sweep over the space's
+cached structures (sweep orders, per-``k`` global frontier, frontier
+cursor), so its gate is **bitwise** equality with the reference
+:class:`ADPaRExact` — scalar, batch, and across randomized availability
+schedules through one shared :class:`EngineCache`.  The sweep's
+edge-case ingredients (``block_frontier`` at degenerate block sizes and
+duplicate ties, ``sweep_table`` against its raw NumPy formulation, the
+global 2-D bound against the heap reference) are pinned alongside.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from hypothesis import strategies as st
 
 from repro.core.adpar import ADPaRExact
 from repro.core.params import TriParams
-from repro.core.relaxation import BufferPool, RelaxationSpace
+from repro.core.relaxation import RelaxationSpace
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
-from repro.engine import IncrementalSpaceCache, RecommendationEngine, SolverContext
+from repro.engine import EngineCache, RecommendationEngine, SolverContext
 from repro.engine.solvers import ExactSolver
 from repro.exceptions import InfeasibleRequestError
 from repro.geometry.sweepline import ParetoSweep, block_frontier
@@ -110,6 +109,34 @@ def test_sweep_table_scratch_and_allocating_forms_agree():
         pooled = space.sweep_table(origin_x, 1e-12, scratch)
         for a, b in zip(plain, pooled):
             assert np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(tied_params, min_size=1, max_size=24),
+    st.one_of(params_strategy, tied_params),
+    st.integers(min_value=1, max_value=6),
+)
+def test_global_frontier_bound_matches_heap_reference(points, origin_params, k):
+    """The sweep's global 2-D bound over ``global_frontier(k)`` — a
+    ``y``-order pass that leaves equal ``y`` in index order — is
+    float-equal to the same bound over the lexsorted heap reference."""
+    space = RelaxationSpace(StrategyEnsemble.from_params(points), 1.0)
+    k = min(k, space.size)
+    origin = space.origin_of(origin_params)
+
+    def bound(ys, zs):
+        # _indexed_sweep's expressions for G, verbatim.
+        mapped_y = np.maximum(np.asarray(ys, dtype=float) - float(origin[1]), 0.0)
+        mapped_z = np.maximum(np.asarray(zs, dtype=float) - float(origin[2]), 0.0)
+        return float(np.min(mapped_y * mapped_y + mapped_z * mapped_z))
+
+    reference = list(ParetoSweep(space.points[:, 1], space.points[:, 2]).frontier(k))
+    frontier = space.global_frontier(k)
+    assert space.global_frontier(k) is frontier  # cached per k
+    assert bound(*frontier) == bound(
+        [y for y, _ in reference], [z for _, z in reference]
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,47 +234,12 @@ def test_engine_serves_incremental_backend(table1_ensemble):
     assert_bitwise_equal(engine.recommend_alternative(request, 3), expected)
 
 
-# ----------------------------------------------- availability-tick chains
+# ------------------------------------------------ availability schedules
 def _linear_ensemble(seed: int, n: int, sparsity: float) -> StrategyEnsemble:
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(-0.5, 0.5, (n, 3))
     alpha[rng.random((n, 3)) < sparsity] = 0.0
     return StrategyEnsemble.from_arrays(alpha, rng.random((n, 3)))
-
-
-def _assert_space_bitwise(derived: RelaxationSpace, cold: RelaxationSpace):
-    assert np.array_equal(derived.points, cold.points)
-    for dim in range(3):
-        assert np.array_equal(
-            derived._sorted_values(dim), cold._sorted_values(dim)
-        )
-        permuted = cold.points[derived.dimension_orders[dim], dim]
-        assert np.all(permuted[1:] >= permuted[:-1])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=25),
-    st.sampled_from([0.0, 0.5, 0.9]),
-    st.lists(
-        st.floats(min_value=-0.05, max_value=0.05, allow_nan=False),
-        min_size=1,
-        max_size=6,
-    ),
-)
-def test_shifted_chain_bitwise_identical_to_cold_builds(seed, n, sparsity, steps):
-    """Ticks of arbitrary sign/size: derived == freshly built, bitwise."""
-    ensemble = _linear_ensemble(seed, n, sparsity)
-    availability = 0.6
-    space = RelaxationSpace(ensemble, availability)
-    space.dimension_orders
-    space.frontier_index
-    pool = BufferPool()
-    for step in steps:
-        availability = min(1.0, max(0.0, availability + step))
-        space = space.shifted(availability, pool=pool)
-        _assert_space_bitwise(space, RelaxationSpace(ensemble, availability))
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,11 +256,11 @@ def test_shifted_chain_bitwise_identical_to_cold_builds(seed, n, sparsity, steps
     ),
 )
 def test_tick_schedule_solves_bitwise_identical_to_cold_exact(seed, schedule):
-    """Random availability schedules through the chain == cold solves."""
+    """Random availability schedules through one shared cache == cold solves."""
     ensemble = _linear_ensemble(seed, 12, 0.4)
-    chain = IncrementalSpaceCache(drift_threshold=0.3)
+    cache = EngineCache()
     for availability, request, k in schedule:
-        space = chain.space_at(ensemble, availability)
+        space = cache.relaxation_space(ensemble, availability)
         solver = ExactSolver(SolverContext(ensemble, availability, space), {})
         reference = ADPaRExact(ensemble, availability=availability)
         try:
@@ -278,62 +270,3 @@ def test_tick_schedule_solves_bitwise_identical_to_cold_exact(seed, schedule):
                 solver.solve(request, k)
             continue
         assert_bitwise_equal(solver.solve(request, k), expected)
-    stats = chain.stats_view()
-    assert stats["shifts"] + stats["rebuilds"] + stats["hits"] >= len(schedule)
-
-
-def test_chain_rebuilds_past_drift_threshold():
-    ensemble = _linear_ensemble(7, 10, 0.5)
-    chain = IncrementalSpaceCache(drift_threshold=0.1)
-    chain.space_at(ensemble, 0.5)
-    chain.space_at(ensemble, 0.55)  # within threshold: delta path
-    chain.space_at(ensemble, 0.9)  # past threshold: re-anchor
-    stats = chain.stats_view()
-    assert stats["shifts"] == 1
-    assert stats["rebuilds"] == 2
-
-
-def test_chain_reclaims_only_unheld_spaces():
-    ensemble = _linear_ensemble(11, 30, 0.5)
-    chain = IncrementalSpaceCache(drift_threshold=10.0)
-    held = chain.space_at(ensemble, 0.5)
-    held.dimension_orders
-    chain.space_at(ensemble, 0.51)  # held survives: caller keeps a reference
-    assert chain.reclaimed == 0
-    assert held.points is not None
-    for i in range(2, 6):  # discarded heads feed the pool
-        chain.space_at(ensemble, 0.5 + i / 100)
-    assert chain.reclaimed > 0
-    assert np.array_equal(
-        chain.space_at(ensemble, 0.5).points, RelaxationSpace(ensemble, 0.5).points
-    )
-
-
-# ------------------------------------------------------ live-tick surfaces
-def test_engine_alternative_at_matches_cold_exact():
-    ensemble = _linear_ensemble(23, 14, 0.4)
-    engine = RecommendationEngine(ensemble, availability=1.0)
-    request = DeploymentRequest("d", TriParams(0.8, 0.2, 0.2), k=3)
-    for availability in (0.97, 0.93, 0.9):
-        expected = ADPaRExact(ensemble, availability=availability).solve(request)
-        assert_bitwise_equal(
-            engine.recommend_alternative_at(request, availability), expected
-        )
-    [batched] = engine.recommend_alternatives_at([request], 0.88)
-    assert_bitwise_equal(
-        batched, ADPaRExact(ensemble, availability=0.88).solve(request)
-    )
-
-
-def test_session_alternatives_at_remaining_track_the_ledger():
-    ensemble = _linear_ensemble(29, 14, 0.4)
-    engine = RecommendationEngine(ensemble, availability=1.0)
-    session = engine.open_session()
-    session.submit(DeploymentRequest("live", TriParams(0.2, 0.9, 0.9), k=1))
-    remaining = session.remaining
-    assert 0.0 <= remaining <= 1.0
-    probe = DeploymentRequest("probe", TriParams(0.8, 0.2, 0.2), k=3)
-    expected = ADPaRExact(ensemble, availability=remaining).solve(probe)
-    assert_bitwise_equal(session.alternative_at_remaining(probe), expected)
-    [batched] = session.alternatives_at_remaining([probe])
-    assert_bitwise_equal(batched, expected)

@@ -185,6 +185,20 @@ class TestWireErrors:
         out = EngineService().handle_dict(payload)
         assert (out["type"], out["code"]) == ("error", "invalid_payload")
 
+    def test_inline_ensembles_with_nul_in_names_rejected(self):
+        # Joined on NUL, both name lists read "a\x00b\x00c": with equal
+        # arrays the two uploads would share one fingerprint, so the
+        # second would be answered by the first's pooled engine.
+        service = EngineService()
+        for names in (["a\x00b", "c"], ["a", "b\x00c"]):
+            payload = resolve_payload()
+            del payload["ensemble"]["fingerprint"]
+            for column in ("alpha", "beta"):
+                payload["ensemble"][column] = payload["ensemble"][column][:2]
+            payload["ensemble"]["names"] = names
+            out = service.handle_dict(payload)
+            assert (out["type"], out.get("code")) == ("error", "invalid_payload")
+
     def test_inline_ensemble_with_non_finite_models_rejected(self):
         payload = resolve_payload()
         del payload["ensemble"]["fingerprint"]

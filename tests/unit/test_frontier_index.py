@@ -1,11 +1,8 @@
-"""Unit tests for the block-summary frontier index and repair machinery.
+"""Unit tests for the frontier cursor of the exact ADPaR sweep.
 
-The incremental ADPaR backend rests on four small pieces —
-:func:`repair_sorted_order`, :func:`merge_into_sorted`,
-:class:`FrontierIndex`, :class:`FrontierCursor` — plus the buffer
-recycling (:class:`BufferPool`, :func:`reclaim_space`) that makes the
-availability-tick chain cheap.  Each is pinned here against the
-brute-force formulation it replaces.
+:class:`FrontierCursor` replays the k-coverage frontier over growing
+admitted prefixes; it is pinned here against :func:`block_frontier`
+over each admitted subsequence.
 """
 
 from __future__ import annotations
@@ -13,176 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.relaxation import BufferPool, RelaxationSpace, reclaim_space
-from repro.core.strategy import StrategyEnsemble
-from repro.geometry.frontier_index import (
-    FrontierCursor,
-    FrontierIndex,
-    merge_into_sorted,
-    repair_sorted_order,
-)
-from repro.geometry.sweepline import block_frontier
-
-
-def _assert_valid_order(order: np.ndarray, values: np.ndarray) -> None:
-    assert sorted(order.tolist()) == list(range(values.size))
-    sorted_values = values[order]
-    assert np.all(sorted_values[1:] >= sorted_values[:-1])
-
-
-class TestRepairSortedOrder:
-    def test_untouched_order_returned_as_is(self):
-        values = np.array([0.1, 0.2, 0.3, 0.4])
-        order = np.argsort(values, kind="stable")
-        assert repair_sorted_order(order, values) is order
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_sparse_perturbation_repaired(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 200
-        values = np.sort(rng.random(n))
-        order = np.arange(n)
-        movers = rng.choice(n, size=5, replace=False)
-        values[movers] = rng.random(5)
-        _assert_valid_order(repair_sorted_order(order, values), values)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_dense_perturbation_falls_back_to_sort(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 64
-        values = np.sort(rng.random(n))
-        order = np.arange(n)
-        movers = rng.choice(n, size=n // 2, replace=False)
-        values[movers] = rng.random(movers.size)
-        _assert_valid_order(repair_sorted_order(order, values), values)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_changed_hint_path(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = 150
-        values = np.sort(rng.random(n))
-        order = np.arange(n)
-        changed = rng.choice(n, size=7, replace=False)
-        values[changed] = rng.random(7)
-        repaired = repair_sorted_order(order, values, changed=changed)
-        _assert_valid_order(repaired, values)
-
-    def test_changed_empty_is_identity(self):
-        values = np.array([0.3, 0.1, 0.2])
-        order = np.argsort(values, kind="stable")
-        out = repair_sorted_order(order, values, changed=np.empty(0, dtype=np.intp))
-        assert out is order
-
-    def test_duplicate_values_stay_valid(self):
-        values = np.array([0.5, 0.5, 0.1, 0.5, 0.1])
-        order = np.argsort(values, kind="stable")
-        values[2] = 0.9  # displace one of the duplicates
-        _assert_valid_order(repair_sorted_order(order, values), values)
-
-
-class TestMergeIntoSorted:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_full_argsort(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 120, 13
-        all_values = rng.random(n + m)
-        mover_rows = rng.choice(n + m, size=m, replace=False)
-        keep = np.ones(n + m, dtype=bool)
-        keep[mover_rows] = False
-        kept = np.flatnonzero(keep)
-        kept = kept[np.argsort(all_values[kept], kind="stable")]
-        order, merged = merge_into_sorted(
-            kept, all_values[kept], mover_rows, all_values[mover_rows]
-        )
-        _assert_valid_order(order, all_values)
-        assert np.array_equal(merged, all_values[order])
-
-    def test_out_buffers_receive_result(self):
-        kept = np.array([0, 2], dtype=np.intp)
-        kept_values = np.array([0.1, 0.5])
-        movers = np.array([1], dtype=np.intp)
-        mover_values = np.array([0.3])
-        out_order = np.empty(3, dtype=np.intp)
-        out_values = np.empty(3)
-        order, merged = merge_into_sorted(
-            kept, kept_values, movers, mover_values,
-            out_order=out_order, out_values=out_values,
-        )
-        assert order is out_order
-        assert merged is out_values
-        assert order.tolist() == [0, 1, 2]
-        assert merged.tolist() == [0.1, 0.3, 0.5]
-
-    def test_assume_sorted_skips_the_argsort(self):
-        kept = np.array([3], dtype=np.intp)
-        kept_values = np.array([0.4])
-        movers = np.array([7, 9], dtype=np.intp)
-        mover_values = np.array([0.1, 0.8])  # already ascending
-        order, merged = merge_into_sorted(
-            kept, kept_values, movers, mover_values, assume_sorted=True
-        )
-        assert order.tolist() == [7, 3, 9]
-        assert merged.tolist() == [0.1, 0.4, 0.8]
+from repro.geometry.sweepline import FrontierCursor, block_frontier
 
 
 def _reference_pairs(ys, zs, k):
     return list(block_frontier(np.asarray(ys, float), np.asarray(zs, float), k))
-
-
-class TestFrontierIndex:
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("block", [1, 3, 64])
-    def test_frontier_matches_block_frontier(self, seed, block):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 80))
-        ys = np.sort(rng.random(n))
-        zs = rng.random(n)
-        for k in {1, 2, max(1, n // 2), n}:
-            index = FrontierIndex(ys, zs, block=block)
-            fy, fz = index.frontier(k)
-            assert list(zip(fy, fz)) == _reference_pairs(ys, zs, k)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rank_limit_matches_restricted_reference(self, seed):
-        rng = np.random.default_rng(40 + seed)
-        n = 60
-        ys = np.sort(rng.random(n))
-        zs = rng.random(n)
-        ranks = rng.permutation(n)
-        index = FrontierIndex(ys, zs, ranks=ranks, block=8)
-        for limit in (1, 5, n // 2, n):
-            mask = ranks < limit
-            expected = (
-                _reference_pairs(ys[mask], zs[mask], 3) if mask.sum() >= 3 else []
-            )
-            fy, fz = index.frontier(3, rank_limit=limit)
-            assert list(zip(fy, fz)) == expected
-
-    def test_rank_limit_without_ranks_raises(self):
-        index = FrontierIndex(np.array([0.1]), np.array([0.2]))
-        with pytest.raises(ValueError, match="ranks"):
-            index.frontier(1, rank_limit=1)
-
-    def test_validates_block_and_k(self):
-        with pytest.raises(ValueError, match="block"):
-            FrontierIndex(np.array([0.1]), np.array([0.2]), block=0)
-        index = FrontierIndex(np.array([0.1]), np.array([0.2]))
-        with pytest.raises(ValueError, match="k"):
-            index.frontier(0)
-
-    def test_empty_index(self):
-        index = FrontierIndex(np.empty(0), np.empty(0))
-        assert index.size == 0
-        assert index.frontier(1) == ([], [])
-
-    def test_global_pairs_cached_per_k(self):
-        ys = np.array([0.1, 0.2, 0.3])
-        zs = np.array([0.9, 0.5, 0.7])
-        index = FrontierIndex(ys, zs)
-        first = index.global_pairs(2)
-        assert index.global_pairs(2)[0] is first[0]
-        fy, fz = first
-        assert list(zip(fy.tolist(), fz.tolist())) == _reference_pairs(ys, zs, 2)
 
 
 class TestFrontierCursor:
@@ -216,68 +48,3 @@ class TestFrontierCursor:
         with pytest.raises(ValueError, match="chunk"):
             FrontierCursor(np.array([0.1]), np.array([0.2]), 1, chunk=0)
 
-
-class TestBufferPool:
-    def test_take_give_roundtrip_reuses(self):
-        pool = BufferPool()
-        first = pool.take((8,), float)
-        pool.give(first)
-        again = pool.take((8,), float)
-        assert again is first
-        assert pool.reused == 1 and pool.allocated == 1
-
-    def test_shape_and_dtype_keyed_separately(self):
-        pool = BufferPool()
-        a = pool.take((4,), float)
-        pool.give(a)
-        assert pool.take((4,), np.intp) is not a
-        assert pool.take((5,), float) is not a
-
-    def test_max_per_key_bounds_the_freelist(self):
-        pool = BufferPool(max_per_key=1)
-        a, b = np.empty(3), np.empty(3)
-        pool.give(a)
-        pool.give(b)  # dropped: the key's free-list is full
-        assert pool.take((3,), float) is a
-        assert pool.take((3,), float) is not b
-
-    def test_views_and_none_are_rejected(self):
-        pool = BufferPool()
-        base = np.empty(10)
-        pool.give(base[2:])  # a view does not own its data
-        pool.give(None)
-        fresh = pool.take((8,), float)
-        assert fresh.base is None
-
-
-class TestReclaimSpace:
-    @staticmethod
-    def _materialized_space(n=40, seed=3, availability=0.5):
-        rng = np.random.default_rng(seed)
-        ensemble = StrategyEnsemble.from_arrays(
-            rng.uniform(-0.3, 0.3, (n, 3)), rng.random((n, 3))
-        )
-        space = RelaxationSpace(ensemble, availability)
-        space.dimension_orders
-        for dim in range(3):
-            space._sorted_values(dim)
-        space.frontier_index
-        return space
-
-    def test_unshared_space_feeds_the_pool(self):
-        space = self._materialized_space()
-        pool = BufferPool()
-        assert reclaim_space(space, pool) > 0
-        assert space.points is None  # destructively emptied
-
-    def test_buffers_shared_with_derived_space_are_protected(self):
-        space = self._materialized_space()
-        derived = space.shifted(space.availability + 1e-3)
-        pool = BufferPool()
-        before = {id(s) for s in derived._svals if s is not None}
-        reclaim_space(space, pool)
-        # The derived space's structures are still intact and readable.
-        assert {id(s) for s in derived._svals if s is not None} == before
-        for dim in range(3):
-            column = derived._sorted_values(dim)
-            assert np.all(column[1:] >= column[:-1])

@@ -266,7 +266,7 @@ class TestStreamWindow:
         session = RecommendationEngine(
             ensemble, availability, aggregation="max"
         ).open_session()
-        decisions, retried = drive_stream(session, requests, burst_size=16)
+        decisions, retried, _ = drive_stream(session, requests, burst_size=16)
         assert len(decisions) == len(requests) + retried
         assert session.completed_count <= session.admitted_count
         assert 0.0 <= session.utilization() <= 1.0
@@ -284,7 +284,7 @@ class TestStreamWindow:
         """The streamed decisions per arrival equal a scalar-driven replay."""
         ensemble, requests = self._world()
         availability = self._availability()
-        streamed, _ = drive_stream(
+        streamed, _, _ = drive_stream(
             RecommendationEngine(ensemble, availability).open_session(),
             requests,
             burst_size=16,
@@ -307,7 +307,7 @@ class TestStreamWindow:
         ensemble, requests = self._world()
         availability = self._availability()
         schedule = [5, 17, 1, 30, 7]
-        streamed, _ = drive_stream(
+        streamed, _, _ = drive_stream(
             RecommendationEngine(ensemble, availability).open_session(),
             requests,
             burst_size=64,
