@@ -159,9 +159,6 @@ class LockGraph:
     def add_edge(self, held: str, acquired: str, site) -> None:
         self.edges.setdefault((held, acquired), []).append(site)
 
-    def successors(self, label: str) -> "set[str]":
-        return {b for (a, b) in self.edges if a == label}
-
     def cycles(self) -> "list[tuple[str, ...]]":
         """Every elementary cycle among the edge set (canonical order)."""
         adjacency: "dict[str, set[str]]" = {}

@@ -133,14 +133,12 @@ def run_analysis(
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description=(
-            "Static project-invariant analysis: lock discipline, wire "
-            "universe, registry coverage."
-        ),
-    )
+def add_lint_args(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint flags on ``parser``.
+
+    ``repro lint`` and ``python -m repro.analysis`` both parse with this
+    one declaration; :func:`run_lint` reads the parsed namespace.
+    """
     parser.add_argument(
         "--root",
         type=Path,
@@ -166,11 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
             "(keeps existing justifications)"
         ),
     )
-    return parser
 
 
-def main(argv=None, out=sys.stdout) -> int:
-    args = build_parser().parse_args(argv)
+def run_lint(args, out=sys.stdout) -> int:
+    """One lint run from the parsed :func:`add_lint_args` flags."""
     root = find_repo_root(args.root) if args.root else find_repo_root()
     baseline_path = args.baseline or default_baseline_path(root)
     try:
@@ -208,6 +205,18 @@ def main(argv=None, out=sys.stdout) -> int:
             file=out,
         )
     return 0 if report.clean else 1
+
+
+def main(argv=None, out=sys.stdout) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description=(
+            "Static project-invariant analysis: lock discipline, wire "
+            "universe, registry coverage."
+        ),
+    )
+    add_lint_args(parser)
+    return run_lint(parser.parse_args(argv), out)
 
 
 if __name__ == "__main__":  # pragma: no cover

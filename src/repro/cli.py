@@ -5,24 +5,25 @@ Usage::
     python -m repro list                  # enumerate experiments
     python -m repro run fig14 --quick     # regenerate one table/figure
     python -m repro run all               # the full report
-    python -m repro engine --planner payoff-dp   # resolve a synthetic batch
-    python -m repro engine --solver adpar-weighted --norm l1 --weights 2 1 1
-    python -m repro stream --arrivals 5000 --burst 128   # streaming admission
-    python -m repro simulate flash-crowd --set m_requests=2000  # scenario catalog
     python -m repro simulate --list              # enumerate scenario families
+    python -m repro simulate paper-batch-small --set planner=payoff-dp --set objective=payoff
+    python -m repro simulate paper-batch-small --set solver=adpar-weighted \
+        --set 'solver_options={"norm":"l1","weights":[2,1,1]}'
+    python -m repro simulate steady-stream --set m_requests=5000 --set burst_size=128
+    python -m repro simulate flash-crowd --set m_requests=2000
     python -m repro serve --port 8000            # JSON-over-HTTP service
     python -m repro serve --journal /var/lib/repro/journal  # durable decisions
     python -m repro replay /var/lib/repro/journal --solver adpar-weighted --diff
+    python -m repro lint                         # static invariant checks
 
-All three traffic subcommands route through the versioned service layer
-(:class:`~repro.api.EngineService`): ``engine`` resolves a synthetic
-batch with selectable planner and ADPaR solver backends, ``stream``
-drives a synthetic arrival stream through a service session in
-vectorized micro-bursts with completion waves and deferred-queue
-retries, and ``serve`` exposes the same operations as JSON over stdlib
-HTTP (see the README's Service API section for the wire contract).  One
-shared :func:`engine_spec_from_args` turns the common backend flags into
-the :class:`~repro.api.EngineSpec` all of them hand the service.
+Both traffic subcommands route through the versioned service layer
+(:class:`~repro.api.EngineService`): ``simulate`` runs one named
+scenario family (a batch, a stream, an ADPaR request or a recorded
+trace) with ``--set`` spec overrides through the same ``simulate``
+envelope the HTTP API serves, and ``serve`` exposes every operation as
+JSON over stdlib HTTP (see the README's Service API section for the
+wire contract).  :func:`engine_spec_from_args` turns ``serve``'s
+backend flags into the default :class:`~repro.api.EngineSpec`.
 
 ``serve --journal DIR`` adds a durable decision journal: every
 service-level decision event is appended to ``DIR`` and a restarted
@@ -38,16 +39,10 @@ import argparse
 import sys
 from typing import Callable
 
-from repro.api import (
-    EngineService,
-    EngineSpec,
-    EnsembleRef,
-    ResolveRequest,
-    SimulateRequest,
-)
+from repro.analysis.runner import add_lint_args, run_lint
+from repro.api import EngineService, EngineSpec, SimulateRequest
 from repro.core.adpar_variants import NORMS
 from repro.engine import default_registry, default_solver_registry
-from repro.workloads.generators import distribution_names
 
 from repro.experiments.fig11_availability import run_fig11
 from repro.experiments.fig12_linearity import run_fig12
@@ -109,66 +104,19 @@ EXPERIMENTS: "dict[str, tuple[str, Callable]]" = {
 }
 
 
-def _flag_distributions() -> "tuple[str, ...]":
-    """Distributions usable from a bare CLI flag.
-
-    ``mixture`` needs a components option the engine/stream subcommands
-    have no flag for — reach it via ``repro simulate`` spec overrides.
-    """
-    return tuple(n for n in distribution_names() if n != "mixture")
-
-
-def add_backend_args(parser: argparse.ArgumentParser, solver_help: str) -> None:
-    """The planner/solver backend flags every traffic subcommand shares.
-
-    ``engine``, ``stream`` and ``serve`` all accept the same four flags;
-    :func:`engine_spec_from_args` is the one place they are parsed back
-    into an :class:`~repro.api.EngineSpec`.
-    """
-    parser.add_argument(
-        "--planner",
-        choices=default_registry().names(),
-        default="batch-greedy",
-        help="planner backend deciding which requests to satisfy",
-    )
-    parser.add_argument(
-        "--solver",
-        choices=default_solver_registry().names(),
-        default="adpar-exact",
-        help=solver_help,
-    )
-    parser.add_argument(
-        "--norm",
-        choices=NORMS,
-        default="l2",
-        help="distance norm for --solver adpar-weighted",
-    )
-    parser.add_argument(
-        "--weights",
-        type=float,
-        nargs=3,
-        default=None,
-        metavar=("WC", "WQ", "WL"),
-        help=(
-            "per-dimension weights for --solver adpar-weighted, in "
-            "unified-space order (cost, quality', latency)"
-        ),
-    )
-
-
 def engine_spec_from_args(args) -> EngineSpec:
-    """One :class:`~repro.api.EngineSpec` from the shared CLI flags.
+    """The :class:`~repro.api.EngineSpec` ``serve``'s backend flags declare.
 
-    Used by ``engine``, ``stream`` and ``serve`` alike, so the
-    flag → engine-configuration mapping exists exactly once.  Flags a
-    subcommand does not define fall back to the spec defaults.
+    ``repro serve`` hands it to the service as the default spec for
+    requests that omit one, and cluster workers inherit the same flags
+    (:func:`_worker_args`).
     """
     solver_options = {"norm": args.norm}
     if args.weights is not None:
         solver_options["weights"] = tuple(args.weights)
     return EngineSpec(
         availability=args.availability,
-        objective=getattr(args, "objective", "throughput"),
+        objective=args.objective,
         aggregation=args.aggregation,
         workforce_mode=args.workforce_mode,
         planner=args.planner,
@@ -192,65 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reduced repetitions/sizes for a fast pass",
     )
-    engine = sub.add_parser(
-        "engine",
-        help="resolve a synthetic workload through the service layer",
-    )
-    add_backend_args(engine, "ADPaR backend answering unsatisfiable requests")
-    engine.add_argument("--strategies", type=int, default=200, help="|S|")
-    engine.add_argument("--requests", type=int, default=50, help="batch size m")
-    engine.add_argument("--k", type=int, default=5, help="strategies per request")
-    engine.add_argument(
-        "--availability", type=float, default=0.6, help="expected workforce W"
-    )
-    engine.add_argument(
-        "--objective", choices=("throughput", "payoff"), default="throughput"
-    )
-    engine.add_argument(
-        "--distribution", choices=_flag_distributions(), default="uniform"
-    )
-    # max-case default (deploy one of the k): the sum-case needs k times
-    # the workforce and rarely fits small demo pools (cf. Figures 15/16).
-    engine.add_argument("--aggregation", choices=("sum", "max"), default="max")
-    engine.add_argument(
-        "--workforce-mode", choices=("paper", "strict"), default="paper"
-    )
-    engine.add_argument("--seed", type=int, default=7)
-    stream = sub.add_parser(
-        "stream",
-        help="drive a synthetic arrival stream through a service session",
-    )
-    add_backend_args(
-        stream, "ADPaR backend answering requests that never fit as stated"
-    )
-    stream.add_argument("--strategies", type=int, default=30, help="|S|")
-    stream.add_argument(
-        "--arrivals", type=int, default=1000, help="stream length"
-    )
-    stream.add_argument(
-        "--burst",
-        type=int,
-        default=64,
-        help="micro-batch size fed to submit_many per admission wave",
-    )
-    stream.add_argument(
-        "--hold",
-        type=int,
-        default=2,
-        help="bursts a deployment stays active before completing",
-    )
-    stream.add_argument("--k", type=int, default=3, help="strategies per request")
-    stream.add_argument(
-        "--availability", type=float, default=0.9, help="expected workforce W"
-    )
-    stream.add_argument(
-        "--distribution", choices=_flag_distributions(), default="uniform"
-    )
-    stream.add_argument("--aggregation", choices=("sum", "max"), default="max")
-    stream.add_argument(
-        "--workforce-mode", choices=("paper", "strict"), default="paper"
-    )
-    stream.add_argument("--seed", type=int, default=7)
     simulate = sub.add_parser(
         "simulate",
         help="run a named workload scenario through the service simulator",
@@ -292,8 +181,34 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve the engine as JSON over HTTP (the service API)",
     )
-    add_backend_args(
-        serve, "default ADPaR backend for requests that omit a spec"
+    serve.add_argument(
+        "--planner",
+        choices=default_registry().names(),
+        default="batch-greedy",
+        help="planner backend deciding which requests to satisfy",
+    )
+    serve.add_argument(
+        "--solver",
+        choices=default_solver_registry().names(),
+        default="adpar-exact",
+        help="default ADPaR backend for requests that omit a spec",
+    )
+    serve.add_argument(
+        "--norm",
+        choices=NORMS,
+        default="l2",
+        help="distance norm for --solver adpar-weighted",
+    )
+    serve.add_argument(
+        "--weights",
+        type=float,
+        nargs=3,
+        default=None,
+        metavar=("WC", "WQ", "WL"),
+        help=(
+            "per-dimension weights for --solver adpar-weighted, in "
+            "unified-space order (cost, quality', latency)"
+        ),
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000)
@@ -415,161 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
         dest="as_json",
         help="emit the full structured replay report as JSON",
     )
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "static project-invariant analysis: lock discipline, wire "
-            "universe, registry coverage"
-        ),
-    )
-    lint.add_argument(
-        "--root", default=None, help="repo root (default: auto-detect)"
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: <root>/analysis/baseline.json)",
-    )
-    lint.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit the machine-readable JSON report",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept the current findings into the baseline",
+    add_lint_args(
+        sub.add_parser(
+            "lint",
+            help=(
+                "static project-invariant analysis: lock discipline, wire "
+                "universe, registry coverage"
+            ),
+        )
     )
     return parser
-
-
-def run_engine(args, out) -> int:
-    """The ``engine`` subcommand: synthetic workload through the service."""
-    from repro.utils.rng import spawn_rngs
-    from repro.workloads.generators import (
-        generate_requests,
-        generate_strategy_ensemble,
-    )
-
-    service = EngineService()
-    try:
-        rng_s, rng_r = spawn_rngs(args.seed, 2)
-        ensemble = generate_strategy_ensemble(
-            args.strategies, args.distribution, rng_s
-        )
-        requests = generate_requests(
-            args.requests, k=min(args.k, args.strategies), seed=rng_r
-        )
-        response = service.handle(
-            ResolveRequest(
-                ensemble=EnsembleRef.of(ensemble),
-                requests=tuple(requests),
-                spec=engine_spec_from_args(args),
-            )
-        )
-    except ValueError as exc:
-        print(f"repro engine: error: {exc}", file=sys.stderr)
-        return 2
-    report = response.report
-    stats = service.cache.stats
-    print(
-        f"planner={args.planner} solver={args.solver} |S|={args.strategies} "
-        f"m={args.requests} k={args.k} W={args.availability} "
-        f"objective={args.objective}",
-        file=out,
-    )
-    print(
-        f"satisfied={report.satisfied_count} "
-        f"alternative={report.alternative_count} "
-        f"infeasible={len(report.resolutions) - report.satisfied_count - report.alternative_count}",
-        file=out,
-    )
-    print(
-        f"objective_value={report.batch.objective_value:.3f} "
-        f"workforce_used={report.batch.workforce_used:.3f}/{report.availability:.3f}",
-        file=out,
-    )
-    print(
-        f"cache: {stats.hits} hits / {stats.misses} misses "
-        f"(hit rate {stats.hit_rate():.0%})",
-        file=out,
-    )
-    return 0
-
-
-def run_stream(args, out) -> int:
-    """The ``stream`` subcommand: a synthetic arrival stream, micro-batched.
-
-    Arrivals run through a service session driven by
-    :func:`~repro.engine.session.drive_stream` — the same loop every
-    ``stream`` scenario uses: vectorized ``submit_many`` bursts,
-    completion waves after ``--hold`` bursts, and deferred-queue retries
-    (O(1) per entry — each entry carries its precomputed aggregate).
-    """
-    import time
-
-    from repro.core.streaming import StreamStatus
-    from repro.engine.session import drive_stream
-    from repro.utils.rng import spawn_rngs
-    from repro.workloads.generators import (
-        generate_requests,
-        generate_strategy_ensemble,
-    )
-
-    service = EngineService()
-    try:
-        if args.arrivals < 1:
-            raise ValueError("--arrivals must be >= 1")
-        if args.burst < 1:
-            raise ValueError("--burst must be >= 1")
-        if args.hold < 1:
-            raise ValueError("--hold must be >= 1")
-        rng_s, rng_r = spawn_rngs(args.seed, 2)
-        ensemble = generate_strategy_ensemble(
-            args.strategies, args.distribution, rng_s
-        )
-        stream = generate_requests(
-            args.arrivals, k=min(args.k, args.strategies), seed=rng_r
-        )
-        session_id = service.open_session(ensemble, engine_spec_from_args(args))
-    except ValueError as exc:
-        print(f"repro stream: error: {exc}", file=sys.stderr)
-        return 2
-    session = service.session(session_id)
-    start = time.perf_counter()
-    decisions, retried, peak = drive_stream(
-        session, stream, burst_size=args.burst, hold_bursts=args.hold
-    )
-    elapsed = time.perf_counter() - start
-    counts = {status: 0 for status in StreamStatus}
-    for decision in decisions:
-        counts[decision.status] += 1
-    stats = service.cache.stats
-    print(
-        f"stream |S|={args.strategies} arrivals={args.arrivals} "
-        f"burst={args.burst} hold={args.hold} k={args.k} "
-        f"W={args.availability} solver={args.solver}",
-        file=out,
-    )
-    print(
-        f"admitted={session.admitted_count} completed={session.completed_count} "
-        f"alternative={counts[StreamStatus.ALTERNATIVE]} "
-        f"infeasible={counts[StreamStatus.INFEASIBLE]} "
-        f"deferred={len(session.deferred)} retried={retried}",
-        file=out,
-    )
-    print(
-        f"throughput={args.arrivals / max(elapsed, 1e-9):.0f} req/s "
-        f"({elapsed * 1e3:.1f} ms), utilization={peak:.2f}",
-        file=out,
-    )
-    print(
-        f"cache: {stats.hits} hits / {stats.misses} misses "
-        f"(hit rate {stats.hit_rate():.0%})",
-        file=out,
-    )
-    return 0
 
 
 def _parse_override(item: str) -> tuple[str, object]:
@@ -638,9 +408,9 @@ def run_serve(args, out) -> int:
     """The ``serve`` subcommand: the service API as JSON over HTTP.
 
     Builds one :class:`~repro.api.EngineService` whose default
-    :class:`~repro.api.EngineSpec` comes from the same backend flags the
-    ``engine``/``stream`` subcommands take, then blocks in the stdlib
-    HTTP serve loop until interrupted.  See the README's Service API
+    :class:`~repro.api.EngineSpec` comes from the backend flags
+    (:func:`engine_spec_from_args`), then blocks in the stdlib HTTP
+    serve loop until interrupted.  See the README's Service API
     section for the wire contract and a curl quickstart.
     """
     from repro.api import API_VERSION, serve
@@ -744,23 +514,6 @@ def run_serve(args, out) -> int:
         if journal is not None:
             journal.close()
     return 0
-
-
-def run_lint(args, out) -> int:
-    """``repro lint``: the static analysis suite, diffed vs the baseline."""
-    # Imported lazily: linting is a dev/CI path, not a serving one.
-    from repro.analysis.runner import main as lint_main
-
-    argv = []
-    if args.root:
-        argv += ["--root", args.root]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.as_json:
-        argv.append("--json")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    return lint_main(argv, out=out)
 
 
 def run_replay(args, out) -> int:
@@ -874,10 +627,6 @@ def main(argv: "list[str] | None" = None, out=None) -> int:
         for name, (description, _) in EXPERIMENTS.items():
             print(f"{name.ljust(width)}  {description}", file=out)
         return 0
-    if args.command == "engine":
-        return run_engine(args, out)
-    if args.command == "stream":
-        return run_stream(args, out)
     if args.command == "simulate":
         return run_simulate(args, out)
     if args.command == "serve":

@@ -15,7 +15,7 @@ carry over unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Union
 
 from repro.core.request import DeploymentRequest
 
@@ -77,15 +77,3 @@ def request_value(request: DeploymentRequest, objective: ObjectiveSpec) -> float
     if objective == "payoff":
         return request.effective_payoff()
     raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
-def objective_function(
-    objective: ObjectiveSpec,
-) -> Callable[[Sequence[DeploymentRequest]], float]:
-    """A set function summing ``f_i`` over satisfied requests."""
-    validate_objective(objective)
-
-    def evaluate(satisfied: Sequence[DeploymentRequest]) -> float:
-        return float(sum(request_value(r, objective) for r in satisfied))
-
-    return evaluate

@@ -91,14 +91,6 @@ class WorkflowStrategy:
             latency=LinearModel(float(l_alpha), float(l_beta)),
         )
 
-    def as_profile(self) -> StrategyProfile:
-        """The workflow as an atomic profile (first stage's identity)."""
-        return StrategyProfile(
-            strategy=self.stages[0].strategy,
-            models=self.compose_models(),
-            label=self.name,
-        )
-
 
 def enumerate_workflows(
     stage_count: int,

@@ -40,7 +40,6 @@ from repro.journal.replay import (
     DecisionDiff,
     ReplayReport,
     TraceWorkload,
-    apply_overrides,
     load_trace,
     reenact_on_engine,
     replay_trace,
@@ -59,7 +58,6 @@ __all__ = [
     "SessionOpenEvent",
     "SubmitEvent",
     "TraceWorkload",
-    "apply_overrides",
     "event_from_dict",
     "event_to_dict",
     "journal_files",

@@ -40,14 +40,10 @@ triggers by importing the event codecs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from repro.engine.session import check_burst
-from repro.exceptions import (
-    InvalidSpecError,
-    JournalCorruptError,
-    ReproError,
-)
+from repro.exceptions import JournalCorruptError, ReproError
 from repro.journal.events import (
     CheckpointEvent,
     EnsembleEvent,
@@ -57,6 +53,7 @@ from repro.journal.events import (
     SubmitEvent,
 )
 from repro.journal.journal import read_events
+from repro.workloads.spec import replace_spec
 
 #: Cap on materialized per-decision diffs in a report (the aggregate
 #: counters always cover the full trace).
@@ -142,24 +139,6 @@ def load_trace(path):
         arrivals=submitted.get(primary, 0),
     )
     return ensembles[primary], workload
-
-
-def apply_overrides(spec, overrides: "dict | None"):
-    """A copy of ``spec`` with ``overrides`` applied field-by-field.
-
-    Unknown field names raise :class:`InvalidSpecError` (the stable
-    ``invalid_spec`` wire code), mirroring ``ScenarioSpec.with_``.
-    """
-    if not overrides:
-        return spec
-    allowed = {f.name for f in fields(spec)}
-    unknown = sorted(set(overrides) - allowed)
-    if unknown:
-        raise InvalidSpecError(
-            f"unknown EngineSpec override(s) {unknown}; "
-            f"expected a subset of {sorted(allowed)}"
-        )
-    return replace(spec, **overrides)
 
 
 # -------------------------------------------------------------------- diffs
@@ -513,7 +492,7 @@ def replay_trace(trace, overrides: "dict | None" = None) -> ReplayReport:
         ensemble = ensembles.get(event.fingerprint)
         if ensemble is None:
             return None
-        spec = apply_overrides(event.spec, overrides)
+        spec = replace_spec(event.spec, **(overrides or {}))
         try:
             return service.engine_for(ensemble, spec).open_session()
         except ReproError:

@@ -25,10 +25,6 @@ class Summary:
     ci_high: float
     confidence: float
 
-    def as_row(self) -> list:
-        """Row form used by the report tables."""
-        return [self.n, self.mean, self.std, self.stderr, self.ci_low, self.ci_high]
-
 
 def standard_error(values: Iterable[float]) -> float:
     """Standard error of the mean (ddof=1); 0.0 for samples of size < 2."""

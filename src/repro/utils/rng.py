@@ -54,17 +54,6 @@ def spawn_rngs(seed: "int | np.random.Generator | None", count: int) -> list[np.
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
-def sample_sorted_unique(
-    rng: np.random.Generator, low: float, high: float, size: int
-) -> np.ndarray:
-    """Draw ``size`` sorted values uniformly from ``[low, high]``."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    values = rng.uniform(low, high, size=size)
-    values.sort()
-    return values
-
-
 def weighted_choice(
     rng: np.random.Generator, items: Sequence, weights: Iterable[float]
 ):

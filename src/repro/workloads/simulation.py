@@ -208,9 +208,11 @@ def simulate_scenario(
 
     # adpar: one deliberately unsatisfiable request, answered with the
     # closest alternative parameters by the engine's solver backend.
+    # The batch path marks a request no relaxation admits (k > |S|) as
+    # None instead of raising, so it is counted as infeasible.
     request = spec.deployment_request(payload)
     start = time.perf_counter()
-    results = engine.recommend_alternatives([request])
+    results = engine._alternatives_for([request])
     elapsed = time.perf_counter() - start
     solved = [result for result in results if result is not None]
     mean_distance = (

@@ -380,6 +380,8 @@ class ScenarioSpec:
                     f"{type(self.engine).__name__}"
                 )
         _check_int("seed", self.seed)
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be >= 0")
         _check_number("tightness", self.tightness)
         if not 0.0 <= self.tightness <= 1.0:
             raise InvalidSpecError("tightness must be in [0, 1]")

@@ -1,10 +1,26 @@
 """Unit tests for the experiment CLI."""
 
 import io
+import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, _parse_override, build_parser, main
+from repro.workloads import default_scenario_registry
+
+#: ``paper-batch`` at W=0.6 under max-case aggregation: the synthetic
+#: batch the CLI cases below resize with further ``--set`` overrides.
+BATCH = [
+    "simulate", "paper-batch", "--set", "availability=0.6",
+    "--set", "aggregation=max",
+]
+
+
+def simulate_report(argv):
+    """``repro simulate ... --json``'s report, asserting a clean exit."""
+    out = io.StringIO()
+    assert main([*argv, "--json"], out=out) == 0
+    return json.loads(out.getvalue())["report"]
 
 
 class TestParser:
@@ -32,55 +48,57 @@ class TestParser:
         assert main([], out=out) == 2
         assert "usage:" in out.getvalue()
 
-    def test_engine_defaults(self):
-        args = build_parser().parse_args(["engine"])
-        assert args.command == "engine"
-        assert args.planner == "batch-greedy"
-        assert args.solver == "adpar-exact"
-        assert args.norm == "l2"
-        assert args.weights is None
+    @pytest.mark.parametrize("command", ("engine", "stream"))
+    def test_engine_and_stream_are_not_subcommands(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_engine_unknown_planner_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine", "--planner", "quantum"])
+    def test_simulate_defaults(self):
+        args = build_parser().parse_args(["simulate", "paper-batch"])
+        assert args.command == "simulate"
+        assert args.scenario == "paper-batch"
+        assert args.overrides == []
+        assert args.seed is None
+        assert not args.as_json
+        assert not args.list_scenarios
 
-    def test_engine_unknown_solver_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine", "--solver", "oracle"])
-
-    def test_engine_unknown_norm_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine", "--norm", "l3"])
-
-    def test_engine_solver_flags_parse(self):
+    def test_simulate_set_flags_parse(self):
         args = build_parser().parse_args(
-            ["engine", "--solver", "adpar-weighted", "--norm", "l1",
-             "--weights", "2", "1", "1"]
+            ["simulate", "paper-batch", "--set", "solver=adpar-weighted",
+             "--set", 'solver_options={"norm":"l1","weights":[2,1,1]}']
         )
-        assert args.solver == "adpar-weighted"
-        assert args.norm == "l1"
-        assert args.weights == [2.0, 1.0, 1.0]
+        assert [_parse_override(item) for item in args.overrides] == [
+            ("solver", "adpar-weighted"),
+            ("solver_options", {"norm": "l1", "weights": [2, 1, 1]}),
+        ]
 
-    def test_stream_defaults(self):
-        args = build_parser().parse_args(["stream"])
-        assert args.command == "stream"
-        assert args.arrivals == 1000
-        assert args.burst == 64
-        assert args.hold == 2
-        assert args.solver == "adpar-exact"
+    def test_steady_stream_defaults(self):
+        spec = default_scenario_registry().get("steady-stream")
+        assert spec.kind == "stream"
+        assert spec.ensemble.n_strategies == 30
+        assert spec.requests.m_requests == 1000
+        assert spec.requests.k == 3
+        assert spec.arrival.burst_size == 64
+        assert spec.arrival.hold_bursts == 2
+        assert spec.engine.availability == 0.9
+        assert spec.engine.aggregation == "max"
+        assert spec.engine.solver == "adpar-exact"
 
-    def test_stream_unknown_solver_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--solver", "oracle"])
-
-    def test_stream_shares_backend_flags(self):
-        # The shared add_backend_args block gives stream the full set.
+    def test_set_overrides_reach_the_engine_spec(self):
         args = build_parser().parse_args(
-            ["stream", "--planner", "payoff-dp", "--solver", "adpar-weighted",
-             "--norm", "l1", "--weights", "2", "1", "1"]
+            ["simulate", "steady-stream", "--set", "planner=payoff-dp",
+             "--set", "solver=adpar-weighted",
+             "--set", 'solver_options={"norm":"l1","weights":[2,1,1]}']
         )
-        assert args.planner == "payoff-dp"
-        assert args.norm == "l1"
+        overrides = dict(_parse_override(item) for item in args.overrides)
+        engine = default_scenario_registry().create(
+            "steady-stream", **overrides
+        ).engine
+        assert engine.planner == "payoff-dp"
+        assert engine.solver == "adpar-weighted"
+        assert engine.solver_options == {"norm": "l1", "weights": [2, 1, 1]}
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -99,11 +117,11 @@ class TestParser:
 class TestEngineSpecFromArgs:
     """The one flag → EngineSpec mapping all traffic subcommands share."""
 
-    def test_engine_flags_map_to_spec(self):
+    def test_serve_backend_flags_map_to_spec(self):
         from repro.cli import engine_spec_from_args
 
         args = build_parser().parse_args(
-            ["engine", "--planner", "payoff-dp", "--solver", "adpar-weighted",
+            ["serve", "--planner", "payoff-dp", "--solver", "adpar-weighted",
              "--norm", "l1", "--weights", "2", "1", "1",
              "--availability", "0.7", "--objective", "payoff"]
         )
@@ -114,16 +132,6 @@ class TestEngineSpecFromArgs:
         assert spec.availability == 0.7
         assert spec.objective == "payoff"
         assert spec.aggregation == "max"
-
-    def test_stream_flags_map_to_same_spec_shape(self):
-        from repro.cli import engine_spec_from_args
-
-        args = build_parser().parse_args(["stream", "--availability", "0.5"])
-        spec = engine_spec_from_args(args)
-        # stream has no --objective flag: the helper falls back.
-        assert spec.objective == "throughput"
-        assert spec.availability == 0.5
-        assert spec.solver_options == {"norm": "l2"}
 
     def test_serve_flags_map_to_default_spec(self):
         from repro.cli import engine_spec_from_args
@@ -157,77 +165,127 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["engine", "--availability", "1.5"],
-            ["engine", "--strategies", "0"],
-            ["engine", "--requests", "0"],
-            ["engine", "--seed", "-1"],
-            ["engine", "--solver", "adpar-weighted", "--weights", "-1", "1", "1"],
-            ["engine", "--solver", "adpar-weighted", "--weights", "0", "0", "0"],
-        ],
-    )
-    def test_engine_invalid_workload_fails_cleanly(self, argv, capsys):
-        assert main(argv, out=io.StringIO()) == 2
-        assert "repro engine: error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("planner", ["batch-greedy", "payoff-dp"])
-    def test_engine_subcommand_reports_resolutions(self, planner):
-        out = io.StringIO()
-        code = main(
-            ["engine", "--planner", planner, "--strategies", "40",
-             "--requests", "12", "--k", "3"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert f"planner={planner}" in text
-        assert "solver=adpar-exact" in text
-        assert "satisfied=" in text
-        assert "cache:" in text
-
-    def test_stream_subcommand_reports_counts(self):
-        out = io.StringIO()
-        code = main(
-            ["stream", "--strategies", "25", "--arrivals", "120",
-             "--burst", "16", "--k", "2"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "stream |S|=25 arrivals=120" in text
-        assert "admitted=" in text
-        assert "throughput=" in text
-        assert "cache:" in text
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["stream", "--availability", "1.5"],
-            ["stream", "--arrivals", "0"],
-            ["stream", "--burst", "0"],
-            ["stream", "--hold", "0"],
-            ["stream", "--strategies", "0"],
-        ],
-    )
-    def test_stream_invalid_workload_fails_cleanly(self, argv, capsys):
-        assert main(argv, out=io.StringIO()) == 2
-        assert "repro stream: error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv, label",
-        [
-            (["engine", "--solver", "onedim"], "solver=onedim"),
-            (
-                ["engine", "--solver", "adpar-weighted", "--norm", "linf",
-                 "--weights", "2", "1", "1"],
-                "solver=adpar-weighted",
+            pytest.param(
+                ["paper-batch-small", "--set", "planner=quantum"], id="planner"
+            ),
+            pytest.param(
+                ["paper-batch-small", "--set", "solver=oracle"], id="solver"
+            ),
+            pytest.param(
+                ["paper-batch-small", "--set", "solver=adpar-weighted",
+                 "--set", 'solver_options={"norm":"l3"}'],
+                id="norm",
+            ),
+            pytest.param(
+                ["steady-stream", "--set", "solver=oracle"], id="stream-solver"
+            ),
+            pytest.param(
+                ["paper-batch-small", "--set", "availability=1.5"],
+                id="batch-availability",
+            ),
+            pytest.param(
+                ["paper-batch-small", "--set", "n_strategies=0"],
+                id="batch-strategies",
+            ),
+            pytest.param(
+                ["paper-batch-small", "--set", "m_requests=0"],
+                id="batch-requests",
+            ),
+            pytest.param(["paper-batch-small", "--seed", "-1"], id="batch-seed"),
+            pytest.param(
+                ["paper-batch-small", "--set", "solver=adpar-weighted",
+                 "--set", 'solver_options={"weights":[-1,1,1]}'],
+                id="batch-negative-weight",
+            ),
+            pytest.param(
+                ["paper-batch-small", "--set", "solver=adpar-weighted",
+                 "--set", 'solver_options={"weights":[0,0,0]}'],
+                id="batch-zero-weights",
+            ),
+            pytest.param(
+                ["steady-stream", "--set", "availability=1.5"],
+                id="stream-availability",
+            ),
+            pytest.param(
+                ["steady-stream", "--set", "m_requests=0"], id="stream-arrivals"
+            ),
+            pytest.param(
+                ["steady-stream", "--set", "burst_size=0"], id="stream-burst"
+            ),
+            pytest.param(
+                ["steady-stream", "--set", "hold_bursts=0"], id="stream-hold"
+            ),
+            pytest.param(
+                ["steady-stream", "--set", "n_strategies=0"],
+                id="stream-strategies",
             ),
         ],
     )
-    def test_engine_solver_selection_end_to_end(self, argv, label):
+    def test_simulate_invalid_override_fails_cleanly(self, argv, capsys):
+        assert main(["simulate", *argv], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert "repro simulate: error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("planner", ["batch-greedy", "payoff-dp"])
+    def test_simulate_planner_end_to_end(self, planner):
+        report = simulate_report(
+            [*BATCH, "--set", f"planner={planner}", "--set", "n_strategies=40",
+             "--set", "m_requests=12", "--set", "k=3"]
+        )
+        engine = report["scenario"]["engine"]
+        assert engine["planner"] == planner
+        assert engine["solver"] == "adpar-exact"
+        assert report["arrivals"] == 12
+        assert (
+            report["satisfied"] + report["alternative"] + report["infeasible"]
+            == report["arrivals"]
+        )
+
+    def test_simulate_stream_reports_counts(self):
         out = io.StringIO()
-        code = main(argv + ["--strategies", "30", "--requests", "8", "--k", "2"], out=out)
+        code = main(
+            ["simulate", "steady-stream", "--set", "n_strategies=25",
+             "--set", "m_requests=120", "--set", "burst_size=16",
+             "--set", "k=2"],
+            out=out,
+        )
         assert code == 0
-        assert label in out.getvalue()
+        text = out.getvalue()
+        assert "kind=stream |S|=25 arrivals=120" in text
+        assert "admitted=" in text
+        assert "throughput=" in text
+
+    @pytest.mark.parametrize(
+        "solver, solver_options",
+        [
+            pytest.param("onedim", None, id="onedim"),
+            pytest.param(
+                "adpar-weighted",
+                {"norm": "linf", "weights": [2, 1, 1]},
+                id="adpar-weighted",
+            ),
+        ],
+    )
+    def test_simulate_solver_end_to_end(self, solver, solver_options):
+        options = (
+            []
+            if solver_options is None
+            else ["--set", f"solver_options={json.dumps(solver_options)}"]
+        )
+        report = simulate_report(
+            [*BATCH, "--set", f"solver={solver}", *options,
+             "--set", "n_strategies=30", "--set", "m_requests=8",
+             "--set", "k=2"]
+        )
+        engine = report["scenario"]["engine"]
+        assert engine["solver"] == solver
+        assert engine.get("solver_options") == solver_options
+        assert (
+            report["satisfied"] + report["alternative"] + report["infeasible"]
+            == report["arrivals"]
+            == 8
+        )
 
     def test_registry_covers_all_paper_artifacts(self):
         # One entry per §5 artifact: tables 1-5 (example), fig 11-18, table 6.

@@ -277,6 +277,51 @@ class TestServiceSimulate:
         assert report.objective_value == direct.batch.objective_value
         assert report.workforce_used == direct.batch.workforce_used
 
+    def test_stream_simulation_matches_direct_drive_stream(self):
+        from collections import Counter
+
+        from repro.core.streaming import StreamStatus
+        from repro.engine.session import drive_stream
+
+        spec = default_scenario_registry().create(
+            "steady-stream",
+            n_strategies=40,
+            m_requests=300,
+            k=4,
+            availability=0.7,
+            burst_size=32,
+            hold_bursts=3,
+        )
+        report = EngineService().handle(SimulateRequest(scenario=spec)).report
+        ensemble, ordered, arrival = spec.build_stream()
+        session = RecommendationEngine(
+            ensemble, **spec.engine.engine_kwargs()
+        ).open_session()
+        decisions, retried, peak = drive_stream(
+            session,
+            ordered,
+            burst_size=arrival.burst_size,
+            hold_bursts=arrival.hold_bursts,
+        )
+        by_status = Counter(decision.status for decision in decisions)
+        assert report.admitted == session.admitted_count > 0
+        assert report.completed == session.completed_count
+        assert report.alternative == by_status[StreamStatus.ALTERNATIVE] > 0
+        assert report.infeasible == by_status[StreamStatus.INFEASIBLE]
+        assert report.retried == retried
+        assert report.still_deferred == len(session.deferred)
+        assert report.utilization == peak
+
+    def test_infeasible_adpar_scenario_is_counted(self):
+        # k > |S|: no relaxation admits the request, so the report counts
+        # it as infeasible instead of the simulation aborting.
+        report = EngineService().handle(
+            SimulateRequest(name="paper-adpar-small", overrides={"k": 100})
+        ).report
+        assert report.kind == "adpar"
+        assert (report.alternative, report.infeasible) == (0, 1)
+        assert report.mean_distance == 0.0
+
     def test_materialized_workload_is_cached_and_addressable(self):
         service = EngineService()
         first = service.handle(
@@ -338,6 +383,21 @@ class TestServiceSimulate:
         ).report
         assert report.admitted > 0
         assert 0.0 < report.utilization <= 1.0
+
+    def test_negative_seed_maps_to_invalid_spec(self):
+        # Rejected by the spec itself, not late inside the seed sequence.
+        service = EngineService()
+        named = SimulateRequest(
+            name="paper-batch-small", overrides={"seed": -1}
+        ).to_dict()
+        inline = SimulateRequest(
+            scenario=default_scenario_registry().get("paper-batch-small")
+        ).to_dict()
+        inline["scenario"]["seed"] = -3
+        for envelope in (named, inline):
+            body = service.handle_dict(envelope)
+            assert (body["type"], body["code"]) == ("error", "invalid_spec")
+            assert "seed" in body["message"]
 
     def test_invalid_override_maps_to_invalid_spec(self):
         service = EngineService()
