@@ -1,6 +1,7 @@
-"""Bench: the service API seam — dispatch overhead and serve-mode req/s.
+"""Bench: the service API seam — dispatch overhead, serve-mode req/s and
+serve start-up.
 
-Three pins, recorded to ``BENCH_service.json`` next to this file so the
+Four pins, recorded to ``BENCH_service.json`` next to this file so the
 perf trajectory is tracked across commits:
 
 * ``test_bench_dispatch_overhead`` resolves the same batch sequence
@@ -20,12 +21,25 @@ perf trajectory is tracked across commits:
   coalescing, TCP_NODELAY server at 1/4/16 keep-alive clients.  The
   pin: best threaded+coalesced throughput >= 5x the baseline, with the
   whole sweep recorded.
+* ``test_bench_serve_startup`` launches ``python -m repro serve --port 0``
+  and times it from process start to the ready line, which is also what
+  every cluster worker restart costs.  The pins: the median ready time
+  <= 3x the median launch of a bare ``python -c "import numpy"`` on the
+  same host (the ratio cancels the host's speed), and peak RSS (VmHWM)
+  at the ready line <= 64 MB.  Both hold only while serving imports
+  neither scipy nor the experiment runners.  Linux only (``/proc``).
 """
 
+import os
+import statistics
+import subprocess
+import sys
 import threading
 import time
 from http.server import ThreadingHTTPServer
 from pathlib import Path
+
+import pytest
 
 from bench_recording import record
 
@@ -40,6 +54,7 @@ from repro.api import (
 )
 from repro.api.http import HTTP_STATUS, ApiRequestHandler
 from repro.api.wire import API_VERSION, report_from_dict, stream_decision_from_dict
+from repro.cluster import parse_ready_line
 from repro.engine import RecommendationEngine
 from repro.utils.rng import spawn_rngs
 from repro.workloads.generators import generate_requests, generate_strategy_ensemble
@@ -60,6 +75,13 @@ N_RESOLVES = 30
 RESOLVE_BATCH = 10
 CLIENT_COUNTS = (1, 4, 16)
 CONCURRENT_SPEEDUP_FLOOR = 5.0
+
+# Start-up: timed launches per side (after one untimed warm-up each),
+# and the ceilings on ready time over a bare numpy launch and on RSS.
+STARTUP_LAUNCHES = 5
+READY_OVER_NUMPY_CEILING = 3.0
+RSS_CEILING_MB = 64.0
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_service.json"
 
@@ -402,3 +424,92 @@ def test_bench_concurrent_serve(benchmark):
     # clients — otherwise the sweep measured the wrong code path.
     assert info["coalescer"] is not None
     assert info["coalescer"]["coalesced"] > 0, info["coalescer"]
+
+
+def _python(*args: str) -> subprocess.Popen:
+    """A fresh interpreter importing this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC_DIR), env.get("PYTHONPATH")))
+    )
+    return subprocess.Popen(
+        [sys.executable, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+
+
+def _numpy_launch_s() -> float:
+    start = time.perf_counter()
+    with _python("-c", "import numpy") as proc:
+        proc.wait(timeout=60)
+    assert proc.returncode == 0, "python -c 'import numpy' failed"
+    return time.perf_counter() - start
+
+
+def _vm_hwm_mb(pid: int) -> float:
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise AssertionError(f"no VmHWM in /proc/{pid}/status")
+
+
+def _serve_ready() -> "tuple[float, float]":
+    """Seconds from launch to the ready line, and peak RSS (MB) there."""
+    start = time.perf_counter()
+    with _python("-m", "repro", "serve", "--port", "0") as proc:
+        try:
+            line = proc.stdout.readline()
+            ready_s = time.perf_counter() - start
+            assert parse_ready_line(line) is not None, (
+                f"repro serve printed no ready line: {line!r}"
+            )
+            rss_mb = _vm_hwm_mb(proc.pid)
+        finally:
+            proc.terminate()
+    return ready_s, rss_mb
+
+
+def _serve_startup() -> dict:
+    # One untimed launch of each warms the bytecode and page caches.
+    _numpy_launch_s()
+    _serve_ready()
+    numpy_s, ready_s, rss_mb = [], [], []
+    for _ in range(STARTUP_LAUNCHES):
+        numpy_s.append(_numpy_launch_s())
+        ready, rss = _serve_ready()
+        ready_s.append(ready)
+        rss_mb.append(rss)
+    ready_median = statistics.median(ready_s)
+    numpy_median = statistics.median(numpy_s)
+    return {
+        "launches": STARTUP_LAUNCHES,
+        "ready_s": round(ready_median, 3),
+        "numpy_s": round(numpy_median, 3),
+        "ready_over_numpy_x": round(ready_median / numpy_median, 2),
+        "ready_over_numpy_ceiling_x": READY_OVER_NUMPY_CEILING,
+        "rss_mb": round(max(rss_mb), 1),
+        "rss_ceiling_mb": RSS_CEILING_MB,
+    }
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
+)
+def test_bench_serve_startup(benchmark):
+    info = benchmark.pedantic(_serve_startup, rounds=1, iterations=1)
+    benchmark.extra_info.update(info)
+    record(RESULTS_PATH, "serve_startup", info)
+    assert info["ready_over_numpy_x"] <= READY_OVER_NUMPY_CEILING, (
+        f"repro serve took {info['ready_s']}s to its ready line, "
+        f"{info['ready_over_numpy_x']}x a bare numpy launch "
+        f"({info['numpy_s']}s); serving must stay <= "
+        f"{READY_OVER_NUMPY_CEILING}x"
+    )
+    assert info["rss_mb"] <= RSS_CEILING_MB, (
+        f"repro serve peaked at {info['rss_mb']} MB by its ready line; "
+        f"serving must stay <= {RSS_CEILING_MB} MB"
+    )

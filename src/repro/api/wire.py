@@ -31,6 +31,7 @@ with it.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -177,6 +178,17 @@ class EngineSpec:
     planner_options: "dict | None" = None
     solver: str = "adpar-exact"
     solver_options: "dict | None" = None
+
+    def __post_init__(self):
+        # The wire decoder checks these itself; this catches in-process
+        # callers (spec overrides) before pool_key trips over them.
+        for name in ("planner_options", "solver_options"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Mapping):
+                raise TypeError(
+                    f"{name} must be a mapping or None, got "
+                    f"{type(value).__name__}"
+                )
 
     def pool_key(self) -> tuple:
         from repro.engine.solvers import solver_options_key

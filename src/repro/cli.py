@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable
 
 from repro.analysis.runner import add_lint_args, run_lint
@@ -44,62 +45,82 @@ from repro.api import EngineService, EngineSpec, SimulateRequest
 from repro.core.adpar_variants import NORMS
 from repro.engine import default_registry, default_solver_registry
 
-from repro.experiments.fig11_availability import run_fig11
-from repro.experiments.fig12_linearity import run_fig12
-from repro.experiments.fig13_effectiveness import run_fig13
-from repro.experiments.fig14_satisfied import run_fig14
-from repro.experiments.fig15_throughput import run_fig15
-from repro.experiments.fig16_payoff import run_fig16
-from repro.experiments.fig17_adpar_quality import run_fig17
-from repro.experiments.fig18_scalability import run_fig18_adpar, run_fig18_batch
-from repro.experiments.running_example import run_running_example
-from repro.experiments.table6_model_fits import run_table6
+
+def _experiment(module: str, runner: str, **kwargs):
+    """Call ``repro.experiments.<module>.<runner>(**kwargs)``.
+
+    The runners (and scipy, which fig11, fig13 and table6 call) are
+    imported only when ``run`` dispatches one, so ``repro serve`` and
+    every other subcommand start without them.
+    """
+    return getattr(import_module(f"repro.experiments.{module}"), runner)(**kwargs)
+
 
 #: name -> (description, factory(quick) -> ExperimentResult)
 EXPERIMENTS: "dict[str, tuple[str, Callable]]" = {
     "example": (
         "Tables 1-5: the running example",
-        lambda quick: run_running_example(),
+        lambda quick: _experiment("running_example", "run_running_example"),
     ),
     "fig11": (
         "Figure 11: worker availability per window",
-        lambda quick: run_fig11(repetitions=3 if quick else 8),
+        lambda quick: _experiment(
+            "fig11_availability", "run_fig11", repetitions=3 if quick else 8
+        ),
     ),
     "table6": (
         "Table 6: (alpha, beta) estimation",
-        lambda quick: run_table6(samples_per_level=3 if quick else 5),
+        lambda quick: _experiment(
+            "table6_model_fits", "run_table6", samples_per_level=3 if quick else 5
+        ),
     ),
     "fig12": (
         "Figure 12: parameter linearity panels",
-        lambda quick: run_fig12(samples_per_level=2 if quick else 4),
+        lambda quick: _experiment(
+            "fig12_linearity", "run_fig12", samples_per_level=2 if quick else 4
+        ),
     ),
     "fig13": (
         "Figure 13: StratRec vs unguided deployments",
-        lambda quick: run_fig13(tasks_per_type=5 if quick else 10),
+        lambda quick: _experiment(
+            "fig13_effectiveness", "run_fig13", tasks_per_type=5 if quick else 10
+        ),
     ),
     "fig14": (
         "Figure 14: % satisfied requests",
-        lambda quick: run_fig14(repetitions=3 if quick else 10, quick=quick),
+        lambda quick: _experiment(
+            "fig14_satisfied", "run_fig14",
+            repetitions=3 if quick else 10, quick=quick,
+        ),
     ),
     "fig15": (
         "Figure 15: throughput objective",
-        lambda quick: run_fig15(repetitions=3 if quick else 10),
+        lambda quick: _experiment(
+            "fig15_throughput", "run_fig15", repetitions=3 if quick else 10
+        ),
     ),
     "fig16": (
         "Figure 16: pay-off objective + approximation factor",
-        lambda quick: run_fig16(repetitions=3 if quick else 10),
+        lambda quick: _experiment(
+            "fig16_payoff", "run_fig16", repetitions=3 if quick else 10
+        ),
     ),
     "fig17": (
         "Figure 17: ADPaR solution quality",
-        lambda quick: run_fig17(repetitions=2 if quick else 5, quick=quick),
+        lambda quick: _experiment(
+            "fig17_adpar_quality", "run_fig17",
+            repetitions=2 if quick else 5, quick=quick,
+        ),
     ),
     "fig18a": (
         "Figure 18a: batch deployment scalability",
-        lambda quick: run_fig18_batch(),
+        lambda quick: _experiment("fig18_scalability", "run_fig18_batch"),
     ),
     "fig18bc": (
         "Figure 18b/c: ADPaR-Exact scalability",
-        lambda quick: run_fig18_adpar(quick=quick),
+        lambda quick: _experiment(
+            "fig18_scalability", "run_fig18_adpar", quick=quick
+        ),
     ),
 }
 

@@ -2,6 +2,8 @@
 
 Used to aggregate repeated simulated deployments the way the paper averages
 over 10 runs and draws standard-error bars (Figure 11, Figure 13).
+``summarize`` imports scipy when called, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ def standard_error(values: Iterable[float]) -> float:
 
 def summarize(values: Iterable[float], confidence: float = 0.95) -> Summary:
     """Summarize a sample with a Student-t confidence interval for the mean."""
+    from scipy import stats as sps
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")

@@ -3,7 +3,9 @@
 The paper reports (i) a *statistically significant* advantage of
 StratRec-guided deployments (Figure 13) and (ii) linear fits whose (α, β)
 lie within the 90% confidence interval of the fitted line (Table 6).  This
-module provides exactly those tests.
+module provides exactly those tests.  Each imports scipy when called: every
+serving path imports this module (through ``repro.modeling.linear``) but
+calls none of them, so a serving process never loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ def _as_array(name: str, values: Iterable[float]) -> np.ndarray:
 
 def welch_t_test(sample_a: Iterable[float], sample_b: Iterable[float]) -> TTestResult:
     """Welch two-sample t-test (unequal variances) of mean(a) != mean(b)."""
+    from scipy import stats as sps
+
     a = _as_array("sample_a", sample_a)
     b = _as_array("sample_b", sample_b)
     result = sps.ttest_ind(a, b, equal_var=False)
@@ -51,6 +54,8 @@ def welch_t_test(sample_a: Iterable[float], sample_b: Iterable[float]) -> TTestR
 
 def paired_t_test(sample_a: Iterable[float], sample_b: Iterable[float]) -> TTestResult:
     """Paired t-test for mirror deployments of the same tasks (Figure 13)."""
+    from scipy import stats as sps
+
     a = _as_array("sample_a", sample_a)
     b = _as_array("sample_b", sample_b)
     if a.size != b.size:
@@ -89,6 +94,8 @@ def linear_fit_significance(
     Table 6's claim is that the estimated (α, β) lie within the 90%
     confidence interval of the fitted line; this exposes the interval.
     """
+    from scipy import stats as sps
+
     x_arr = _as_array("x", x)
     y_arr = _as_array("y", y)
     if x_arr.size != y_arr.size:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
@@ -218,6 +219,24 @@ class RequestBatchSpec:
             raise InvalidSpecError("m_requests must be >= 1")
         if self.k < 1:
             raise InvalidSpecError("k must be >= 1")
+        # Chained comparisons are False for NaN and, unlike math.isfinite,
+        # do not raise on ints too large for a float.
+        for name in ("low", "high"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidSpecError(
+                    f"{name} must be finite and in [0, 1], got {value!r}"
+                )
+        if self.low > self.high:
+            raise InvalidSpecError(
+                f"low must be <= high, got low={self.low!r} > "
+                f"high={self.high!r}"
+            )
+        if not 0.0 <= self.quality_offset <= sys.float_info.max:
+            raise InvalidSpecError(
+                "quality_offset must be finite and >= 0, got "
+                f"{self.quality_offset!r}"
+            )
 
     def with_(self, **overrides) -> "RequestBatchSpec":
         return replace_spec(self, **overrides)
@@ -491,7 +510,7 @@ class ScenarioSpec:
         if self.engine is not None:
             try:
                 return replace(self.engine, **overrides)
-            except (TypeError, ValueError) as exc:  # pragma: no cover - guarded
+            except (TypeError, ValueError) as exc:
                 raise InvalidSpecError(
                     f"invalid EngineSpec override: {exc}"
                 ) from exc

@@ -15,6 +15,7 @@ from repro.api import (
     ResolveRequest,
     RetryDeferredRequest,
     SessionOpRequest,
+    SimulateRequest,
     StatsRequest,
     SubmitBatchRequest,
     decode,
@@ -37,6 +38,7 @@ from repro.engine import (
 from repro.exceptions import (
     ApiError,
     InfeasibleRequestError,
+    InvalidSpecError,
     UnknownPlannerError,
     UnknownSolverError,
 )
@@ -230,6 +232,38 @@ class TestEngineSpecEdgeRoundTrips:
         back = decode(EngineSpec, encode(spec))
         assert back == spec
         assert back.pool_key() == spec.pool_key()
+
+
+class TestEngineSpecOptionTypes:
+    """Backend options are a mapping or None, however the spec is built."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("solver_options", 5), ("planner_options", [1]), ("solver_options", "l1")],
+    )
+    def test_non_mapping_options_rejected_naming_the_field(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            EngineSpec(availability=0.5, **{field: value})
+
+    @pytest.mark.parametrize("field", ["solver_options", "planner_options"])
+    def test_in_process_simulate_answers_invalid_spec(self, field):
+        with pytest.raises(InvalidSpecError, match=field):
+            EngineService().handle(
+                SimulateRequest(name="paper-batch-small", overrides={field: 5})
+            )
+
+    @pytest.mark.parametrize("field", ["solver_options", "planner_options"])
+    def test_wire_answer_stays_malformed_payload(self, field):
+        out = EngineService().handle_dict(
+            {
+                "api_version": API_VERSION,
+                "type": "simulate",
+                "name": "paper-batch-small",
+                "overrides": {field: 5},
+            }
+        )
+        assert (out["type"], out["code"]) == ("error", "malformed_payload")
+        assert field in out["message"]
 
 
 class TestErrorEnvelopes:

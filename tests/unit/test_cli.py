@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,39 @@ class TestMain:
         assert "repro simulate: error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param(["low=2"], "low must be", id="low-above-one"),
+            pytest.param(["low=NaN"], "low must be", id="low-nan"),
+            pytest.param(["high=-Infinity"], "high must be", id="high-inf"),
+            pytest.param(
+                ["low=0.9", "high=0.1"], "low must be <= high",
+                id="low-above-high",
+            ),
+            pytest.param(
+                ["quality_offset=-1"], "quality_offset must be",
+                id="offset-negative",
+            ),
+            pytest.param(
+                ["solver_options=5"], "solver_options must be a mapping",
+                id="solver-options",
+            ),
+            pytest.param(
+                ["planner_options=[1]"], "planner_options must be a mapping",
+                id="planner-options",
+            ),
+        ],
+    )
+    def test_simulate_bad_value_names_its_field(self, overrides, message, capsys):
+        argv = ["simulate", "paper-batch-small"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv, out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("planner", ["batch-greedy", "payoff-dp"])
     def test_simulate_planner_end_to_end(self, planner):
         report = simulate_report(
@@ -302,3 +339,46 @@ class TestMain:
             "fig18a",
             "fig18bc",
         }
+
+
+#: Runs in a fresh interpreter: what the serving modules and the CLI
+#: load, then a replay with scipy made unimportable.  Prints one JSON
+#: line for the test below to check.
+LAYERING_PROBE = """
+import io, json, sys
+
+def loaded(*packages):
+    return sorted(
+        name for name in sys.modules
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+import repro.api, repro.cluster, repro.journal
+serving = loaded("scipy", "repro.experiments", "repro.analysis")
+import repro.cli
+cli = loaded("scipy", "repro.experiments")
+sys.modules["scipy"] = None  # any later `import scipy` raises ImportError
+out = io.StringIO()
+code = repro.cli.main(["replay", "tests/golden/recorded"], out=out)
+print(json.dumps({"serving": serving, "cli": cli, "code": code,
+                  "replay": out.getvalue()}))
+"""
+
+
+class TestLayering:
+    def test_serving_loads_neither_scipy_nor_the_experiments(self):
+        root = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", LAYERING_PROBE],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        assert probe["serving"] == []
+        assert probe["cli"] == []
+        assert probe["code"] == 0
+        assert "bitwise identical" in probe["replay"]

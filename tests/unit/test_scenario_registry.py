@@ -238,6 +238,56 @@ class TestArrivalSpec:
         assert (body["type"], body["code"]) == ("error", "invalid_spec")
 
 
+class TestRequestRanges:
+    """Request parameter ranges are checked by the spec, not by NumPy."""
+
+    BAD = [
+        pytest.param({"low": 2}, "low must be", id="low-above-one"),
+        pytest.param({"low": -0.1}, "low must be", id="low-negative"),
+        pytest.param({"low": float("nan")}, "low must be", id="low-nan"),
+        pytest.param({"high": float("inf")}, "high must be", id="high-inf"),
+        pytest.param(
+            {"low": 0.9, "high": 0.1}, "low must be <= high", id="low-above-high"
+        ),
+        pytest.param(
+            {"quality_offset": -0.1}, "quality_offset must be", id="offset-negative"
+        ),
+        pytest.param(
+            {"quality_offset": float("nan")}, "quality_offset must be",
+            id="offset-nan",
+        ),
+        pytest.param(
+            {"quality_offset": 10**400}, "quality_offset must be",
+            id="offset-beyond-float",
+        ),
+    ]
+
+    @pytest.mark.parametrize("fields, message", BAD)
+    def test_bad_range_rejected_naming_the_field(self, fields, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            RequestBatchSpec(**fields)
+
+    @pytest.mark.parametrize("fields, message", BAD)
+    def test_handle_dict_answers_invalid_spec(self, fields, message):
+        body = EngineService().handle_dict(
+            {
+                "api_version": 1,
+                "type": "simulate",
+                "name": "paper-batch-small",
+                "overrides": fields,
+            }
+        )
+        assert (body["type"], body["code"]) == ("error", "invalid_spec")
+        assert message in body["message"]
+
+    def test_edges_of_the_range_accepted(self):
+        spec = RequestBatchSpec(
+            m_requests=4, k=1, low=0.0, high=0.0, quality_offset=0.0
+        )
+        assert [r.params.cost for r in spec.build(1)] == [0.0] * 4
+        RequestBatchSpec(low=1.0, high=1.0, quality_offset=2.0)
+
+
 class TestMixtureDistribution:
     def test_component_chosen_per_strategy_row(self):
         # A strategy drawn from the elite component must be elite in
