@@ -9,22 +9,11 @@ import numpy as np
 
 from repro.core.params import TriParams
 from repro.core.workforce import WorkforceComputer
-from repro.engine import RecommendationEngine
+from repro.engine import RecommendationEngine, default_registry
 from repro.geometry.point import Point3
 from repro.geometry.sweepline import ParetoSweep
 from repro.index.rtree import RTree
 from repro.workloads.generators import generate_requests, generate_strategy_ensemble
-
-#: Every registered planner backend, swept over one shared batch so a
-#: new backend can't ship unbenchmarked (the registry-coverage lint
-#: pass, R002, holds each name to this list).  The batch stays tiny
-#: because batch-bruteforce is exponential in it.
-PLANNER_BACKENDS = (
-    "batch-greedy",
-    "payoff-dp",
-    "baseline-greedy",
-    "batch-bruteforce",
-)
 
 
 def test_bench_workforce_row_100k(benchmark):
@@ -47,10 +36,12 @@ def test_bench_rtree_bulk_load_10k(benchmark):
 
 
 def test_bench_planner_backend_sweep(benchmark):
-    """All four planner backends over one small shared batch.
+    """Every registered planner backend over one small shared batch.
 
-    The engine's workforce cache is shared across backends, so this
-    measures planner logic, not model inversion.
+    The sweep reads the registry, so a new backend is measured with no
+    edit here.  The batch stays tiny because batch-bruteforce is
+    exponential in it.  The engine's workforce cache is shared across
+    backends, so this measures planner logic, not model inversion.
     """
     ensemble = generate_strategy_ensemble(400, "uniform", seed=17)
     requests = generate_requests(6, k=2, seed=18)
@@ -58,11 +49,11 @@ def test_bench_planner_backend_sweep(benchmark):
 
     def sweep():
         return {
-            name: engine.plan(requests, planner=name) for name in PLANNER_BACKENDS
+            name: engine.plan(requests, planner=name)
+            for name in default_registry().names()
         }
 
     outcomes = benchmark.pedantic(sweep, rounds=3, iterations=1)
-    assert set(outcomes) == set(PLANNER_BACKENDS)
     for outcome in outcomes.values():
         assert (
             len(outcome.satisfied)

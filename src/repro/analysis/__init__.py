@@ -1,21 +1,17 @@
-"""Project-invariant static analysis (`repro lint`).
+"""Lock-discipline static analysis (`repro lint`).
 
-Three AST-based analyzer families guard the invariants the runtime
-layers rely on but cannot themselves check:
+One AST-based pass (:mod:`repro.analysis.lockcheck`) checks lock
+discipline on every code path, including the ones no test runs: it
+builds the per-class lock-acquisition graph from ``with self._lock:`` /
+``.acquire()`` sites and flags lock-order inversions (``L001``),
+blocking calls made while holding a lock (``L002``), and attributes
+mutated both inside and outside lock scope (``L003``).
 
-* **Lock discipline** (:mod:`repro.analysis.lockcheck`) — builds the
-  per-class lock-acquisition graph from ``with self._lock:`` /
-  ``.acquire()`` sites and flags lock-order inversions (``L001``),
-  blocking calls made while holding a lock (``L002``), and attributes
-  mutated both inside and outside lock scope (``L003``).
-* **Wire universe** (:mod:`repro.analysis.wirecheck`) — the closure of
-  the envelope universe: request dispatch vs ``_HANDLERS`` (``W004``),
-  exception → error-code coverage (``W005``), and ``HTTP_STATUS`` vs
-  produced codes (``W006``).  Codec drift needs no rule: every wire and
-  journal codec is derived from its dataclass (:mod:`repro.api.codec`).
-* **Registry coverage** (:mod:`repro.analysis.registrycheck`) — every
-  registered planner/solver/scenario backend name must be pinned by at
-  least one test (``R001``) and one benchmark (``R002``).
+Invariants between live objects are tier-1 tests, not lint rules: the
+wire dispatch and error-code tables are checked in
+``tests/unit/test_api.py``, and every registered planner, solver and
+scenario name is covered by construction in
+``tests/property/test_backend_contract.py``.
 
 Diagnostics carry ``file:line``, a rule id, and a fix hint; accepted
 pre-existing findings live in ``analysis/baseline.json`` (with a
@@ -30,16 +26,12 @@ from repro.analysis.diagnostics import (
     diff_against_baseline,
 )
 from repro.analysis.lockcheck import analyze_locks
-from repro.analysis.registrycheck import analyze_registries
 from repro.analysis.runner import run_analysis
-from repro.analysis.wirecheck import analyze_wire
 
 __all__ = [
     "Diagnostic",
     "RULES",
     "analyze_locks",
-    "analyze_registries",
-    "analyze_wire",
     "diff_against_baseline",
     "load_baseline",
     "run_analysis",

@@ -46,26 +46,6 @@ RULES: "dict[str, tuple[str, str]]" = {
         "an attribute of a lock-holding class is mutated both inside "
         "and outside lock scope",
     ),
-    "W004": (
-        "handler-drift",
-        "wire request dispatch and EngineService._HANDLERS disagree",
-    ),
-    "W005": (
-        "unmapped-exception",
-        "a repro.exceptions class with no stable wire error code",
-    ),
-    "W006": (
-        "unknown-status-code",
-        "HTTP_STATUS names an error code nothing produces",
-    ),
-    "R001": (
-        "backend-untested",
-        "a registered backend name no test references",
-    ),
-    "R002": (
-        "backend-unbenchmarked",
-        "a registered backend name no benchmark references",
-    ),
 }
 
 #: suppression comment token -> rule ids it silences

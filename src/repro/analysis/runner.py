@@ -1,16 +1,17 @@
 """The ``repro lint`` driver: collect, analyze, diff, report.
 
 One run parses every module under ``src/``, feeds the shared
-:class:`~repro.analysis.diagnostics.SourceFile` set through the three
-analyzer families, applies inline suppressions, and diffs the surviving
-findings against ``analysis/baseline.json``:
+:class:`~repro.analysis.diagnostics.SourceFile` set through the
+lock-discipline pass, applies inline suppressions, and diffs the
+surviving findings against ``analysis/baseline.json``:
 
 * **new** findings (not in the baseline) fail the run;
 * **accepted** findings (baselined, with a justification) pass;
 * **stale** baseline entries (the finding no longer fires) also fail,
   so the baseline can only shrink — it never rots.
 
-Exit codes: 0 clean, 1 new-or-stale findings, 2 analysis error.
+Exit codes: 0 clean, 1 new-or-stale findings, 2 analysis error (or a
+``--root`` that holds no ``src/repro``).
 ``--json`` emits the machine-readable report CI uploads as an artifact;
 ``--update-baseline`` rewrites the baseline for the current findings
 (preserving existing justifications) for deliberate, reviewed accepts.
@@ -35,13 +36,11 @@ from repro.analysis.diagnostics import (
     write_baseline,
 )
 from repro.analysis.lockcheck import analyze_locks
-from repro.analysis.registrycheck import analyze_registries, collect_string_literals
-from repro.analysis.wirecheck import analyze_wire
 
 
-def find_repo_root(start: "Path | None" = None) -> Path:
-    """The repo root: the nearest ancestor holding ``src/repro``."""
-    here = Path.cwd() if start is None else Path(start)
+def find_repo_root() -> Path:
+    """The repo root: the nearest ancestor of the cwd holding ``src/repro``."""
+    here = Path.cwd()
     for candidate in (here, *here.resolve().parents):
         if (candidate / "src" / "repro").is_dir():
             return candidate
@@ -103,22 +102,10 @@ def run_analysis(
     root: "Path | None" = None,
     baseline_path: "Path | None" = None,
 ) -> AnalysisReport:
-    """Run all three analyzer families and diff against the baseline."""
+    """Run the lock-discipline pass and diff against the baseline."""
     root = find_repo_root() if root is None else Path(root)
     sources = collect_sources(root)
-    diagnostics: "list[Diagnostic]" = []
-    lock_diags, _graph = analyze_locks(sources)
-    diagnostics.extend(lock_diags)
-    diagnostics.extend(analyze_wire(sources))
-    test_literals = collect_string_literals(
-        sorted((root / "tests").rglob("*.py"))
-    )
-    bench_literals = collect_string_literals(
-        sorted((root / "benchmarks").rglob("*.py"))
-    )
-    diagnostics.extend(
-        analyze_registries(sources, test_literals, bench_literals)
-    )
+    diagnostics, _graph = analyze_locks(sources)
     diagnostics = sort_diagnostics(apply_suppressions(diagnostics, sources))
     if baseline_path is None:
         baseline_path = default_baseline_path(root)
@@ -143,7 +130,10 @@ def add_lint_args(parser: argparse.ArgumentParser) -> None:
         "--root",
         type=Path,
         default=None,
-        help="repo root (default: auto-detect from cwd)",
+        help=(
+            "repo root, which must hold src/repro "
+            "(default: auto-detect from cwd)"
+        ),
     )
     parser.add_argument(
         "--baseline",
@@ -168,7 +158,16 @@ def add_lint_args(parser: argparse.ArgumentParser) -> None:
 
 def run_lint(args, out=sys.stdout) -> int:
     """One lint run from the parsed :func:`add_lint_args` flags."""
-    root = find_repo_root(args.root) if args.root else find_repo_root()
+    if args.root is None:
+        root = find_repo_root()
+    elif (args.root / "src" / "repro").is_dir():
+        root = args.root
+    else:
+        print(
+            f"repro lint: error: --root {args.root} holds no src/repro",
+            file=sys.stderr,
+        )
+        return 2
     baseline_path = args.baseline or default_baseline_path(root)
     try:
         report = run_analysis(root, baseline_path)
@@ -211,8 +210,8 @@ def main(argv=None, out=sys.stdout) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Static project-invariant analysis: lock discipline, wire "
-            "universe, registry coverage."
+            "Static lock-discipline analysis: lock-order inversions, "
+            "blocking calls under a lock, unguarded attributes."
         ),
     )
     add_lint_args(parser)

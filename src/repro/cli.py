@@ -14,7 +14,7 @@ Usage::
     python -m repro serve --port 8000            # JSON-over-HTTP service
     python -m repro serve --journal /var/lib/repro/journal  # durable decisions
     python -m repro replay /var/lib/repro/journal --solver adpar-weighted --diff
-    python -m repro lint                         # static invariant checks
+    python -m repro lint                         # static lock-discipline checks
 
 Both traffic subcommands route through the versioned service layer
 (:class:`~repro.api.EngineService`): ``simulate`` runs one named
@@ -354,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_args(
         sub.add_parser(
             "lint",
-            help=(
-                "static project-invariant analysis: lock discipline, wire "
-                "universe, registry coverage"
-            ),
+            help="static lock-discipline analysis",
         )
     )
     return parser
@@ -659,7 +656,17 @@ def main(argv: "list[str] | None" = None, out=None) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         _, factory = EXPERIMENTS[name]
-        result = factory(args.quick)
+        try:
+            result = factory(args.quick)
+        except ModuleNotFoundError as exc:
+            if (exc.name or "").partition(".")[0] != "scipy":
+                raise
+            print(
+                f"repro run: error: {name} needs scipy; install the "
+                "'experiments' extra",
+                file=sys.stderr,
+            )
+            return 2
         print(result.render(), file=out)
     return 0
 

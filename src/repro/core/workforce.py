@@ -267,12 +267,13 @@ class WorkforceComputer:
             # Rows are grouped by k so the sum-case reduction runs the
             # same length-k pairwise ``.sum`` as :meth:`aggregate` (a
             # cumsum would associate additions differently and drift in
-            # the last ulp).
+            # the last ulp).  The distinct ks come from a Python set:
+            # NumPy 2's ``np.unique`` imports ``numpy.ma`` on first use.
             ks = np.fromiter((r.k for r in chunk), dtype=np.intp, count=len(chunk))
             requirements = np.empty(len(chunk))
-            for k_val in np.unique(ks):
+            for k_val in sorted(set(ks.tolist())):
                 mask = ks == k_val
-                kk = min(int(k_val), n)
+                kk = min(k_val, n)
                 if self.aggregation == "sum":
                     requirements[mask] = ranked[mask, :kk].sum(axis=1)
                 else:

@@ -18,7 +18,8 @@ the certificate, so the equivalence pins cover its boundary:
 
 Every batch opens with a corner request at ``k`` = its subset size
 (certified) and a tiny-all request (uncertified unless some point costs
-exactly 0), so each one mixes both sides.
+exactly 0), so each one mixes both sides.  ``adpar_batches`` draws each
+batch from these or from ``random_batches``.
 """
 
 from __future__ import annotations
@@ -80,3 +81,25 @@ def admissible_batches(draw, max_points=9, max_requests=6):
         requests.append((params, k_up_to_n()))
     order = draw(st.permutations(range(len(requests))))
     return points, [requests[i] for i in order]
+
+
+@st.composite
+def random_batches(draw, max_points=9, max_requests=6):
+    """``(points, [(params, k), ...])`` with every ``k`` feasible."""
+    points = draw(st.lists(params_strategy, min_size=1, max_size=max_points))
+    requests = draw(
+        st.lists(
+            st.tuples(
+                params_strategy,
+                st.integers(min_value=1, max_value=len(points)),
+            ),
+            min_size=1,
+            max_size=max_requests,
+        )
+    )
+    return points, requests
+
+
+#: Random requests rarely already admit k strategies; the admissible-heavy
+#: half pins the batch path's sweep-free certificate at its boundary.
+adpar_batches = st.one_of(random_batches(), admissible_batches())

@@ -1,4 +1,11 @@
-"""Property-based tests for the extension features."""
+"""Property-based tests for the extension features: the weighted ADPaR
+solver against its brute force, and the pay-off DP never below the
+greedy, never over capacity.
+
+The DP's match to the exhaustive optimum is the ``payoff-dp`` entry of
+``test_backend_contract.py``, which also pins the registry-served
+``adpar-weighted`` to the same brute force.
+"""
 
 import math
 
@@ -84,20 +91,3 @@ def test_dp_never_below_greedy_and_feasible(instance):
     greedy = BatchStrat(ensemble, availability).run(requests, "payoff")
     assert dp.objective_value >= greedy.objective_value - 1e-6
     assert dp.workforce_used <= availability + 1e-9
-
-
-@settings(max_examples=60, deadline=None)
-@given(dp_instances())
-def test_dp_matches_brute_force(instance):
-    from repro.baselines.batch_bruteforce import batch_brute_force
-
-    ensemble, requests, availability = instance
-    dp = payoff_dynamic_program(
-        ensemble, requests, availability, resolution=100_000
-    )
-    brute = batch_brute_force(ensemble, requests, availability, "payoff")
-    # The DP rounds weights up, so it can only lose the items whose exact
-    # weights straddle a bucket boundary; at this resolution the values
-    # should coincide up to rounding slack.
-    assert dp.objective_value <= brute.objective_value + 1e-9
-    assert dp.objective_value >= brute.objective_value - 1e-3

@@ -1,37 +1,34 @@
-"""Differential tests: the solver registry must match its references.
+"""Differential tests: the engine's ADPaR paths must match their references.
 
-The refactor is gated like the planner refactor was: the seed
-implementations (``ADPaRExact``, the baselines, the weighted brute
-force) are the oracles, and the registry-served backends — scalar and
-batch paths — must reproduce them.  For ``adpar-exact`` the pin is
-*bitwise*: the vectorized sweep prunes candidates the reference scans,
-so any deviation in its dominance/tie-break reasoning shows up here as a
-float that is close but not equal.
+The seed implementations (``ADPaRExact``, the weighted brute force) are
+the oracles, and the engine-served ``adpar-exact`` (scalar and batch
+paths) and ``adpar-weighted`` must reproduce them.  For
+``adpar-exact`` the pin is *bitwise*: the vectorized sweep prunes
+candidates the reference scans, so any deviation in its dominance/
+tie-break reasoning shows up here as a float that is close but not
+equal.  The last test pins how the two paths meet in the engine cache.
+
+Every registered solver name, these two included, is also pinned to its
+oracle by ``test_backend_contract.py``.
 """
 
 import math
 
 import pytest
-from admissible_inputs import admissible_batches
+from admissible_inputs import adpar_batches, params_strategy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.adpar_bruteforce import adpar_brute_force
-from repro.baselines.adpar_onedim import OneDimBaseline
-from repro.baselines.adpar_rtree import RTreeBaseline
 from repro.core.adpar import ADPaRExact
 from repro.core.adpar_variants import (
     NORMS,
     RelaxationPenalty,
     weighted_adpar_brute_force,
 )
-from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.engine import RecommendationEngine
 
-unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
-params_strategy = st.builds(TriParams, quality=unit, cost=unit, latency=unit)
 weight = st.floats(min_value=0.125, max_value=10.0, allow_nan=False, width=32)
 
 
@@ -41,27 +38,6 @@ def adpar_instances(draw, max_points=9):
     request = draw(params_strategy)
     k = draw(st.integers(min_value=1, max_value=len(points)))
     return points, request, k
-
-
-@st.composite
-def random_batches(draw, max_points=9, max_requests=6):
-    points = draw(st.lists(params_strategy, min_size=1, max_size=max_points))
-    requests = draw(
-        st.lists(
-            st.tuples(
-                params_strategy,
-                st.integers(min_value=1, max_value=len(points)),
-            ),
-            min_size=1,
-            max_size=max_requests,
-        )
-    )
-    return points, requests
-
-
-#: Random requests rarely already admit k strategies; the admissible-heavy
-#: half pins the batch path's sweep-free certificate at its boundary.
-adpar_batches = st.one_of(random_batches(), admissible_batches())
 
 
 def assert_bitwise_equal(got, expected):
@@ -139,24 +115,3 @@ def test_registry_weighted_matches_brute_force(norm, instance, wc, wq, wl):
     assert math.isclose(got.distance, brute.distance, abs_tol=1e-9)
     covered = sum(1 for p in points if got.alternative.satisfied_by(p))
     assert covered >= k
-
-
-@settings(max_examples=60, deadline=None)
-@given(adpar_instances())
-def test_registry_baselines_match_seed_implementations(instance):
-    """onedim/rtree/bruteforce backends == the seed baseline classes."""
-    points, request, k = instance
-    ensemble = StrategyEnsemble.from_params(points)
-    engine = RecommendationEngine(ensemble, availability=1.0)
-    assert_bitwise_equal(
-        engine.recommend_alternative(request, k, solver="onedim"),
-        OneDimBaseline(ensemble).solve(request, k),
-    )
-    assert_bitwise_equal(
-        engine.recommend_alternative(request, k, solver="rtree"),
-        RTreeBaseline(ensemble).solve(request, k),
-    )
-    assert_bitwise_equal(
-        engine.recommend_alternative(request, k, solver="bruteforce"),
-        adpar_brute_force(ensemble, request, k),
-    )

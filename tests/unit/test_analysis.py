@@ -1,11 +1,10 @@
-"""Unit tests: the static analysis suite behind ``repro lint``.
+"""Unit tests: the lock-discipline analysis behind ``repro lint``.
 
-Each analyzer family must catch its seeded-bad fixture (exact rule ids
-and locations), leave the known-good fixture clean, and — the live
-gate — find nothing new in this repository beyond the committed
-baseline.  The runtime lock-order asserter is exercised both
-synthetically and against real service traffic, corroborating the
-static lock graph.
+The lock pass must catch its seeded-bad fixture (exact rule ids and
+locations), leave the known-good fixture clean, and — the live gate —
+find nothing new in this repository beyond the committed baseline.  The
+runtime lock-order asserter is exercised both synthetically and against
+real service traffic, corroborating the static lock graph.
 """
 
 import ast
@@ -20,7 +19,6 @@ from repro.analysis import (
     Diagnostic,
     RULES,
     analyze_locks,
-    analyze_registries,
     diff_against_baseline,
     load_baseline,
     run_analysis,
@@ -116,30 +114,6 @@ class TestLockcheck:
         assert not [d for d in diagnostics if d.rule == "L003"]
 
 
-class TestRegistrycheck:
-    def test_unpinned_backend_is_flagged_both_ways(self):
-        sources = load_fixtures("unregistered_backend.py")
-        diagnostics = analyze_registries(
-            sources, test_literals={"toy-fast"}, bench_literals={"toy-fast"}
-        )
-        assert {(d.rule, d.subject) for d in diagnostics} == {
-            ("R001", "toy-ghost"),
-            ("R002", "toy-ghost"),
-        }
-        ghost_line = line_of("unregistered_backend.py", '"toy-ghost"')
-        assert all(d.line == ghost_line for d in diagnostics)
-
-    def test_fully_pinned_registry_is_clean(self):
-        sources = load_fixtures("unregistered_backend.py")
-        pinned = {"toy-fast", "toy-ghost"}
-        assert (
-            analyze_registries(
-                sources, test_literals=pinned, bench_literals=pinned
-            )
-            == []
-        )
-
-
 class TestBaselineWorkflow:
     def _diag(self, rule="L002", subject="A.b->c"):
         return Diagnostic(
@@ -206,6 +180,17 @@ class TestSelfScan:
         assert report["clean"] is True
         assert report["counts"]["new"] == 0
         assert {d["rule"] for d in report["accepted"]} <= set(RULES)
+
+
+class TestLintRoot:
+    def test_a_root_without_src_repro_is_a_usage_error(self, tmp_path, capsys):
+        # An empty directory and a missing one: neither may fall back to
+        # linting the installed tree and reporting it clean.
+        for root in (tmp_path, tmp_path / "missing"):
+            out = io.StringIO()
+            assert cli_main(["lint", "--root", str(root)], out) == 2
+            assert out.getvalue() == ""
+            assert "repro lint: error:" in capsys.readouterr().err
 
 
 class TestLockOrderAsserter:

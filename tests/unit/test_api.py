@@ -1,10 +1,16 @@
 """Unit tests: service-API error contract, engine pooling, sessions."""
 
+import contextlib
+import json
+import socket
 import threading
+from http.client import HTTPConnection
 
 import pytest
 
+from repro import exceptions
 from repro.api import (
+    API_PATH,
     API_VERSION,
     AlternativesRequest,
     AlternativesResponse,
@@ -25,6 +31,8 @@ from repro.api import (
     parse_request,
     parse_response,
 )
+from repro.api.envelopes import _REQUEST_TYPES
+from repro.api.http import HTTP_STATUS
 from repro.cluster import RouterService
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest, make_requests
@@ -107,6 +115,135 @@ class _StubSupervisor:
 
     def describe(self):
         return []
+
+
+@contextlib.contextmanager
+def http_front_end():
+    """A live ``repro serve`` front end; yields a connection to it."""
+    server = make_server(EngineService(), coalesce=False)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    conn = HTTPConnection(*server.server_address[:2], timeout=30)
+    try:
+        yield conn
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+
+
+def answer(conn) -> "tuple[int, dict]":
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+# Each producer sends one request that answers its HTTP_STATUS code
+# through the door that really produces it, as ``(status, body)``;
+# ``status`` is None on the in-process ``handle_dict`` door.
+def unknown_session(monkeypatch):
+    request = RetryDeferredRequest(session_id="sess-nope")
+    return None, EngineService().handle_dict(request.to_dict())
+
+
+def unknown_ensemble(monkeypatch):
+    request = PlanRequest(
+        ensemble=EnsembleRef.by_fingerprint("0" * 64),
+        requests=(),
+        spec=EngineSpec(availability=0.8),
+    )
+    return None, EngineService().handle_dict(request.to_dict())
+
+
+def unknown_reservation(monkeypatch):
+    service = EngineService()
+    session_id = service.open_session(
+        paper_ensemble(), EngineSpec(availability=0.8)
+    )
+    request = SessionOpRequest(
+        op="complete", session_id=session_id, request_ids=("nope",)
+    )
+    return None, service.handle_dict(request.to_dict())
+
+
+def unknown_scenario(monkeypatch):
+    request = SimulateRequest(name="no-such-family")
+    return None, EngineService().handle_dict(request.to_dict())
+
+
+def not_found(monkeypatch):
+    with http_front_end() as conn:
+        conn.request("GET", "/elsewhere")
+        return answer(conn)
+
+
+def internal(monkeypatch):
+    def broken(service, request):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(EngineService._HANDLERS, StatsRequest, broken)
+    with http_front_end() as conn:
+        conn.request("POST", API_PATH, json.dumps(StatsRequest().to_dict()))
+        return answer(conn)
+
+
+def upstream_unavailable(monkeypatch):
+    # Bound but never listening: every connection to it is refused.
+    with socket.socket() as refusing:
+        refusing.bind(("127.0.0.1", 0))
+        router = RouterService(_StubSupervisor(refusing.getsockname()))
+        payload = resolve_payload()
+        status, body = router.forward(
+            payload, json.dumps(payload).encode(), API_PATH
+        )
+    return status, json.loads(body)
+
+
+STATUS_PRODUCERS = {
+    producer.__name__: producer
+    for producer in (
+        not_found,
+        unknown_session,
+        unknown_ensemble,
+        unknown_reservation,
+        unknown_scenario,
+        internal,
+        upstream_unavailable,
+    )
+}
+
+
+class TestWireClosure:
+    """The wire tables agree with the live objects: every dispatchable
+    request has a handler, every library exception a stable code, and
+    every ``HTTP_STATUS`` row a request that produces it."""
+
+    def test_every_dispatched_request_type_has_a_handler(self):
+        dispatched = {parse.__self__ for parse in _REQUEST_TYPES.values()}
+        assert dispatched == set(EngineService._HANDLERS)
+
+    def test_every_library_exception_has_a_stable_code(self):
+        classes = [
+            value
+            for value in vars(exceptions).values()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == exceptions.__name__
+        ]
+        assert classes
+        for cls in classes:
+            assert error_code_for(cls("x")) != "internal", cls.__name__
+
+    def test_every_status_row_has_a_producer(self):
+        assert set(HTTP_STATUS) == set(STATUS_PRODUCERS)
+
+    @pytest.mark.parametrize("code", sorted(STATUS_PRODUCERS))
+    def test_producer_answers_its_code(self, code, monkeypatch):
+        status, body = STATUS_PRODUCERS[code](monkeypatch)
+        assert (body["type"], body["code"]) == ("error", code)
+        if status is not None:
+            assert status == HTTP_STATUS[code]
 
 
 class TestWireErrors:

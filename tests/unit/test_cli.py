@@ -342,10 +342,11 @@ class TestMain:
 
 
 #: Runs in a fresh interpreter: what the serving modules and the CLI
-#: load, then a replay with scipy made unimportable.  Prints one JSON
-#: line for the test below to check.
+#: load, then, with scipy made unimportable, a replay (and whether it
+#: loaded ``numpy.ma``) and two ``repro run``s, one of an experiment
+#: that calls scipy.  Prints one JSON line for the test below to check.
 LAYERING_PROBE = """
-import io, json, sys
+import contextlib, io, json, sys
 
 def loaded(*packages):
     return sorted(
@@ -360,8 +361,15 @@ cli = loaded("scipy", "repro.experiments")
 sys.modules["scipy"] = None  # any later `import scipy` raises ImportError
 out = io.StringIO()
 code = repro.cli.main(["replay", "tests/golden/recorded"], out=out)
+numpy_ma = loaded("numpy.ma")
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    fig11 = repro.cli.main(["run", "fig11", "--quick"], out=io.StringIO())
+example = repro.cli.main(["run", "example"], out=io.StringIO())
 print(json.dumps({"serving": serving, "cli": cli, "code": code,
-                  "replay": out.getvalue()}))
+                  "replay": out.getvalue(), "numpy_ma": numpy_ma,
+                  "fig11": fig11, "fig11_err": err.getvalue(),
+                  "example": example}))
 """
 
 
@@ -382,3 +390,8 @@ class TestLayering:
         assert probe["cli"] == []
         assert probe["code"] == 0
         assert "bitwise identical" in probe["replay"]
+        # Grouping rows by k must not pull in numpy.ma (np.unique does).
+        assert probe["numpy_ma"] == []
+        assert probe["fig11"] == 2
+        assert "'experiments' extra" in probe["fig11_err"]
+        assert probe["example"] == 0

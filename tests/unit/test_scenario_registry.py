@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.workloads import (
     ScenarioSpec,
     default_scenario_registry,
 )
+
+GOLDEN_SCENARIOS = Path(__file__).resolve().parents[1] / "golden" / "scenarios.jsonl"
 
 
 class TestScenarioRegistry:
@@ -40,29 +43,16 @@ class TestScenarioRegistry:
         ):
             assert name in registry
 
-    # The full family catalog, pinned name-by-name so the registry-
-    # coverage lint pass (R001) can hold every family to a test.
-    CATALOG = (
-        "paper-batch",
-        "paper-batch-small",
-        "paper-adpar",
-        "paper-adpar-small",
-        "skewed-availability",
-        "heavy-tail",
-        "mixture-of-distributions",
-        "high-k-stress",
-        "steady-stream",
-        "flash-crowd",
-        "diurnal-stream",
-        "deferred-churn",
-        "recorded-trace",
-        "adversarial-arrivals",
-    )
-
     def test_catalog_is_exactly_the_pinned_families(self):
-        # A new family must be added here (and to a benchmark) to ship.
-        registry = default_scenario_registry()
-        assert sorted(registry.names()) == sorted(self.CATALOG)
+        # Each family is pinned by its byte-exact spec line in the golden
+        # masters, so a family ships with its golden line.
+        lines = GOLDEN_SCENARIOS.read_text(encoding="utf-8").splitlines()
+        pinned = [
+            line["case"]
+            for line in map(json.loads, lines)
+            if line["payload"].get("name") == line["case"]
+        ]
+        assert sorted(default_scenario_registry().names()) == sorted(pinned)
 
     def test_diurnal_stream_simulates(self):
         service = EngineService()
