@@ -2,12 +2,20 @@
 
 Not tied to a specific paper figure; these guard the constants behind the
 Figure 18 claims (vectorized workforce rows, R-tree bulk loading, the 2-D
-Pareto sweep inside ADPaR-Exact).
+Pareto sweep inside ADPaR-Exact) and Figure 14's workforce aggregation,
+whose pin is recorded to ``BENCH_workforce.json``.
 """
 
+import math
+import statistics
+import time
+from pathlib import Path
+
 import numpy as np
+from bench_recording import record
 
 from repro.core.params import TriParams
+from repro.core.request import DeploymentRequest
 from repro.core.workforce import WorkforceComputer
 from repro.engine import RecommendationEngine, default_registry
 from repro.geometry.point import Point3
@@ -23,6 +31,86 @@ def test_bench_workforce_row_100k(benchmark):
     params = TriParams(0.5, 0.8, 0.8)
     row = benchmark(computer.row, params)
     assert row.shape == (100_000,)
+
+
+WORKFORCE_RESULTS = Path(__file__).resolve().parent / "BENCH_workforce.json"
+AGGREGATE_FLOOR_X = 1.2
+AGGREGATE_ROUNDS = 9
+
+
+def _full_sort_aggregate(computer, requests):
+    """The rule ``aggregate_all`` replaced: rows, then a full stable sort.
+
+    Same (requirement, indices, eligible count) triples for the sum case
+    over the pool, computed by stable-argsorting every row of the block.
+    """
+    grid = computer.rows([r.params for r in requests])
+    order = np.argsort(grid, axis=1, kind="stable")
+    ranked = np.take_along_axis(grid, order, axis=1)
+    eligible = (ranked <= 1.0 + 1e-9).sum(axis=1).tolist()
+    out = []
+    for i, request in enumerate(requests):
+        k = request.k
+        if k > eligible[i]:
+            out.append((math.inf, (), eligible[i]))
+        else:
+            total = float(ranked[i, :k].sum())
+            out.append((total, tuple(order[i, :k].tolist()), eligible[i]))
+    return out
+
+
+def _aggregate_vs_full_sort(computer, requests):
+    """Median seconds of each rule over interleaved rounds, plus identity."""
+    new_s, sort_s = [], []
+    for _ in range(AGGREGATE_ROUNDS):
+        start = time.perf_counter()
+        needs = computer.aggregate_all(requests)
+        new_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        expected = _full_sort_aggregate(computer, requests)
+        sort_s.append(time.perf_counter() - start)
+    got = [(n.requirement, n.strategy_indices, n.eligible_count) for n in needs]
+    return statistics.median(new_s), statistics.median(sort_s), got == expected
+
+
+def test_bench_aggregate_all_10k(benchmark):
+    """Figure 14's shape: |S|=10,000 in strict mode, one 13-row block.
+
+    ``aggregate_all`` partitions each row to its k cheapest cells; the
+    full stable sort it replaced is timed beside it on the same inputs
+    (k = 10, fig14's default, and k = 1,000), and both must agree
+    exactly.  The pin is the smaller of the two speedups.
+    """
+    ensemble = generate_strategy_ensemble(10_000, "uniform", seed=19)
+    computer = WorkforceComputer(ensemble, mode="strict", aggregation="sum")
+    rows = computer.BLOCK_CELLS // len(ensemble)
+    base = generate_requests(rows, k=1, seed=20)
+
+    def measure():
+        return {
+            k: _aggregate_vs_full_sort(
+                computer,
+                [DeploymentRequest(r.request_id, r.params, k=k) for r in base],
+            )
+            for k in (10, 1_000)
+        }
+
+    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
+    info = {"n_strategies": len(ensemble), "block_rows": rows}
+    for k, (new_s, sort_s, _) in timings.items():
+        info[f"aggregate_all_k{k}_ms"] = round(new_s * 1e3, 2)
+        info[f"full_sort_k{k}_ms"] = round(sort_s * 1e3, 2)
+    speedup = min(sort_s / new_s for new_s, sort_s, _ in timings.values())
+    info["identical"] = all(same for _, _, same in timings.values())
+    info["speedup_x"] = round(speedup, 2)
+    info["speedup_floor_x"] = AGGREGATE_FLOOR_X
+    benchmark.extra_info.update(info)
+    record(WORKFORCE_RESULTS, "aggregate_all_10k", info)
+    assert info["identical"]
+    assert speedup >= AGGREGATE_FLOOR_X, (
+        f"aggregate_all should beat the full stable sort by >= "
+        f"{AGGREGATE_FLOOR_X}x at |S|=10,000, got {speedup:.2f}x"
+    )
 
 
 def test_bench_rtree_bulk_load_10k(benchmark):

@@ -10,8 +10,9 @@ surviving findings against ``analysis/baseline.json``:
 * **stale** baseline entries (the finding no longer fires) also fail,
   so the baseline can only shrink — it never rots.
 
-Exit codes: 0 clean, 1 new-or-stale findings, 2 analysis error (or a
-``--root`` that holds no ``src/repro``).
+Exit codes: 0 clean, 1 new-or-stale findings, 2 analysis error (or no
+tree to lint: a ``--root`` that holds no ``src/repro``, or none given
+and no ``src/repro`` at or above the cwd).
 ``--json`` emits the machine-readable report CI uploads as an artifact;
 ``--update-baseline`` rewrites the baseline for the current findings
 (preserving existing justifications) for deliberate, reviewed accepts.
@@ -38,14 +39,13 @@ from repro.analysis.diagnostics import (
 from repro.analysis.lockcheck import analyze_locks
 
 
-def find_repo_root() -> Path:
-    """The repo root: the nearest ancestor of the cwd holding ``src/repro``."""
+def find_repo_root() -> "Path | None":
+    """The nearest ancestor of the cwd holding ``src/repro``, if any."""
     here = Path.cwd()
     for candidate in (here, *here.resolve().parents):
         if (candidate / "src" / "repro").is_dir():
             return candidate
-    # Fall back to the tree this installed module lives in.
-    return Path(__file__).resolve().parents[3]
+    return None
 
 
 def collect_sources(root: Path) -> "dict[str, SourceFile]":
@@ -99,11 +99,11 @@ def default_baseline_path(root: Path) -> Path:
 
 
 def run_analysis(
-    root: "Path | None" = None,
+    root: Path,
     baseline_path: "Path | None" = None,
 ) -> AnalysisReport:
-    """Run the lock-discipline pass and diff against the baseline."""
-    root = find_repo_root() if root is None else Path(root)
+    """Run the lock-discipline pass over ``root`` and diff against the baseline."""
+    root = Path(root)
     sources = collect_sources(root)
     diagnostics, _graph = analyze_locks(sources)
     diagnostics = sort_diagnostics(apply_suppressions(diagnostics, sources))
@@ -160,6 +160,13 @@ def run_lint(args, out=sys.stdout) -> int:
     """One lint run from the parsed :func:`add_lint_args` flags."""
     if args.root is None:
         root = find_repo_root()
+        if root is None:
+            print(
+                "repro lint: error: no src/repro at or above the current "
+                "directory; pass --root",
+                file=sys.stderr,
+            )
+            return 2
     elif (args.root / "src" / "repro").is_dir():
         root = args.root
     else:

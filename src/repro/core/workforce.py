@@ -3,16 +3,18 @@
 Step 1 builds the matrix ``W[i][j]`` — the minimum workforce needed to
 deploy request ``i`` with strategy ``j`` — by inverting the linear models
 (Figure 3a).  Step 2 aggregates each row into a single requirement
-``~w_i``: the *sum-case* deploys all ``k`` recommended strategies (sum of
-the ``k`` smallest cells, Figure 3b); the *max-case* deploys only one of
-them (the ``k``-th smallest cell, Figure 3c).
+``~w_i`` over the row's ``k`` cheapest eligible strategies, ordered by
+(workforce, strategy index): the *sum-case* deploys all ``k`` of them
+(sum of the ``k`` smallest cells, Figure 3b); the *max-case* deploys only
+one (the ``k``-th smallest cell, Figure 3c).
 
-Everything here is vectorized over strategies so a single request row is
-one numpy pass even with millions of strategies.  The batch path
-(:meth:`WorkforceComputer.aggregate_all`) additionally vectorizes over
-*requests*: a block of requests is inverted against every strategy in one
-broadcasted ``(m, |S|)`` pass instead of a per-request Python loop, with
-block sizes capped so memory stays bounded on huge ensembles.
+:meth:`WorkforceComputer.aggregate_all` is the one implementation of
+step 2.  It inverts a block of requests against every strategy in one
+broadcasted ``(rows, |S|)`` pass, with blocks capped at
+:attr:`WorkforceComputer.BLOCK_CELLS` cells so memory stays bounded on
+huge ensembles, and :func:`_k_cheapest` selects each row's ``k`` cells
+with a partition instead of sorting the row.  The one-request
+:meth:`WorkforceComputer.aggregate` is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -180,8 +182,11 @@ class WorkforceComputer:
         return requirement
 
     def matrix(self, requests: "list[DeploymentRequest]") -> np.ndarray:
-        """The full ``m × |S|`` matrix (Figure 3a). Prefer :meth:`aggregate`
-        for large inputs — rows are recomputed on demand there instead."""
+        """The full ``m × |S|`` matrix (Figure 3a) in one allocation.
+
+        For requirements, use :meth:`aggregate_all`: it builds the grid
+        block by block, so memory stays bounded for any ``m``.
+        """
         return self.rows([req.params for req in requests])
 
     # -------------------------------------------------------------- aggregate
@@ -191,47 +196,17 @@ class WorkforceComputer:
         return float(self.availability)
 
     def aggregate(self, request: DeploymentRequest) -> RequestWorkforce:
-        """Per-request requirement ``~w_i`` plus the k strategies backing it."""
-        row = self.row(request.params)
-        bound = self._eligibility_bound()
-        eligible = np.flatnonzero(row <= bound + _EPS)
-        k = request.k
-        if eligible.size < k:
-            return RequestWorkforce(
-                request_id=request.request_id,
-                requirement=math.inf,
-                strategy_indices=(),
-                eligible_count=int(eligible.size),
-            )
-        values = row[eligible]
-        # The k cheapest by ascending (workforce, strategy index) — the
-        # stable rule `aggregate_all` applies.  argpartition alone may pick
-        # an arbitrary subset of strategies tied at the k-th value, so ties
-        # at that boundary are resolved toward the lowest indices.
-        kth = float(values[np.argpartition(values, k - 1)[:k]].max())
-        below = np.flatnonzero(values < kth)
-        at_boundary = np.flatnonzero(values == kth)[: k - below.size]
-        selected = np.concatenate([below, at_boundary])
-        chosen = eligible[selected[np.argsort(values[selected], kind="stable")]]
-        chosen_values = row[chosen]
-        if self.aggregation == "sum":
-            requirement = float(chosen_values.sum())
-        else:
-            requirement = float(chosen_values.max())
-        return RequestWorkforce(
-            request_id=request.request_id,
-            requirement=requirement,
-            strategy_indices=tuple(int(i) for i in chosen),
-            eligible_count=int(eligible.size),
-        )
+        """Per-request requirement ``~w_i`` plus the k strategies backing it.
+
+        One-request view of :meth:`aggregate_all`, so the selection rule
+        exists exactly once.
+        """
+        return self.aggregate_all([request])[0]
 
     #: Cell budget per vectorized block: keeps the ``(rows, |S|)``
     #: intermediates of :meth:`rows` around L2-cache size (~1 MB), which
     #: benchmarks faster than memory-bandwidth-bound multi-MB blocks.
     BLOCK_CELLS = 131_072
-    #: Below this many rows per block the per-row ``argsort`` tax outweighs
-    #: the batching win; fall back to the per-request path.
-    MIN_BLOCK_ROWS = 8
 
     def aggregate_all(
         self, requests: "list[DeploymentRequest]"
@@ -239,66 +214,66 @@ class WorkforceComputer:
         """Vector ``~W`` of §3.2 step 2, one entry per request.
 
         Requests are processed in blocks through the broadcasted
-        :meth:`rows` grid; per block, one stable argsort orders every row
-        by ``(workforce, strategy index)`` so the k cheapest eligible
-        strategies match :meth:`aggregate`'s choice exactly.
+        :meth:`rows` grid.  A request is feasible iff at least ``k`` of
+        its cells are eligible; its ``k`` cheapest strategies by
+        ``(workforce, strategy index)`` come from :func:`_k_cheapest`,
+        once per distinct ``k`` in the block.
         """
-        if not requests:
-            return []
         n = len(self.ensemble)
-        bound = self._eligibility_bound()
+        bound = self._eligibility_bound() + _EPS
         block = max(1, self.BLOCK_CELLS // max(n, 1))
-        if block < self.MIN_BLOCK_ROWS or len(requests) == 1:
-            # Giant ensembles (or single requests): the per-strategy
-            # vectorization in `aggregate` already dominates; its
-            # argpartition beats sorting million-entry rows.
-            return [self.aggregate(request) for request in requests]
         results: list[RequestWorkforce] = []
         for start in range(0, len(requests), block):
             chunk = requests[start : start + block]
             grid = self.rows([r.params for r in chunk])
-            order = np.argsort(grid, axis=1, kind="stable")
-            ranked = np.take_along_axis(grid, order, axis=1)
-            eligible_counts = (ranked <= bound + _EPS).sum(axis=1)
-            # Gather every per-request scalar in one vectorized pass —
-            # requirement (the k-prefix sum or the k-th value), eligible
-            # count, chosen indices — so the remaining loop is pure
-            # Python-object assembly with no per-row NumPy reductions.
-            # Rows are grouped by k so the sum-case reduction runs the
-            # same length-k pairwise ``.sum`` as :meth:`aggregate` (a
-            # cumsum would associate additions differently and drift in
-            # the last ulp).  The distinct ks come from a Python set:
-            # NumPy 2's ``np.unique`` imports ``numpy.ma`` on first use.
-            ks = np.fromiter((r.k for r in chunk), dtype=np.intp, count=len(chunk))
-            requirements = np.empty(len(chunk))
-            for k_val in sorted(set(ks.tolist())):
-                mask = ks == k_val
-                kk = min(k_val, n)
-                if self.aggregation == "sum":
-                    requirements[mask] = ranked[mask, :kk].sum(axis=1)
-                else:
-                    requirements[mask] = ranked[mask, kk - 1]
-            feasible = (ks <= eligible_counts).tolist()
-            requirement_list = requirements.tolist()
-            eligible_list = eligible_counts.tolist()
-            order_list = order.tolist()
+            eligible = (grid <= bound).sum(axis=1).tolist()
+            requirements = [math.inf] * len(chunk)
+            chosen: "list[tuple[int, ...]]" = [()] * len(chunk)
+            # Feasible rows grouped by k (a dict, not ``np.unique``: NumPy
+            # 2's ``np.unique`` imports ``numpy.ma`` on first use).
+            by_k: "dict[int, list[int]]" = {}
             for i, request in enumerate(chunk):
-                if not feasible[i]:
-                    results.append(
-                        RequestWorkforce(
-                            request_id=request.request_id,
-                            requirement=math.inf,
-                            strategy_indices=(),
-                            eligible_count=eligible_list[i],
-                        )
-                    )
-                    continue
-                results.append(
-                    RequestWorkforce(
-                        request_id=request.request_id,
-                        requirement=requirement_list[i],
-                        strategy_indices=tuple(order_list[i][: request.k]),
-                        eligible_count=eligible_list[i],
-                    )
+                if request.k <= eligible[i]:
+                    by_k.setdefault(request.k, []).append(i)
+            for k, at in by_k.items():
+                columns, values = _k_cheapest(grid[at], k)
+                if self.aggregation == "sum":
+                    # One length-k pairwise sum per row, in (workforce,
+                    # index) order: a cumsum would associate differently.
+                    totals = values.sum(axis=1).tolist()
+                else:
+                    totals = values[:, -1].tolist()
+                for i, total, indices in zip(at, totals, columns.tolist()):
+                    requirements[i] = total
+                    chosen[i] = tuple(indices)
+            results.extend(
+                RequestWorkforce(
+                    request_id=request.request_id,
+                    requirement=requirements[i],
+                    strategy_indices=chosen[i],
+                    eligible_count=eligible[i],
                 )
+                for i, request in enumerate(chunk)
+            )
         return results
+
+
+def _k_cheapest(grid: np.ndarray, k: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Each row's ``k`` smallest cells, ordered by (value, column index).
+
+    Returns ``(columns, values)``, both of shape ``(rows, k)``: the first
+    ``k`` entries of a stable ``argsort`` of each row and their values,
+    without sorting the row.  A partition finds each row's ``k``-th
+    value; every cell below it is kept, plus the lowest-index cells tied
+    at it, and only those ``k`` are sorted.  Requires ``1 <= k <= |row|``.
+    """
+    kth = np.partition(grid, k - 1, axis=1)[:, k - 1 : k]
+    below = grid < kth
+    ties = grid == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    keep = below | (ties & (ties.cumsum(axis=1) <= room))
+    columns = keep.nonzero()[1].reshape(-1, k)
+    values = grid[keep].reshape(-1, k)
+    order = values.argsort(axis=1, kind="stable")
+    rows = np.arange(len(grid))[:, None]
+    return columns[rows, order], values[rows, order]

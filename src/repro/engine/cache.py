@@ -170,25 +170,13 @@ class EngineCache:
             self.stats.adpar_misses += misses
 
     # ------------------------------------------------------------- workforce
-    def lookup_workforce(self, key: _WorkforceKey) -> "RequestWorkforce | None":
-        hit = self._workforce.get(key)
-        if hit is None:
-            self._count_workforce(0, 1)
-        else:
-            self._count_workforce(1, 0)
-        return hit
-
-    def store_workforce(self, key: _WorkforceKey, need: RequestWorkforce) -> None:
-        self._workforce.put(key, need)
-
     def lookup_workforce_many(
         self, keys: list
     ) -> "list[RequestWorkforce | None]":
-        """Bulk :meth:`lookup_workforce`: one stats update for the batch.
+        """Cached aggregates for ``keys`` (``None`` on a miss).
 
-        The streaming burst path probes thousands of keys per call;
-        per-key method dispatch and counter increments are measurable
-        there, so hits/misses are tallied once.
+        Every aggregation, one request or a burst, probes through here;
+        hits and misses are tallied under one stats update per call.
         """
         get = self._workforce.get
         results = [get(key) for key in keys]
@@ -199,7 +187,7 @@ class EngineCache:
     def store_workforce_many(
         self, pairs: "list[tuple[_WorkforceKey, RequestWorkforce]]"
     ) -> None:
-        """Bulk :meth:`store_workforce` for a freshly computed block."""
+        """Store freshly computed aggregates under their keys."""
         for key, need in pairs:
             self._workforce.put(key, need)
 
@@ -395,7 +383,10 @@ class CachingWorkforceComputer(WorkforceComputer):
 
     Decision-for-decision identical to the plain computer: cache entries
     *are* the plain computer's outputs, re-labelled with the caller's
-    request id on the way out.
+    request id on the way out.  :meth:`aggregate_all` is the one cached
+    door; the inherited one-request ``aggregate`` is a one-row call of
+    it.  ``perfbench/tracing.py`` patches this method by name as its
+    ``engine.aggregate`` layer.
     """
 
     def __init__(
@@ -439,22 +430,14 @@ class CachingWorkforceComputer(WorkforceComputer):
             return need
         return replace(need, request_id=request.request_id)
 
-    def aggregate(self, request: DeploymentRequest) -> RequestWorkforce:
-        key = self._key(request)
-        hit = self.cache.lookup_workforce(key)
-        if hit is not None:
-            return self._relabel(hit, request)
-        need = super().aggregate(request)
-        self.cache.store_workforce(key, need)
-        return need
-
     def aggregate_all(
         self, requests: "list[DeploymentRequest]"
     ) -> list[RequestWorkforce]:
-        # Keys are built exactly once per request and probed through the
-        # bulk cache API; only the misses reach the broadcasted NumPy
-        # pass.  This is the streaming burst hot path (EngineSession
-        # .submit_many), so per-request Python overhead is kept minimal.
+        # Keys are built exactly once per request and probed in one call;
+        # only the misses reach the broadcasted NumPy pass.  Both
+        # EngineSession.submit (one row) and the burst path submit_many
+        # come through here, so per-request Python overhead is kept
+        # minimal.
         keys = [self._key(request) for request in requests]
         results = self.cache.lookup_workforce_many(keys)
         missing: list[DeploymentRequest] = []

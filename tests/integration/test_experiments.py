@@ -87,9 +87,44 @@ class TestFig13:
 
 
 class TestFig14:
+    #: ``run_fig14(repetitions=4, seed=17, quick=True).data``, recorded
+    #: exactly: the figures are deterministic, so a change to workforce
+    #: selection, planning or seeding that moves any rate fails here.
+    QUICK_DATA = {
+        "k": {
+            "x": [10, 100, 1000],
+            "Uniform": [0.27499999999999997, 0.175, 0.0],
+            "Normal": [0.27499999999999997, 0.175, 0.0],
+        },
+        "m": {
+            "x": [10, 100, 1000],
+            "Uniform": [0.35, 0.365, 0.30425],
+            "Normal": [0.3, 0.29000000000000004, 0.25175000000000003],
+        },
+        "n_strategies": {
+            "x": [10, 100, 1000, 10000],
+            "Uniform": [0.0, 0.05, 0.2, 0.475],
+            "Normal": [0.0, 0.0, 0.15, 0.4],
+        },
+        "availability": {
+            "x": [0.5, 0.6, 0.7, 0.8, 0.9],
+            "Uniform": [
+                0.4, 0.32499999999999996, 0.35000000000000003,
+                0.42500000000000004, 0.35,
+            ],
+            "Normal": [
+                0.375, 0.32499999999999996, 0.3, 0.42500000000000004,
+                0.30000000000000004,
+            ],
+        },
+    }
+
     @pytest.fixture(scope="class")
     def result(self):
         return run_fig14(repetitions=4, seed=17, quick=True)
+
+    def test_quick_data_is_exactly_the_recorded_values(self, result):
+        assert result.data == self.QUICK_DATA
 
     def test_satisfaction_decreases_with_k(self, result):
         for series in ("Uniform", "Normal"):

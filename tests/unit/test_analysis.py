@@ -192,6 +192,17 @@ class TestLintRoot:
             assert out.getvalue() == ""
             assert "repro lint: error:" in capsys.readouterr().err
 
+    def test_no_checkout_above_the_cwd_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Without --root, a cwd outside any checkout must not fall back to
+        # the tree the module was imported from and report it clean.
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        assert cli_main(["lint"], out) == 2
+        assert out.getvalue() == ""
+        assert "--root" in capsys.readouterr().err
+
 
 class TestLockOrderAsserter:
     def _pair(self):

@@ -46,29 +46,6 @@ def _run_threads(worker, n_threads=N_THREADS):
     return errors
 
 
-def test_scalar_lookup_accounting_exact_under_threads():
-    capacity = 32
-    cache = EngineCache(max_workforce_entries=capacity)
-    keys = [("wf", i) for i in range(capacity * 3)]  # force eviction churn
-    probes = 400
-    wrong = []
-
-    def worker(rng):
-        for _ in range(probes):
-            key = keys[rng.randrange(len(keys))]
-            hit = cache.lookup_workforce(key)
-            if hit is None:
-                cache.store_workforce(key, ("value",) + key)
-            elif hit != ("value",) + key:
-                wrong.append((key, hit))
-
-    _run_threads(worker)
-    assert not wrong, wrong
-    stats = cache.stats
-    assert stats.workforce_hits + stats.workforce_misses == N_THREADS * probes
-    assert len(cache._workforce) <= capacity
-
-
 def test_bulk_lookup_accounting_exact_under_threads():
     capacity = 16
     cache = EngineCache(max_workforce_entries=capacity)

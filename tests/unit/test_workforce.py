@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble, StrategyProfile, paper_catalog
-from repro.core.workforce import WorkforceComputer, threshold_workforce
+from repro.core.workforce import (
+    AGGREGATIONS,
+    WORKFORCE_MODES,
+    WorkforceComputer,
+    threshold_workforce,
+)
 from repro.modeling.linear import LinearModel
 from repro.modeling.modelbank import ParamModels
+from repro.workloads.generators import generate_requests, generate_strategy_ensemble
 
 
 def modeled_ensemble() -> StrategyEnsemble:
@@ -198,3 +206,163 @@ class TestMatrix:
 def test_invalid_options_rejected(table1_ensemble, kwargs):
     with pytest.raises(ValueError):
         WorkforceComputer(table1_ensemble, **kwargs)
+
+
+# --------------------------------------------------------------------------
+# The one selection rule against a full stable sort.
+#
+# `aggregate_all` partitions each row instead of sorting it; the oracle
+# below is the rule it replaces: stable-argsort the row, take the first k
+# (ties at the k-th value go to the lowest indices), and sum them as one
+# length-k array (NumPy's pairwise sum re-associates past 128 terms, so a
+# different grouping would show in the last bits).
+
+
+def stable_argsort_oracle(row, k, aggregation, bound):
+    """(requirement, strategy indices, eligible count) by full stable sort."""
+    eligible = int(np.count_nonzero(row <= bound + 1e-9))
+    if k > eligible:
+        return math.inf, (), eligible
+    order = np.argsort(row, kind="stable")[:k]
+    values = row[order]
+    requirement = float(values.sum() if aggregation == "sum" else values[-1])
+    return requirement, tuple(order.tolist()), eligible
+
+
+def bitwise(needs):
+    return [
+        (n.request_id, n.requirement.hex(), n.strategy_indices, n.eligible_count)
+        for n in needs
+    ]
+
+
+def oracle_needs(grid, requests, aggregation, bound):
+    return [
+        (request.request_id, requirement.hex(), indices, eligible)
+        for request, row in zip(requests, grid)
+        for requirement, indices, eligible in [
+            stable_argsort_oracle(row, request.k, aggregation, bound)
+        ]
+    ]
+
+
+def k_values(n):
+    """k = 1, small, >= 8, > 128 (where they fit), k = |S| and k > |S|."""
+    return sorted({k for k in (1, 2, 3, 8, 9, 129, 200, n) if k <= n} | {n + 1})
+
+
+class DrawnGridComputer(WorkforceComputer):
+    """A computer whose grid is given, so cells can be tie- and inf-heavy."""
+
+    def __init__(self, grid, **kwargs):
+        super().__init__(
+            generate_strategy_ensemble(grid.shape[1], seed=0), **kwargs
+        )
+        self.grid = grid
+
+    def rows(self, params_list):
+        # Each request's quality encodes its row (see `drawn_requests`).
+        return self.grid[[round(p.quality * 1000) - 1 for p in params_list]]
+
+
+def drawn_requests(ks):
+    return [
+        DeploymentRequest(f"r{i}", TriParams((i + 1) / 1000, 0.5, 0.5), k=k)
+        for i, k in enumerate(ks)
+    ]
+
+
+#: Tie pool: exact repeats, both zeros, values that round when summed, the
+#: pool bound itself and cells past it.
+TIE_POOL = np.array([0.0, -0.0, 0.1, 1 / 3, 0.7, 1.0, 1.0 + 1e-10, 1.5, math.inf])
+
+
+@st.composite
+def drawn_grids(draw):
+    n = draw(st.sampled_from([1, 2, 3, 8, 9, 40, 129, 200, 300]))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.uniform(0.0, 1.3, size=(m, n))
+    tie_share = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    inf_share = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    ties = rng.random((m, n)) < tie_share
+    grid[ties] = rng.choice(TIE_POOL, size=int(ties.sum()))
+    grid[rng.random((m, n)) < inf_share] = math.inf
+    ks = draw(st.lists(st.sampled_from(k_values(n)), min_size=m, max_size=m))
+    return grid, ks
+
+
+#: Rows where every k > 128 is feasible: sums long enough to re-associate.
+LONG_ROWS = np.random.default_rng(7).uniform(0.0, 1.0, size=(3, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    drawn=(LONG_ROWS, [129, 200, 300]),
+    aggregation="sum",
+    availability=None,
+    rows_per_block=2,
+)
+@given(
+    drawn=drawn_grids(),
+    aggregation=st.sampled_from(AGGREGATIONS),
+    availability=st.sampled_from([None, 0.3, 0.7, 1.0]),
+    rows_per_block=st.integers(1, 5),
+)
+def test_aggregate_all_matches_stable_argsort_on_drawn_grids(
+    drawn, aggregation, availability, rows_per_block
+):
+    grid, ks = drawn
+    eligibility = "pool" if availability is None else "availability"
+    computer = DrawnGridComputer(
+        grid,
+        aggregation=aggregation,
+        eligibility=eligibility,
+        availability=availability,
+    )
+    # Blocks of a few rows, so one batch spans several of them.
+    computer.BLOCK_CELLS = grid.shape[1] * rows_per_block
+    requests = drawn_requests(ks)
+    bound = 1.0 if availability is None else availability
+    expected = oracle_needs(grid, requests, aggregation, bound)
+    assert bitwise(computer.aggregate_all(requests)) == expected
+    assert bitwise([computer.aggregate(r) for r in requests]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 3, 10, 60, 150, 400]),
+    m=st.integers(1, 16),
+    distribution=st.sampled_from(["uniform", "normal"]),
+    low=st.sampled_from([0.1, 0.4, 0.625]),
+    mode=st.sampled_from(WORKFORCE_MODES),
+    aggregation=st.sampled_from(AGGREGATIONS),
+    availability=st.sampled_from([None, 0.4, 0.9]),
+    rows_per_block=st.integers(1, 6),
+    data=st.data(),
+)
+def test_aggregate_all_matches_stable_argsort_on_generated_workloads(
+    seed, n, m, distribution, low, mode, aggregation, availability,
+    rows_per_block, data,
+):
+    ensemble = generate_strategy_ensemble(n, distribution, seed=seed)
+    ks = data.draw(st.lists(st.sampled_from(k_values(n)), min_size=m, max_size=m))
+    requests = [
+        DeploymentRequest(r.request_id, r.params, k=k)
+        for r, k in zip(generate_requests(m, seed=seed + 1, low=low), ks)
+    ]
+    eligibility = "pool" if availability is None else "availability"
+    computer = WorkforceComputer(
+        ensemble,
+        mode=mode,
+        aggregation=aggregation,
+        eligibility=eligibility,
+        availability=availability,
+    )
+    computer.BLOCK_CELLS = n * rows_per_block
+    grid = computer.rows([r.params for r in requests])
+    bound = 1.0 if availability is None else availability
+    expected = oracle_needs(grid, requests, aggregation, bound)
+    assert bitwise(computer.aggregate_all(requests)) == expected
+    assert bitwise([computer.aggregate(r) for r in requests]) == expected
