@@ -14,9 +14,12 @@ tracked across commits:
 * ``test_bench_memoized_resubmit`` replays previously seen request
   shapes through a warm session and pins the memoized path at >= 10x
   over cold per-request aggregation — heavy traffic repeats request
-  shapes, so resubmission must skip model inversion entirely.
+  shapes, so resubmission must skip model inversion entirely.  Cold and
+  warm passes alternate over several rounds and the pin reads the median
+  per-round ratio, so one slow phase of the host cannot decide it.
 """
 
+import statistics
 import time
 from pathlib import Path
 
@@ -35,6 +38,7 @@ AGGREGATION = "max"
 
 SUBMIT_MANY_FLOOR = 5.0
 MEMOIZED_FLOOR = 10.0
+MEMOIZED_ROUNDS = 7
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_streaming.json"
 
@@ -100,43 +104,51 @@ def test_bench_submit_many_speedup(benchmark):
     )
 
 
-def _cold_vs_memoized() -> tuple[float, float]:
+def _cold_vs_memoized() -> "list[tuple[float, float]]":
+    """``(cold_s, warm_s)`` per round, the two passes interleaved."""
     ensemble, shapes = _workload(seed=43)
-
-    # Cold aggregation: the plain computer, one model inversion per shape.
-    plain = WorkforceComputer(ensemble, aggregation=AGGREGATION)
-    start = time.perf_counter()
-    for request in shapes:
-        plain.aggregate(request)
-    cold_s = time.perf_counter() - start
-
     # Memoized resubmission: same shapes (fresh request objects) through a
     # session whose engine cache has seen them once.
     engine = RecommendationEngine(ensemble, AVAILABILITY, aggregation=AGGREGATION)
     engine.open_session().submit_many(shapes)
     resubmitted = [request.with_params(request.params) for request in shapes]
-    session = engine.open_session()
-    start = time.perf_counter()
-    for request in resubmitted:
-        session.submit(request)
-    warm_s = time.perf_counter() - start
-    return cold_s, warm_s
+    rounds = []
+    for _ in range(MEMOIZED_ROUNDS):
+        # Cold aggregation: a fresh plain computer, one model inversion
+        # per shape.
+        plain = WorkforceComputer(ensemble, aggregation=AGGREGATION)
+        start = time.perf_counter()
+        for request in shapes:
+            plain.aggregate(request)
+        cold_s = time.perf_counter() - start
+
+        session = engine.open_session()
+        start = time.perf_counter()
+        for request in resubmitted:
+            session.submit(request)
+        warm_s = time.perf_counter() - start
+        rounds.append((cold_s, warm_s))
+    return rounds
 
 
 def test_bench_memoized_resubmit(benchmark):
-    cold_s, warm_s = benchmark.pedantic(_cold_vs_memoized, rounds=1, iterations=1)
-    speedup = cold_s / max(warm_s, 1e-9)
+    rounds = benchmark.pedantic(_cold_vs_memoized, rounds=1, iterations=1)
+    ratios = [cold_s / max(warm_s, 1e-9) for cold_s, warm_s in rounds]
+    speedup = statistics.median(ratios)
     info = {
         "n_strategies": N_STRATEGIES,
         "n_arrivals": N_ARRIVALS,
-        "cold_aggregate_s": round(cold_s, 4),
-        "memoized_submit_s": round(warm_s, 4),
+        "rounds": MEMOIZED_ROUNDS,
+        "cold_aggregate_s": [round(cold_s, 4) for cold_s, _ in rounds],
+        "memoized_submit_s": [round(warm_s, 4) for _, warm_s in rounds],
+        "round_speedups": [round(ratio, 1) for ratio in ratios],
         "speedup": round(speedup, 1),
         "floor": MEMOIZED_FLOOR,
     }
     benchmark.extra_info.update(info)
     record(RESULTS_PATH, "memoized_resubmit", info)
     assert speedup >= MEMOIZED_FLOOR, (
-        f"memoized resubmission ({warm_s:.3f}s) should beat cold "
-        f"aggregation ({cold_s:.3f}s) by >= {MEMOIZED_FLOOR}x, got {speedup:.1f}x"
+        f"memoized resubmission should beat cold aggregation by >= "
+        f"{MEMOIZED_FLOOR}x in the median of {MEMOIZED_ROUNDS} rounds, got "
+        f"{speedup:.1f}x (per round: {info['round_speedups']})"
     )

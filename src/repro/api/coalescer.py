@@ -1,36 +1,38 @@
-"""Cross-client request coalescing for the stateless serve hot path.
+"""Cross-client request coalescing for stateless ``resolve``/``alternatives``.
 
-PR 3 taught the *session* to micro-batch one client's arrival burst into
-two vectorized passes.  This module lifts the same trick across clients:
-when several HTTP handler threads land stateless ``resolve`` /
-``alternatives`` calls on the same engine identity at (nearly) the same
-time, :class:`RequestCoalescer` merges them into **one** vectorized
-engine pass — one planner walk per call (planning is batch-dependent,
-so it must stay per call) but a single merged batch-ADPaR solve, which
-is where the relaxation geometry cost lives.
+A session micro-batches one client's arrival burst into two vectorized
+passes.  This module applies the same trick across clients: every
+stateless ``resolve`` / ``alternatives`` call an
+:class:`~repro.api.service.EngineService` answers goes through its
+:class:`RequestCoalescer`, which merges the calls waiting on one engine
+identity into **one** vectorized engine pass — one planner walk per call
+(planning is batch-dependent, so it must stay per call) but a single
+merged batch-ADPaR solve, which is where the relaxation geometry cost
+lives.
 
 Grouping is by (engine identity, call knobs): a ``resolve`` only ever
 merges with ``resolve`` calls carrying the same (ensemble fingerprint,
 :meth:`~repro.api.wire.EngineSpec.pool_key`, objective, planner,
 solver), and ``alternatives`` likewise with matching (k, solver) — so a
 coalesced execution is decision-identical to running every call alone
-(pinned by the equivalence tests).  Stateful traffic (``submit_batch``,
-session ops) is never coalesced: admission order *is* its semantics.
+(pinned by the equivalence tests).  The per-call rules checked before
+merging (unique request ids, every ``alternatives`` request admitted)
+are the engine's own checks, so a merged call fails exactly as it would
+alone.  Stateful traffic (``submit_batch``, session ops) is never
+coalesced: admission order *is* its semantics.
 
 Scheduling is leader/follower with baton passing: the first waiting
-call of an idle group becomes the leader, optionally sleeps the
-coalescing ``window_s`` (default 0 — pure in-flight coalescing: calls
-arriving while a batch executes pile onto the next one), takes up to
-``max_batch`` waiting calls, executes them outside the lock, fans
-results (or per-call errors) back, and hands the baton to the next
-waiter.  No daemon thread, no idle cost: the coalescer only runs on
-callers' threads.
+call of an idle group becomes the leader, takes up to :data:`MAX_BATCH`
+waiting calls — itself plus whatever piled up while the group's
+previous flush ran, so a lone call never waits — executes them outside
+the lock, fans results (or per-call errors) back, and hands the baton
+to the next waiter.  No daemon thread, no idle cost: the coalescer only
+runs on callers' threads.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.api.envelopes import (
     AlternativesRequest,
@@ -38,7 +40,12 @@ from repro.api.envelopes import (
     ResolveRequest,
     ResolveResponse,
 )
+from repro.engine.engine import check_unique_ids
 from repro.exceptions import InfeasibleRequestError
+
+#: Most calls one flush takes; the rest roll into the next flush
+#: (backpressure against unbounded merged solves).
+MAX_BATCH = 128
 
 
 class _Call:
@@ -65,23 +72,9 @@ class _Group:
 
 
 class RequestCoalescer:
-    """Merge concurrent stateless calls into vectorized engine passes.
+    """Merge concurrent stateless calls into vectorized engine passes."""
 
-    Parameters
-    ----------
-    window_s:
-        How long a leader waits for company before flushing.  ``0.0``
-        (the default) coalesces only calls that arrive while another
-        batch is already in flight — zero added latency on an idle
-        server, automatic batching exactly when there is contention.
-    max_batch:
-        Most calls one flush may take; the rest roll into the next
-        flush (backpressure against unbounded merged solves).
-    """
-
-    def __init__(self, window_s: float = 0.0, max_batch: int = 128):
-        self.window_s = max(0.0, float(window_s))
-        self.max_batch = max(1, int(max_batch))
+    def __init__(self):
         self._cond = threading.Condition()
         self._groups: dict = {}
         self._calls = 0
@@ -92,10 +85,10 @@ class RequestCoalescer:
     def submit(self, service, request):
         """Run one envelope through the coalescer; blocks for the result.
 
-        Raises exactly what the direct path would raise for this call
-        (typed ``ApiError``s from identity resolution, per-call
-        infeasibility, validation errors); other calls in the same
-        flush are unaffected.
+        Raises exactly what the call would raise on its own (typed
+        ``ApiError``s from identity resolution, per-call infeasibility,
+        validation errors); other calls in the same flush are
+        unaffected.
         """
         kind, extras, engine = self._route(service, request)
         key = (kind, id(engine)) + extras
@@ -110,18 +103,15 @@ class RequestCoalescer:
             while not call.done:
                 if not group.flushing and group.calls and group.calls[0] is call:
                     group.flushing = True  # take the baton: lead a flush
+                    batch = group.calls[:MAX_BATCH]
+                    del group.calls[:MAX_BATCH]
+                    self._batches += 1
+                    if len(batch) > 1:
+                        self._coalesced += len(batch)
                     break
                 self._cond.wait()
         if call.done:
             return self._finish(call)
-        if self.window_s > 0.0:
-            time.sleep(self.window_s)  # outside the lock: let company join
-        with self._cond:
-            batch = group.calls[: self.max_batch]
-            del group.calls[: self.max_batch]
-            self._batches += 1
-            if len(batch) > 1:
-                self._coalesced += len(batch)
         try:
             self._execute(kind, engine, batch)
         except Exception as exc:  # noqa: BLE001 — fan the failure out
@@ -152,8 +142,6 @@ class RequestCoalescer:
                 "batches": self._batches,
                 "coalesced": self._coalesced,
                 "in_flight_groups": len(self._groups),
-                "window_s": self.window_s,
-                "max_batch": self.max_batch,
             }
 
     # -------------------------------------------------------------- internals
@@ -193,12 +181,10 @@ class RequestCoalescer:
         template = batch[0].request  # knobs are group-uniform by key
         good = []
         for call in batch:
-            ids = [r.request_id for r in call.request.requests]
-            if len(set(ids)) != len(ids):
-                # The exact error the direct engine path raises.
-                call.error = ValueError(
-                    "request ids within a batch must be unique"
-                )
+            try:
+                check_unique_ids(call.request.requests)
+            except ValueError as exc:
+                call.error = exc
                 continue
             good.append(call)
         reports = engine.resolve_many(
@@ -230,13 +216,9 @@ class RequestCoalescer:
         )
         for call, prepared in good:
             results = [next(solved) for _ in prepared]
-            for request, result in zip(prepared, results):
-                if result is None:
-                    # Mirror recommend_alternatives' first-failure error.
-                    call.error = InfeasibleRequestError(
-                        f"cannot admit k={request.k} strategies: "
-                        f"only {len(engine.ensemble)} exist"
-                    )
-                    break
-            else:
-                call.result = AlternativesResponse(results=tuple(results))
+            try:
+                engine._check_admitted(prepared, results)
+            except InfeasibleRequestError as exc:
+                call.error = exc
+                continue
+            call.result = AlternativesResponse(results=tuple(results))

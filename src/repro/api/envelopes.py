@@ -387,15 +387,15 @@ class StatsResponse(
     counts materialized scenario specs held by the content-hash workload
     cache.  ``hit_rate`` is *derived* from the cache counters (emitted on
     the wire for convenience, never decoded back — it cannot drift from
-    the counters it summarizes).  ``coalescer`` is the request
-    coalescer's occupancy snapshot when one is attached (``repro serve``
-    default) — ``calls``/``batches``/``coalesced`` counters plus the
-    in-flight group count; ``None`` when coalescing is off.  The limit
-    fields, ``occupancy`` and ``coalescer`` decode with empty defaults
-    so pre-extension payloads still parse.
+    the counters it summarizes).  ``coalescer`` is the service's request
+    coalescer occupancy snapshot — ``calls``/``batches``/``coalesced``
+    counters plus the in-flight group count.  The limit fields,
+    ``occupancy`` and ``coalescer`` decode with empty defaults so
+    pre-extension payloads still parse.
 
     A cluster router answers ``stats`` with the *sum* over its worker
-    shards and two extra fields a single process never emits:
+    shards (the ``coalescer`` and ``journal`` blocks element-wise) and
+    two extra fields a single process never emits:
     ``shards`` (each worker's own stats dict plus slot/pid/address) and
     ``router`` (forwarded/affinity-hit/replication/restart counters).
     Both are ``None`` — and absent from the wire — outside a cluster.

@@ -17,7 +17,7 @@ client error → 400).  Tracebacks never cross the wire.
 The service is internally thread-safe (sharded engine/ensemble pools,
 per-session locks, locked cache sections; see :mod:`repro.api.service`),
 and concurrent stateless ``resolve``/``alternatives`` calls are merged
-by an attached :class:`~repro.api.coalescer.RequestCoalescer` into one
+by the service's :class:`~repro.api.coalescer.RequestCoalescer` into one
 vectorized pass per engine identity.  The server is a bounded-pool
 variant of :class:`ThreadingHTTPServer` (``threads`` workers; excess
 connections queue in the listen backlog), and the handler disables
@@ -41,7 +41,6 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.api.coalescer import RequestCoalescer
 from repro.api.envelopes import ErrorResponse
 from repro.api.service import EngineService
 from repro.api.wire import API_VERSION
@@ -242,19 +241,15 @@ def make_server(
     port: int = 0,
     verbose: bool = False,
     threads: int = DEFAULT_THREADS,
-    coalesce: bool = True,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server fronting one service.
 
     ``port=0`` binds an ephemeral port — read it back from
     ``server.server_address`` (tests and the bench harness do).
-    ``threads`` bounds the handler pool; ``coalesce`` attaches a
-    :class:`RequestCoalescer` to the service unless it already has one.
+    ``threads`` bounds the handler pool.
     """
     server = _PooledHTTPServer((host, port), ApiRequestHandler, threads)
     server.service = service if service is not None else EngineService()
-    if coalesce and server.service.coalescer is None:
-        server.service.attach_coalescer(RequestCoalescer())
     server.verbose = verbose
     return server
 
@@ -266,7 +261,6 @@ def serve(
     verbose: bool = False,
     ready=None,
     threads: int = DEFAULT_THREADS,
-    coalesce: bool = True,
 ) -> None:
     """Run the blocking serve loop (the ``repro serve`` subcommand).
 
@@ -280,7 +274,6 @@ def serve(
         port=port,
         verbose=verbose,
         threads=threads,
-        coalesce=coalesce,
     )
     try:
         if ready is not None:

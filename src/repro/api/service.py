@@ -41,9 +41,8 @@ is a pure function of (ensemble fingerprint, spec pool key), so the
 worst a check-then-act race costs is one duplicate construction — both
 instances share the service cache and answer identically, and the pool
 keeps whichever landed last.  Stateless ``resolve``/``alternatives``
-calls can additionally be routed through an attached
-:class:`~repro.api.coalescer.RequestCoalescer`
-(:meth:`~EngineService.attach_coalescer`), which merges concurrent
+calls all go through the service's
+:class:`~repro.api.coalescer.RequestCoalescer`, which merges concurrent
 calls on the same engine identity into one vectorized pass.
 """
 
@@ -56,6 +55,7 @@ import secrets
 import threading
 from dataclasses import dataclass, replace
 
+from repro.api.coalescer import RequestCoalescer
 from repro.api.codec import encode
 from repro.api.envelopes import (
     AlternativesRequest,
@@ -207,24 +207,12 @@ class EngineService:
         )
         self._workloads = LRU(self._max_workloads)
         self._session_seq = itertools.count(1)
-        self._coalescer = None
+        #: Every stateless resolve/alternatives call submits through it.
+        self.coalescer = RequestCoalescer()
         self._journal = None
         self._checkpoint_lock = maybe_guarded(
             threading.Lock(), "EngineService._checkpoint_lock"
         )
-
-    # ------------------------------------------------------------- coalescer
-    def attach_coalescer(self, coalescer):
-        """Route stateless ``resolve``/``alternatives`` calls through
-        ``coalescer`` (a :class:`~repro.api.coalescer.RequestCoalescer`);
-        pass ``None`` to detach.  Returns the coalescer for chaining."""
-        self._coalescer = coalescer
-        return coalescer
-
-    @property
-    def coalescer(self):
-        """The attached request coalescer, or ``None``."""
-        return self._coalescer
 
     # --------------------------------------------------------------- journal
     def attach_journal(self, journal):
@@ -538,39 +526,10 @@ class EngineService:
         )
 
     def resolve(self, request: ResolveRequest) -> ResolveResponse:
-        if self._coalescer is not None:
-            return self._coalescer.submit(self, request)
-        return self.resolve_direct(request)
-
-    def resolve_direct(self, request: ResolveRequest) -> ResolveResponse:
-        """:meth:`resolve` bypassing any attached coalescer."""
-        engine = self.engine_for(request.ensemble, request.spec)
-        return ResolveResponse(
-            report=engine.resolve(
-                list(request.requests),
-                objective=request.objective,
-                planner=request.planner,
-                solver=request.solver,
-            )
-        )
+        return self.coalescer.submit(self, request)
 
     def alternatives(self, request: AlternativesRequest) -> AlternativesResponse:
-        if self._coalescer is not None:
-            return self._coalescer.submit(self, request)
-        return self.alternatives_direct(request)
-
-    def alternatives_direct(
-        self, request: AlternativesRequest
-    ) -> AlternativesResponse:
-        """:meth:`alternatives` bypassing any attached coalescer."""
-        engine = self.engine_for(request.ensemble, request.spec)
-        return AlternativesResponse(
-            results=tuple(
-                engine.recommend_alternatives(
-                    list(request.requests), k=request.k, solver=request.solver
-                )
-            )
-        )
+        return self.coalescer.submit(self, request)
 
     def submit_batch(self, request: SubmitBatchRequest) -> SubmitBatchResponse:
         # The error envelope cannot report partial admissions, so the
@@ -813,7 +772,6 @@ class EngineService:
         return SimulateResponse(report=report)
 
     def stats(self, request: "StatsRequest | None" = None) -> StatsResponse:
-        coalescer = self._coalescer
         journal = self._journal
         return StatsResponse(
             cache=self.cache.stats,
@@ -825,7 +783,7 @@ class EngineService:
             max_sessions=self._max_sessions,
             max_ensembles=self._max_ensembles,
             occupancy=self.cache.occupancy(),
-            coalescer=None if coalescer is None else coalescer.occupancy(),
+            coalescer=self.coalescer.occupancy(),
             journal=None if journal is None else journal.occupancy(),
         )
 

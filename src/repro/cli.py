@@ -270,15 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual nodes per worker on the hash ring (default: 64)",
     )
     serve.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help=(
-            "disable cross-client request coalescing (on by default: "
-            "concurrent stateless resolve/alternatives calls on the same "
-            "engine identity merge into one vectorized pass)"
-        ),
-    )
-    serve.add_argument(
         "--journal",
         default=None,
         metavar="DIR",
@@ -447,9 +438,17 @@ def run_serve(args, out) -> int:
     except ValueError as exc:
         print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
-    if args.workers < 0:
-        print("repro serve: error: --workers must be >= 0", file=sys.stderr)
-        return 2
+    for flag, value, least in (
+        ("--workers", args.workers, 0),
+        ("--threads", args.threads, 1),
+        ("--vnodes", args.vnodes, 1),
+    ):
+        if value < least:
+            print(
+                f"repro serve: error: {flag} must be >= {least}",
+                file=sys.stderr,
+            )
+            return 2
     journal = None
     if args.journal is not None and not args.workers:
         from repro.exceptions import ReproError
@@ -473,11 +472,10 @@ def run_serve(args, out) -> int:
 
     def ready(address):
         host, port = address[0], address[1]
-        coalesce = "off" if args.no_coalesce else "on"
         mode = (
             f"cluster: {args.workers} workers, {args.vnodes} vnodes"
             if args.workers
-            else f"threads={args.threads} coalesce={coalesce}"
+            else f"threads={args.threads}"
         )
         # The address phrasing is load-bearing: the worker supervisor
         # (and the port-0 tests) parse it via cluster.ADDRESS_RE.
@@ -526,7 +524,6 @@ def run_serve(args, out) -> int:
             verbose=args.verbose,
             ready=ready,
             threads=args.threads,
-            coalesce=not args.no_coalesce,
         )
     finally:
         if journal is not None:
@@ -623,8 +620,6 @@ def _worker_args(args) -> "tuple[str, ...]":
     ]
     if args.weights is not None:
         worker_args += ["--weights", *(str(w) for w in args.weights)]
-    if args.no_coalesce:
-        worker_args.append("--no-coalesce")
     return tuple(worker_args)
 
 

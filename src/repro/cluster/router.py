@@ -95,6 +95,22 @@ def _split_session_id(session_id: str) -> "tuple[int, str] | None":
     return int(match.group(1)), match.group(2)
 
 
+def _sum_blocks(shard_stats, field: str) -> "dict | None":
+    """Element-wise sum of the numeric counters in each shard's ``field``
+    block (the coalescer's or the journal's); ``None`` when no shard
+    reported one."""
+    total = None
+    for stats in shard_stats:
+        block = stats.get(field)
+        if isinstance(block, dict):
+            if total is None:
+                total = {}
+            for key, value in block.items():
+                if isinstance(value, (int, float)):
+                    total[key] = total.get(key, 0) + value
+    return total
+
+
 class RouterService:
     """Route request envelopes across the supervisor's worker shards."""
 
@@ -343,21 +359,11 @@ class RouterService:
                 "max_ensembles",
             )
         }
-        journal: "dict[str, int] | None" = None
         for stats in by_slot.values():
             for key in cache:
                 cache[key] += int(stats.get("cache", {}).get(key, 0))
             for key in totals:
                 totals[key] += int(stats.get(key, 0))
-            # Journaled workers report an occupancy block of numeric
-            # counters; the cluster answer is their element-wise sum.
-            shard_journal = stats.get("journal")
-            if isinstance(shard_journal, dict):
-                if journal is None:
-                    journal = {}
-                for key, value in shard_journal.items():
-                    if isinstance(value, (int, float)):
-                        journal[key] = journal.get(key, 0) + value
         shards = []
         for entry in self.supervisor.describe():
             stats = by_slot.get(entry["slot"])
@@ -373,7 +379,8 @@ class RouterService:
             cache=CacheStats(**cache),
             shards=shards,
             router=router,
-            journal=journal,
+            coalescer=_sum_blocks(by_slot.values(), "coalescer"),
+            journal=_sum_blocks(by_slot.values(), "journal"),
             **totals,
         )
         self._bump("forwarded")

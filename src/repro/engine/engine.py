@@ -52,6 +52,17 @@ from repro.modeling.availability import AvailabilityDistribution
 from repro.utils.validation import check_fraction
 
 
+def check_unique_ids(requests: "list[DeploymentRequest]") -> None:
+    """One batch's rule: its request ids are unique (else ``ValueError``).
+
+    :meth:`RecommendationEngine.resolve_many` applies it to every batch,
+    and the request coalescer to every call before merging it.
+    """
+    ids = [r.request_id for r in requests]
+    if len(set(ids)) != len(ids):
+        raise ValueError("request ids within a batch must be unique")
+
+
 class RecommendationEngine:
     """Facade over planning, workforce estimation, and ADPaR fallback.
 
@@ -241,9 +252,7 @@ class RecommendationEngine:
         keyed by parameters, not identity).
         """
         for requests in batches:
-            ids = [r.request_id for r in requests]
-            if len(set(ids)) != len(ids):
-                raise ValueError("request ids within a batch must be unique")
+            check_unique_ids(requests)
         objective = self.objective if objective is None else objective
         outcomes = [
             self.plan(list(requests), objective=objective, planner=planner)
@@ -394,13 +403,22 @@ class RecommendationEngine:
         """
         prepared = [self._as_adpar_request(r, k) for r in requests]
         results = self._alternatives_for(prepared, solver=solver)
-        for request, result in zip(prepared, results):
+        self._check_admitted(prepared, results)
+        return results  # type: ignore[return-value]
+
+    def _check_admitted(
+        self,
+        requests: "list[DeploymentRequest]",
+        results: "list[ADPaRResult | None]",
+    ) -> None:
+        """Raise :class:`InfeasibleRequestError` for the first request
+        the batch ADPaR answered ``None`` (k exceeds the ensemble)."""
+        for request, result in zip(requests, results):
             if result is None:
                 raise InfeasibleRequestError(
                     f"cannot admit k={request.k} strategies: "
                     f"only {len(self.ensemble)} exist"
                 )
-        return results  # type: ignore[return-value]
 
     # --------------------------------------------------------------- session
     def open_session(self) -> EngineSession:

@@ -203,6 +203,16 @@ def test_simulate_materialized_ensemble_stays_addressable(cluster):
 
 def test_stats_aggregates_shards_and_router_counters(cluster):
     supervisor, router = cluster
+    ensemble = generate_strategy_ensemble(40, "uniform", 13)
+    body = router.handle_dict(
+        envelope(
+            "resolve",
+            ensemble=encode(EnsembleRef.of(ensemble)),
+            spec=encode(SPEC),
+            requests=request_dicts(seed=31, prefix="st"),
+        )
+    )
+    assert body["type"] == "resolve_result"
     stats = router.handle_dict(envelope("stats"))
     assert stats["type"] == "stats_result"
     assert len(stats["shards"]) == N_WORKERS
@@ -217,6 +227,10 @@ def test_stats_aggregates_shards_and_router_counters(cluster):
     )
     assert stats["engines"] == sum(
         shard["stats"]["engines"] for shard in stats["shards"]
+    )
+    assert stats["coalescer"]["calls"] >= 1
+    assert stats["coalescer"]["calls"] == sum(
+        shard["stats"]["coalescer"]["calls"] for shard in stats["shards"]
     )
     router_counters = stats["router"]
     assert router_counters["workers"] == N_WORKERS

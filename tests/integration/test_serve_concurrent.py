@@ -5,7 +5,8 @@ M client threads drive mixed traffic (``submit_batch`` / ``complete`` /
 threaded, coalescing server over keep-alive connections.  Each client's
 trace is deterministic given its seed, so the serial specification is
 simply the same per-client trace replayed one call at a time against a
-fresh, lock-stepped, un-coalesced :class:`EngineService`.  The gate:
+fresh, lock-stepped :class:`EngineService`, whose coalescer then flushes
+every call alone.  The gate:
 every client's observed decisions — admission statuses, reservations,
 ADPaR alternatives, released workforce, even error envelopes — must be
 *identical* to its serial replay, no matter how the threads interleaved.
@@ -211,7 +212,8 @@ def test_concurrent_decisions_identical_to_serial_replay(server):
     assert not errors, errors
 
     # The serial specification: each client's trace replayed alone, in
-    # order, against a fresh single-threaded, un-coalesced service.
+    # order, against a fresh single-threaded service (one call per
+    # coalescer flush).
     for i in range(N_CLIENTS):
         serial_service = EngineService(default_spec=service_spec())
         replayed = run_trace(

@@ -120,7 +120,7 @@ class _StubSupervisor:
 @contextlib.contextmanager
 def http_front_end():
     """A live ``repro serve`` front end; yields a connection to it."""
-    server = make_server(EngineService(), coalesce=False)
+    server = make_server(EngineService())
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -299,7 +299,7 @@ class TestWireErrors:
     def test_router_answers_unknown_type_tags(self):
         """Router → worker over HTTP: a non-string tag is a typed
         ``unknown_type`` answer, not a dropped connection."""
-        server = make_server(EngineService(), coalesce=False)
+        server = make_server(EngineService())
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         router = RouterService(_StubSupervisor(server.server_address[:2]))

@@ -20,6 +20,17 @@ BATCH = [
 ]
 
 
+@pytest.fixture
+def no_serving(monkeypatch):
+    """Fail a test that would start serving instead of blocking in it."""
+
+    def started(*_args, **_kwargs):
+        raise AssertionError("serve started")
+
+    monkeypatch.setattr("repro.api.serve", started)
+    monkeypatch.setattr("repro.cluster.serve_cluster", started)
+
+
 def simulate_report(argv):
     """``repro simulate ... --json``'s report, asserting a clean exit."""
     out = io.StringIO()
@@ -117,6 +128,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--solver", "oracle"])
 
+    def test_serve_has_no_coalesce_switch(self, no_serving, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--no-coalesce"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --no-coalesce" in err
+
 
 class TestEngineSpecFromArgs:
     """The one flag → EngineSpec mapping all traffic subcommands share."""
@@ -165,6 +183,21 @@ class TestMain:
         out = io.StringIO()
         assert main(["run", "fig15", "--quick"], out=out) == 0
         assert "Throughput" in out.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["--threads", "0"], "--threads", id="threads"),
+            pytest.param(
+                ["--workers", "1", "--vnodes", "0"], "--vnodes", id="vnodes"
+            ),
+        ],
+    )
+    def test_serve_rejects_a_pool_below_one(self, argv, flag, no_serving, capsys):
+        assert main(["serve", "--port", "0", *argv], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert f"repro serve: error: {flag} must be >= 1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
