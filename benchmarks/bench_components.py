@@ -2,8 +2,8 @@
 
 Not tied to a specific paper figure; these guard the constants behind the
 Figure 18 claims (vectorized workforce rows, R-tree bulk loading, the 2-D
-Pareto sweep inside ADPaR-Exact) and Figure 14's workforce aggregation,
-whose pin is recorded to ``BENCH_workforce.json``.
+Pareto sweep inside ADPaR-Exact) and Figure 14's workforce inversion and
+aggregation, whose pins are recorded to ``BENCH_workforce.json``.
 """
 
 import math
@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 from bench_recording import record
+from workforce_reference import three_grid_rows_oracle
 
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
-from repro.core.workforce import WorkforceComputer
+from repro.core.workforce import WORKFORCE_MODES, WorkforceComputer
 from repro.engine import RecommendationEngine, default_registry
 from repro.geometry.point import Point3
 from repro.geometry.sweepline import ParetoSweep
@@ -36,6 +37,70 @@ def test_bench_workforce_row_100k(benchmark):
 WORKFORCE_RESULTS = Path(__file__).resolve().parent / "BENCH_workforce.json"
 AGGREGATE_FLOOR_X = 1.2
 AGGREGATE_ROUNDS = 9
+ROWS_FLOOR_X = 1.5
+#: Figure 14's shape: |S| = 10,000 strategies and 13 requests, which
+#: ``aggregate_all`` hands to ``rows`` in blocks of ``BLOCK_CELLS //
+#: (3 |S|)`` = 4 rows (a block's three parameter planes share the budget).
+FIG14_STRATEGIES = 10_000
+FIG14_ROWS = 13
+FIG14_BLOCK = WorkforceComputer.BLOCK_CELLS // (3 * FIG14_STRATEGIES)
+
+
+def test_bench_rows_10k(benchmark):
+    """Figure 14's shape in both workforce modes: the fused ``rows`` pass
+    against the three-grid rule it replaced, over the blocks
+    ``aggregate_all`` feeds it, median of interleaved rounds.  Both must
+    agree bitwise; the pin is the smaller speedup."""
+    ensemble = generate_strategy_ensemble(FIG14_STRATEGIES, "uniform", seed=19)
+    params = [r.params for r in generate_requests(FIG14_ROWS, k=1, seed=20)]
+    blocks = [
+        params[start : start + FIG14_BLOCK]
+        for start in range(0, len(params), FIG14_BLOCK)
+    ]
+
+    def measure():
+        timings = {}
+        for mode in WORKFORCE_MODES:
+            computer = WorkforceComputer(ensemble, mode=mode)
+            fused_s, grid_s = [], []
+            for _ in range(AGGREGATE_ROUNDS):
+                start = time.perf_counter()
+                fused = [computer.rows(block) for block in blocks]
+                fused_s.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                expected = [
+                    three_grid_rows_oracle(ensemble, block, mode)
+                    for block in blocks
+                ]
+                grid_s.append(time.perf_counter() - start)
+            timings[mode] = (
+                statistics.median(fused_s),
+                statistics.median(grid_s),
+                [grid.tobytes() for grid in fused]
+                == [grid.tobytes() for grid in expected],
+            )
+        return timings
+
+    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
+    info = {
+        "n_strategies": len(ensemble),
+        "rows": FIG14_ROWS,
+        "block_rows": FIG14_BLOCK,
+    }
+    for mode, (fused_s, grid_s, _) in timings.items():
+        info[f"rows_{mode}_ms"] = round(fused_s * 1e3, 2)
+        info[f"three_grid_{mode}_ms"] = round(grid_s * 1e3, 2)
+    speedup = min(grid_s / fused_s for fused_s, grid_s, _ in timings.values())
+    info["identical"] = all(same for _, _, same in timings.values())
+    info["speedup_x"] = round(speedup, 2)
+    info["speedup_floor_x"] = ROWS_FLOOR_X
+    benchmark.extra_info.update(info)
+    record(WORKFORCE_RESULTS, "rows_10k", info)
+    assert info["identical"]
+    assert speedup >= ROWS_FLOOR_X, (
+        f"rows should beat the three-grid rule by >= {ROWS_FLOOR_X}x at "
+        f"|S|=10,000, got {speedup:.2f}x"
+    )
 
 
 def _full_sort_aggregate(computer, requests):
@@ -74,16 +139,16 @@ def _aggregate_vs_full_sort(computer, requests):
 
 
 def test_bench_aggregate_all_10k(benchmark):
-    """Figure 14's shape: |S|=10,000 in strict mode, one 13-row block.
+    """Figure 14's shape: |S|=10,000 in strict mode, 13 requests.
 
     ``aggregate_all`` partitions each row to its k cheapest cells; the
     full stable sort it replaced is timed beside it on the same inputs
     (k = 10, fig14's default, and k = 1,000), and both must agree
     exactly.  The pin is the smaller of the two speedups.
     """
-    ensemble = generate_strategy_ensemble(10_000, "uniform", seed=19)
+    ensemble = generate_strategy_ensemble(FIG14_STRATEGIES, "uniform", seed=19)
     computer = WorkforceComputer(ensemble, mode="strict", aggregation="sum")
-    rows = computer.BLOCK_CELLS // len(ensemble)
+    rows = FIG14_ROWS
     base = generate_requests(rows, k=1, seed=20)
 
     def measure():
@@ -96,7 +161,7 @@ def test_bench_aggregate_all_10k(benchmark):
         }
 
     timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-    info = {"n_strategies": len(ensemble), "block_rows": rows}
+    info = {"n_strategies": len(ensemble), "rows": rows}
     for k, (new_s, sort_s, _) in timings.items():
         info[f"aggregate_all_k{k}_ms"] = round(new_s * 1e3, 2)
         info[f"full_sort_k{k}_ms"] = round(sort_s * 1e3, 2)

@@ -9,7 +9,14 @@ benchmarks run one round by default via the ``once`` helper.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# Reference rules the unit tests keep as oracles (``workforce_reference``)
+# are timed here against the code that replaced them: one copy, shared.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "unit"))
 
 
 @pytest.fixture

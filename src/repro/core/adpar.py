@@ -69,10 +69,13 @@ def unpack_request(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > size:
-        raise InfeasibleRequestError(
-            f"cannot admit k={k} strategies: only {size} exist"
-        )
+        raise too_few_strategies(k, size)
     return params, int(k)
+
+
+def too_few_strategies(k: int, size: int) -> InfeasibleRequestError:
+    """The verdict on a request for more strategies than the ensemble has."""
+    return InfeasibleRequestError(f"cannot admit k={k} strategies: only {size} exist")
 
 
 def finalize_result(

@@ -8,9 +8,19 @@ deploy request ``i`` with strategy ``j`` — by inverting the linear models
 (sum of the ``k`` smallest cells, Figure 3b); the *max-case* deploys only
 one (the ``k``-th smallest cell, Figure 3c).
 
+Step 1 has one kernel, :class:`_Inversion`.  Its tables depend on the
+ensemble's α/β alone, so they are built once per ensemble and shared by
+every :class:`WorkforceComputer` over it: the three parameters' β
+stacked as ``(3, 1, |S|)`` planes, safe divisors, floors, and the masks
+of constant models and of models moving toward or away from their
+bound.  :meth:`~WorkforceComputer.rows` then inverts a block of requests
+against every strategy as one fused ``(3, rows, |S|)`` pass and combines
+the planes in place; strict mode reads its budget cap from the cost
+plane of that pass and its cost rules from the cost plane's masks.
+
 :meth:`WorkforceComputer.aggregate_all` is the one implementation of
-step 2.  It inverts a block of requests against every strategy in one
-broadcasted ``(rows, |S|)`` pass, with blocks capped at
+step 2.  It runs :meth:`~WorkforceComputer.rows` block by block, with
+the three planes of a block capped at
 :attr:`WorkforceComputer.BLOCK_CELLS` cells so memory stays bounded on
 huge ensembles, and :func:`_k_cheapest` selects each row's ``k`` cells
 with a partition instead of sorting the row.  The one-request
@@ -42,37 +52,93 @@ def threshold_workforce(
 
     Mirrors :func:`repro.modeling.modelbank._threshold_workforce`:
     the minimal workforce making the parameter constraint hold (0 when
-    free, ``inf`` when impossible).  One-target view of
-    :func:`threshold_workforce_grid`, so both paths share one rule.
+    free, ``inf`` when impossible).  A one-plane call of
+    :class:`_Inversion`, the one kernel :meth:`WorkforceComputer.rows`
+    runs too.
     """
-    return threshold_workforce_grid(
-        alpha, beta, np.array([target], dtype=float), lower_bound
-    )[0]
-
-
-def threshold_workforce_grid(
-    alpha: np.ndarray, beta: np.ndarray, targets: np.ndarray, lower_bound: bool
-) -> np.ndarray:
-    """Broadcasted Eq. 4 inversion: ``(m,)`` targets × ``(n,)`` strategies.
-
-    Returns the ``(m, n)`` grid of minimal workforces; element-for-element
-    it computes exactly what :func:`threshold_workforce` computes for each
-    target, so the two paths agree bitwise.
-    """
-    a = np.asarray(alpha, dtype=float)[None, :]
-    b = np.asarray(beta, dtype=float)[None, :]
-    t = np.asarray(targets, dtype=float)[:, None]
-    constant = a == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        solved = (t - b) / np.where(constant, 1.0, a)
-    grows_toward = (a > 0) if lower_bound else (a < 0)
-    out = np.where(
-        grows_toward,
-        np.maximum(solved, 0.0),
-        np.where(solved >= 0.0, solved, math.inf),
+    inversion = _Inversion(
+        np.asarray(alpha, dtype=float)[None, :],
+        np.asarray(beta, dtype=float)[None, :],
+        (lower_bound,),
     )
-    const_ok = (b >= t - _EPS) if lower_bound else (b <= t + _EPS)
-    return np.where(constant, np.where(const_ok, 0.0, math.inf), out)
+    targets = np.array([[target]], dtype=float)
+    return inversion.workforce(inversion.solutions(targets), targets)[0, 0]
+
+
+class _Inversion:
+    """Eq. 4 inverted for stacked parameter planes against every strategy.
+
+    ``alpha`` and ``beta`` are ``(planes, n)``; plane ``p`` bounds its
+    parameter from below (quality) when ``lower_bound[p]`` is true, from
+    above (cost, latency) otherwise.  The per-strategy tables are built
+    here once, so inverting ``m`` targets is one broadcasted
+    ``(planes, m, n)`` pass: :meth:`solutions`, then :meth:`workforce`
+    over the same array.
+    """
+
+    def __init__(self, alpha: np.ndarray, beta: np.ndarray, lower_bound):
+        alpha = np.array(alpha, dtype=float)[:, None, :]
+        self.beta = np.array(beta, dtype=float)[:, None, :]
+        lower = np.array(lower_bound, dtype=bool)[:, None, None]
+        self.constant = alpha == 0
+        self.has_constant = self.constant.any(axis=(1, 2))
+        self.divisor = np.where(self.constant, 1.0, alpha)
+        # As workforce grows, a model moves toward its bound (toward) or
+        # away from it (away); a constant model does neither.
+        self.toward = np.where(lower, alpha > 0, alpha < 0)
+        self.away = np.where(lower, alpha < 0, alpha > 0)
+        # Where the model moves toward the bound, the solution is floored
+        # at 0; elsewhere a negative solution is impossible (the -inf
+        # floor leaves it to become inf).
+        self.floor = np.where(self.toward, 0.0, -math.inf)
+        # A constant model (alpha = 0) needs 0 or inf workforce, decided
+        # on its own cells.  Upper-bound planes compare negated sides:
+        # ``-b >= -t - eps`` is exactly ``b <= t + eps``.
+        self.const_plane, _, self.const_col = np.nonzero(self.constant)
+        self.const_sign = np.where(lower, 1.0, -1.0)[self.const_plane, :, 0]
+        self.const_beta = self.const_sign * self.beta[
+            self.const_plane, :, self.const_col
+        ]
+
+    def solutions(self, targets: np.ndarray) -> np.ndarray:
+        """Equality solutions for ``(planes, m)`` targets, ``(planes, m, n)``.
+
+        ``(t - beta) / alpha`` per cell, or ``t - beta`` where alpha = 0.
+        """
+        solved = targets[:, :, None] - self.beta
+        return np.divide(solved, self.divisor, out=solved)
+
+    def workforce(self, solved: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Turn :meth:`solutions` into minimal workforces, in place.
+
+        Each cell becomes the least workforce making its constraint
+        hold: 0 when free, ``inf`` when impossible.
+        """
+        np.maximum(solved, self.floor, out=solved)
+        np.copyto(solved, math.inf, where=solved < 0.0)
+        if self.const_col.size:
+            bound = targets[self.const_plane] * self.const_sign - _EPS
+            solved[self.const_plane, :, self.const_col] = np.where(
+                self.const_beta >= bound, 0.0, math.inf
+            )
+        return solved
+
+
+def _inversion_of(ensemble: StrategyEnsemble) -> _Inversion:
+    """The ensemble's Eq. 4 tables, built on first use and kept on it.
+
+    They depend on α/β alone, so every computer over one ensemble (one
+    per pooled engine configuration) shares them, as it shares the
+    ensemble's memoized fingerprint.
+    """
+    inversion = getattr(ensemble, "_inversion", None)
+    if inversion is None:
+        # Columns are (quality, cost, latency); quality is a lower bound.
+        inversion = _Inversion(
+            ensemble.alpha.T, ensemble.beta.T, (True, False, False)
+        )
+        ensemble._inversion = inversion
+    return inversion
 
 
 @dataclass(frozen=True)
@@ -136,6 +202,7 @@ class WorkforceComputer:
         self.aggregation = aggregation
         self.eligibility = eligibility
         self.availability = availability
+        self._inversion = _inversion_of(ensemble)
 
     # ------------------------------------------------------------------- rows
     def row(self, params: TriParams) -> np.ndarray:
@@ -149,40 +216,51 @@ class WorkforceComputer:
     def rows(self, params_list: "list[TriParams]") -> np.ndarray:
         """Workforce grid ``w_ij`` for many requests in one broadcasted pass.
 
-        Shape ``(m, n)``; equals stacking :meth:`row` per request but runs
-        as whole-matrix numpy operations — this is the vectorized hot path
-        behind :meth:`aggregate_all`.
+        Shape ``(m, n)``; equals stacking :meth:`row` per request.  The
+        three parameters are inverted together as one ``(3, m, n)`` pass
+        over the ensemble's shared tables — the hot path behind
+        :meth:`aggregate_all`.
         """
-        alpha = self.ensemble.alpha
-        beta = self.ensemble.beta
-        quality = np.array([p.quality for p in params_list], dtype=float)
-        cost = np.array([p.cost for p in params_list], dtype=float)
-        latency = np.array([p.latency for p in params_list], dtype=float)
-        w_q = threshold_workforce_grid(alpha[:, 0], beta[:, 0], quality, True)
-        w_c = threshold_workforce_grid(alpha[:, 1], beta[:, 1], cost, False)
-        w_l = threshold_workforce_grid(alpha[:, 2], beta[:, 2], latency, False)
-        if self.mode == "paper":
-            return np.maximum(np.maximum(w_q, w_c), w_l)
-        requirement = np.maximum(w_q, w_l)
-        ac = alpha[:, 1][None, :]
-        bc = beta[:, 1][None, :]
-        cost_col = cost[:, None]
-        increasing = ac > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cap = np.where(
-                increasing, (cost_col - bc) / np.where(increasing, ac, 1.0), math.inf
-            )
-        requirement = np.where(
-            increasing & (requirement > cap + _EPS), math.inf, requirement
+        inversion = self._inversion
+        # Built row by row, so the array is C-ordered: broadcasting a
+        # transposed (m, 3) view instead runs the pass ≈ 3x slower.
+        targets = np.array(
+            [
+                [p.quality for p in params_list],
+                [p.cost for p in params_list],
+                [p.latency for p in params_list],
+            ],
+            dtype=float,
         )
-        constant_over = (ac == 0) & (bc > cost_col + _EPS)
-        requirement = np.where(constant_over, math.inf, requirement)
-        decreasing = ac < 0
-        requirement = np.where(decreasing, np.maximum(requirement, w_c), requirement)
+        solved = inversion.solutions(targets)
+        if self.mode == "strict":
+            # The budget cap: the cost plane's equality solution.
+            cap = solved[1] + _EPS
+        # The planes are this call's scratch: each step below writes into
+        # them instead of allocating another grid.
+        w_q, w_c, w_l = inversion.workforce(solved, targets)
+        if self.mode == "paper":
+            np.maximum(w_q, w_c, out=w_c)
+            return np.maximum(w_c, w_l, out=w_l)
+        # Strict: cost is a budget cap.  An increasing cost model (away
+        # from its bound) caps the workforce at its equality solution, a
+        # constant one over budget admits none, and a decreasing one
+        # (toward its bound) still needs w_c.
+        requirement = np.maximum(w_q, w_l, out=w_l)
+        over = requirement > cap
+        over &= inversion.away[1]
+        if inversion.has_constant[1]:
+            over |= inversion.constant[1] & (w_c == math.inf)
+        np.copyto(requirement, math.inf, where=over)
+        np.copyto(
+            requirement,
+            np.maximum(requirement, w_c, out=w_c),
+            where=inversion.toward[1],
+        )
         return requirement
 
     def matrix(self, requests: "list[DeploymentRequest]") -> np.ndarray:
-        """The full ``m × |S|`` matrix (Figure 3a) in one allocation.
+        """The full ``m × |S|`` matrix (Figure 3a) in one pass.
 
         For requirements, use :meth:`aggregate_all`: it builds the grid
         block by block, so memory stays bounded for any ``m``.
@@ -203,7 +281,7 @@ class WorkforceComputer:
         """
         return self.aggregate_all([request])[0]
 
-    #: Cell budget per vectorized block: keeps the ``(rows, |S|)``
+    #: Cell budget per vectorized block: keeps the ``(3, rows, |S|)``
     #: intermediates of :meth:`rows` around L2-cache size (~1 MB), which
     #: benchmarks faster than memory-bandwidth-bound multi-MB blocks.
     BLOCK_CELLS = 131_072
@@ -221,7 +299,7 @@ class WorkforceComputer:
         """
         n = len(self.ensemble)
         bound = self._eligibility_bound() + _EPS
-        block = max(1, self.BLOCK_CELLS // max(n, 1))
+        block = max(1, self.BLOCK_CELLS // (3 * max(n, 1)))
         results: list[RequestWorkforce] = []
         for start in range(0, len(requests), block):
             chunk = requests[start : start + block]

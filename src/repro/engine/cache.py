@@ -12,7 +12,8 @@ per-(ensemble, availability) :class:`RelaxationSpace` every solver
 backend shares, and the solver instances themselves.
 
 The cache is bounded LRU per section and safe to share across engines —
-entries are frozen dataclasses keyed by flat value tuples.
+entries are frozen dataclasses keyed by value tuples, and an infeasible
+ADPaR verdict is cached as the text its solve raised.
 
 Thread safety: every LRU section carries its own lock (held only for the
 dict operation, never while computing a value), and hit/miss counters are
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.adpar import ADPaRResult
+from repro.core.adpar import ADPaRResult, too_few_strategies
 from repro.core.relaxation import RelaxationSpace
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
@@ -46,9 +47,6 @@ from repro.engine.solvers import (
 )
 from repro.exceptions import InfeasibleRequestError
 from repro.utils.lru import LRU
-
-#: Sentinel cached for (params, k) pairs whose ADPaR solve proved infeasible.
-_INFEASIBLE = "infeasible"
 
 
 def ensemble_fingerprint(ensemble: StrategyEnsemble) -> str:
@@ -266,22 +264,25 @@ class EngineCache:
         options: "dict | None" = None,
         registry: "SolverRegistry | None" = None,
     ) -> ADPaRResult:
-        """Cached single-request solve; infeasibility is cached too."""
+        """Cached single-request solve; infeasibility is cached too.
+
+        An infeasible verdict is cached as the text its solve raised, so a
+        hit raises the same :class:`InfeasibleRequestError` message as the
+        miss did, whichever backend decided it.
+        """
         key = self._adpar_key(ensemble, availability, request, solver, options, registry)
         hit = self._adpar_results.get(key)
         if hit is not None:
             self._count_adpar(1, 0)
-            if hit is _INFEASIBLE:
-                raise InfeasibleRequestError(
-                    f"cannot admit k={request.k} strategies (cached verdict)"
-                )
+            if isinstance(hit, str):
+                raise InfeasibleRequestError(hit)
             return hit
         self._count_adpar(0, 1)
         backend = self.adpar_solver(ensemble, availability, solver, options, registry)
         try:
             result = backend.solve(request)
-        except InfeasibleRequestError:
-            self._adpar_results.put(key, _INFEASIBLE)
+        except InfeasibleRequestError as exc:
+            self._adpar_results.put(key, str(exc))
             raise
         self._adpar_results.put(key, result)
         return result
@@ -313,7 +314,7 @@ class EngineCache:
             hit = self._adpar_results.get(key)
             if hit is not None:
                 hits += 1
-                results[i] = None if hit is _INFEASIBLE else hit
+                results[i] = None if isinstance(hit, str) else hit
                 continue
             misses += 1
             if key in pending:
@@ -330,12 +331,14 @@ class EngineCache:
             if request.k > len(ensemble):
                 # The one infeasibility every backend shares: no relaxation
                 # can conjure strategies that are not in S.
-                self._adpar_results.put(key, _INFEASIBLE)
+                self._adpar_results.put(
+                    key, str(too_few_strategies(request.k, len(ensemble)))
+                )
             else:
                 feasible.append((key, request))
         if feasible:
             try:
-                solved: "list[ADPaRResult | None]" = backend.solve_batch(
+                solved: "list[ADPaRResult | str]" = backend.solve_batch(
                     [request for _, request in feasible]
                 )
             except InfeasibleRequestError:
@@ -346,13 +349,12 @@ class EngineCache:
                 for _key, request in feasible:
                     try:
                         solved.append(backend.solve(request))
-                    except InfeasibleRequestError:
-                        solved.append(None)
+                    except InfeasibleRequestError as exc:
+                        solved.append(str(exc))
             for (key, _request), result in zip(feasible, solved):
-                if result is None:
-                    self._adpar_results.put(key, _INFEASIBLE)
-                    continue
                 self._adpar_results.put(key, result)
+                if isinstance(result, str):
+                    continue
                 for i in pending[key]:
                     results[i] = result
         return results

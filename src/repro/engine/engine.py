@@ -28,7 +28,7 @@ from repro.core.aggregator import (
     RequestResolution,
     ResolutionStatus,
 )
-from repro.core.adpar import ADPaRResult
+from repro.core.adpar import ADPaRResult, too_few_strategies
 from repro.core.batchstrat import BatchOutcome
 from repro.core.objectives import ObjectiveSpec, validate_objective
 from repro.core.request import DeploymentRequest
@@ -47,7 +47,6 @@ from repro.engine.solvers import (
     SolverRegistry,
     default_solver_registry,
 )
-from repro.exceptions import InfeasibleRequestError
 from repro.modeling.availability import AvailabilityDistribution
 from repro.utils.validation import check_fraction
 
@@ -415,10 +414,7 @@ class RecommendationEngine:
         the batch ADPaR answered ``None`` (k exceeds the ensemble)."""
         for request, result in zip(requests, results):
             if result is None:
-                raise InfeasibleRequestError(
-                    f"cannot admit k={request.k} strategies: "
-                    f"only {len(self.ensemble)} exist"
-                )
+                raise too_few_strategies(request.k, len(self.ensemble))
 
     # --------------------------------------------------------------- session
     def open_session(self) -> EngineSession:

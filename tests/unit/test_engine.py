@@ -12,11 +12,12 @@ from repro.engine import (
     PlannerContext,
     PlannerRegistry,
     RecommendationEngine,
+    SolverRegistry,
     default_registry,
     ensemble_fingerprint,
 )
 from repro.core.strategy import StrategyEnsemble
-from repro.exceptions import UnknownPlannerError
+from repro.exceptions import InfeasibleRequestError, UnknownPlannerError
 
 
 @pytest.fixture
@@ -139,6 +140,58 @@ class TestEngineAPI:
     def test_recommend_alternative_requires_k_for_bare_params(self, engine):
         with pytest.raises(ValueError):
             engine.recommend_alternative(TriParams(0.9, 0.1, 0.1))
+
+    def test_infeasible_verdict_reads_the_same_from_the_cache(self):
+        """A cached infeasible verdict answers the miss's words, scalar
+        and batch alike."""
+        ensemble = StrategyEnsemble.from_params(
+            [TriParams(0.8, 0.2, 0.2), TriParams(0.6, 0.4, 0.4)]
+        )
+        engine = RecommendationEngine(ensemble, 0.8)
+        request = DeploymentRequest("d", TriParams(0.9, 0.1, 0.1), k=5)
+        message = "cannot admit k=5 strategies: only 2 exist"
+        for _ in range(2):
+            with pytest.raises(InfeasibleRequestError) as scalar:
+                engine.recommend_alternative(request)
+            assert str(scalar.value) == message
+            with pytest.raises(InfeasibleRequestError) as batch:
+                engine.recommend_alternatives([request])
+            assert str(batch.value) == message
+        assert engine.stats.adpar_hits == 3
+
+    def test_cached_infeasible_verdict_keeps_the_backends_words(
+        self, table1_ensemble
+    ):
+        """A backend's own refusal (k <= |S|) is cached with its text,
+        whether the scalar or the batch door decided it."""
+        message = "sweep found no covering relaxation"
+
+        class Refuses:
+            name = "refuses"
+
+            def __init__(self, context, options):
+                self.space = context.space
+
+            def solve(self, request, k=None):
+                raise InfeasibleRequestError(message)
+
+            def solve_batch(self, requests, k=None):
+                return [self.solve(r, k) for r in requests]
+
+        registry = SolverRegistry()
+        registry.register("refuses", Refuses)
+        engine = RecommendationEngine(
+            table1_ensemble, 0.8, solver="refuses", solver_registry=registry
+        )
+        scalar = DeploymentRequest("a", TriParams(0.9, 0.1, 0.1), k=2)
+        batched = DeploymentRequest("b", TriParams(0.95, 0.1, 0.1), k=2)
+        (resolution,) = engine.resolve([batched]).resolutions
+        assert resolution.status is ResolutionStatus.INFEASIBLE
+        for request in (scalar, scalar, batched):
+            with pytest.raises(InfeasibleRequestError) as caught:
+                engine.recommend_alternative(request)
+            assert str(caught.value) == message
+        assert engine.stats.adpar_hits == 2
 
     def test_duplicate_request_ids_rejected(self, engine):
         request = DeploymentRequest("dup", TriParams(0.5, 0.5, 0.5), k=1)

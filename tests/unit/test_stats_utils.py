@@ -158,6 +158,48 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_non_negative("v", float("inf"))
 
+    @pytest.mark.parametrize(
+        "value, allow_zero, message",
+        [
+            (float("nan"), True, "x must not be NaN"),
+            (np.float64("nan"), True, "x must not be NaN"),
+            (float("inf"), True, "x must lie in [0, 1], got inf"),
+            (float("-inf"), True, "x must lie in [0, 1], got -inf"),
+            (np.float32(1.5), True, "x must lie in [0, 1], got 1.5"),
+            (np.int64(2), True, "x must lie in [0, 1], got 2.0"),
+            (-0.1, True, "x must lie in [0, 1], got -0.1"),
+            (1.0000001, True, "x must lie in [0, 1], got 1.0000001"),
+            (-0.0, False, "x must lie in (0, 1], got -0.0"),
+        ],
+    )
+    def test_check_fraction_messages(self, value, allow_zero, message):
+        with pytest.raises(ValueError) as raised:
+            check_fraction("x", value, allow_zero=allow_zero)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (float("nan"), "v must be finite and >= 0, got nan"),
+            (np.float64("nan"), "v must be finite and >= 0, got nan"),
+            (float("inf"), "v must be finite and >= 0, got inf"),
+            (float("-inf"), "v must be finite and >= 0, got -inf"),
+            (np.float32(-2.5), "v must be finite and >= 0, got -2.5"),
+            (-1, "v must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_check_non_negative_messages(self, value, message):
+        with pytest.raises(ValueError) as raised:
+            check_non_negative("v", value)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "value", [np.float64(0.25), np.float32(0.5), np.int32(0), 1, True]
+    )
+    def test_scalar_checks_return_python_floats(self, value):
+        for checked in (check_fraction("x", value), check_non_negative("v", value)):
+            assert type(checked) is float and checked == float(value)
+
     def test_check_probability_vector(self):
         out = check_probability_vector("p", [0.5, 0.5])
         assert out.sum() == pytest.approx(1.0)

@@ -1,6 +1,8 @@
 """Unit tests for workforce requirement computation (§3.2)."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.core.workforce import (
 from repro.modeling.linear import LinearModel
 from repro.modeling.modelbank import ParamModels
 from repro.workloads.generators import generate_requests, generate_strategy_ensemble
+
+from workforce_reference import threshold_grid_oracle, three_grid_rows_oracle
 
 
 def modeled_ensemble() -> StrategyEnsemble:
@@ -246,6 +250,12 @@ def oracle_needs(grid, requests, aggregation, bound):
     ]
 
 
+def block_cells(n, rows_per_block):
+    """A cell budget giving blocks of ``rows_per_block`` rows: the three
+    parameter planes of a block count against it."""
+    return 3 * n * rows_per_block
+
+
 def k_values(n):
     """k = 1, small, >= 8, > 128 (where they fit), k = |S| and k > |S|."""
     return sorted({k for k in (1, 2, 3, 8, 9, 129, 200, n) if k <= n} | {n + 1})
@@ -321,7 +331,7 @@ def test_aggregate_all_matches_stable_argsort_on_drawn_grids(
         availability=availability,
     )
     # Blocks of a few rows, so one batch spans several of them.
-    computer.BLOCK_CELLS = grid.shape[1] * rows_per_block
+    computer.BLOCK_CELLS = block_cells(grid.shape[1], rows_per_block)
     requests = drawn_requests(ks)
     bound = 1.0 if availability is None else availability
     expected = oracle_needs(grid, requests, aggregation, bound)
@@ -360,9 +370,131 @@ def test_aggregate_all_matches_stable_argsort_on_generated_workloads(
         eligibility=eligibility,
         availability=availability,
     )
-    computer.BLOCK_CELLS = n * rows_per_block
+    computer.BLOCK_CELLS = block_cells(n, rows_per_block)
     grid = computer.rows([r.params for r in requests])
     bound = 1.0 if availability is None else availability
     expected = oracle_needs(grid, requests, aggregation, bound)
     assert bitwise(computer.aggregate_all(requests)) == expected
     assert bitwise([computer.aggregate(r) for r in requests]) == expected
+
+
+# --------------------------------------------------------------------------
+# The fused inversion against the three-grid rule it replaced, kept in
+# `workforce_reference.py` (shared with the benchmarks that time it).
+
+
+#: Slopes: constant (both zeros), rising and falling, tiny enough to
+#: overflow a division and large enough to underflow one.
+ALPHA_POOL = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -0.98, 1e-300, -1e-300, 1e300])
+#: Targets at both ends of [0, 1], -0.0 included.
+TARGET_POOL = np.array([0.0, -0.0, 1.0, 0.5, 1e-300])
+#: Offsets of a beta from a drawn target: equal, within and just past _EPS.
+NEAR_TARGET = np.array([0.0, 1e-9, -1e-9, 5e-10, -5e-10, 2e-9, -2e-9, 1e-17])
+
+
+@st.composite
+def inversion_cases(draw):
+    """An ensemble and requests whose betas sit on or near the targets."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 40, 129]))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = rng.uniform(0.0, 1.0, size=(m, 3))
+    pooled = rng.random((m, 3)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    targets[pooled] = rng.choice(TARGET_POOL, size=int(pooled.sum()))
+    alpha = rng.normal(0.0, 1.0, size=(n, 3))
+    pooled = rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    alpha[pooled] = rng.choice(ALPHA_POOL, size=int(pooled.sum()))
+    beta = rng.uniform(-0.5, 1.5, size=(n, 3))
+    near = rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    picked = targets[rng.integers(0, m, size=(n, 3)), np.arange(3)]
+    offsets = rng.choice(NEAR_TARGET, size=(n, 3))
+    beta[near] = (picked + offsets)[near]
+    return (
+        StrategyEnsemble.from_arrays(alpha, beta),
+        [TriParams(*row) for row in targets],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=inversion_cases(),
+    mode=st.sampled_from(WORKFORCE_MODES),
+    aggregation=st.sampled_from(AGGREGATIONS),
+    availability=st.sampled_from([None, 0.5]),
+    rows_per_block=st.integers(1, 5),
+    k=st.sampled_from([1, 2, 3]),
+)
+def test_rows_match_three_grid_oracle_bitwise(
+    case, mode, aggregation, availability, rows_per_block, k
+):
+    ensemble, params = case
+    eligibility = "pool" if availability is None else "availability"
+    computer = WorkforceComputer(
+        ensemble,
+        mode=mode,
+        aggregation=aggregation,
+        eligibility=eligibility,
+        availability=availability,
+    )
+    expected = three_grid_rows_oracle(ensemble, params, mode)
+    assert computer.rows(params).tobytes() == expected.tobytes()
+    for p, row in zip(params, expected):
+        assert computer.row(p).tobytes() == row.tobytes()
+    for column, lower in ((0, True), (1, False), (2, False)):
+        for p in params:
+            target = (p.quality, p.cost, p.latency)[column]
+            alpha, beta = ensemble.alpha[:, column], ensemble.beta[:, column]
+            assert (
+                threshold_workforce(alpha, beta, target, lower).tobytes()
+                == threshold_grid_oracle(alpha, beta, [target], lower)[0].tobytes()
+            )
+    # The same grid reaches aggregate_all across several blocks.
+    computer.BLOCK_CELLS = block_cells(len(ensemble), rows_per_block)
+    requests = [
+        DeploymentRequest(f"r{i}", p, k=k) for i, p in enumerate(params)
+    ]
+    bound = 1.0 if availability is None else availability
+    assert bitwise(computer.aggregate_all(requests)) == oracle_needs(
+        expected, requests, aggregation, bound
+    )
+
+
+def test_tables_shared_by_computers_built_on_many_threads():
+    """The Eq. 4 tables are kept on the ensemble: computers built at once
+    on many threads over one fresh ensemble answer bitwise like a
+    computer over an equal ensemble that built its own."""
+    alpha = np.array([[0.5, 0.0, -0.3], [0.0, 0.4, 0.2], [-0.2, -0.1, 0.0]])
+    beta = np.array([[0.3, 0.2, 0.6], [0.7, 0.1, 0.2], [0.9, 0.5, 0.4]])
+    params = [TriParams(0.6, 0.4, 0.5), TriParams(0.8, 0.1, 0.3)]
+    expected = {
+        mode: WorkforceComputer(
+            StrategyEnsemble.from_arrays(alpha, beta), mode=mode
+        ).rows(params).tobytes()
+        for mode in WORKFORCE_MODES
+    }
+    shared = StrategyEnsemble.from_arrays(alpha, beta)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    answers = []
+
+    def build(mode):
+        barrier.wait(timeout=10)
+        grid = WorkforceComputer(shared, mode=mode).rows(params)
+        answers.append((mode, grid.tobytes()))
+
+    threads = [
+        threading.Thread(target=build, args=(WORKFORCE_MODES[i % 2],))
+        for i in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == n_threads
+    assert all(grid == expected[mode] for mode, grid in answers)
