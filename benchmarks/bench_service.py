@@ -36,7 +36,7 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -52,7 +52,7 @@ from repro.api import (
     encode,
     make_server,
 )
-from repro.api.http import HTTP_STATUS, ApiRequestHandler
+from repro.api.http import HTTP_STATUS, ApiRequestHandler, _framing
 from repro.api.wire import API_VERSION, report_from_dict, stream_decision_from_dict
 from repro.cluster import parse_ready_line
 from repro.engine import RecommendationEngine
@@ -236,10 +236,32 @@ class _SerialLockHandler(ApiRequestHandler):
     One global lock serializes every request through the service, and
     Nagle's algorithm stays on — with keep-alive JSON ping-pong the
     Nagle/delayed-ACK interplay stalls each response ~40 ms, which is
-    what the old serve path actually shipped.
+    what the old serve path actually shipped.  That stall needs each
+    answer to leave in two writes (head, then body), so the baseline
+    also keeps the stdlib request cycle: its ``email``-parser header
+    read and its two-write answer.
     """
 
     disable_nagle_algorithm = False
+    handle_one_request = BaseHTTPRequestHandler.handle_one_request
+
+    def parse_request(self):
+        if not super().parse_request():
+            return False
+        self._body_length, self._framing_error = _framing(
+            self.headers.get("Content-Length"),
+            self.headers.get("Transfer-Encoding"),
+        )
+        return True
+
+    def _send_bytes(self, status, data):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
 
     def do_POST(self):  # noqa: N802 — http.server API
         payload, error = self._read_payload()
