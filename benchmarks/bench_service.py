@@ -28,8 +28,16 @@ perf trajectory is tracked across commits:
   same host (the ratio cancels the host's speed), and peak RSS (VmHWM)
   at the ready line <= 64 MB.  Both hold only while serving imports
   neither scipy nor the experiment runners.  Linux only (``/proc``).
+* ``test_bench_serve_contention`` launches ``repro serve`` the same way
+  and reads the server's CPU per op from ``/proc`` over fresh resolve
+  envelopes, sent by one keep-alive client and then by two, in
+  alternating rounds.  The pin: the median over the rounds of
+  two-client over one-client CPU per op <= 1.10x.  A second client that
+  arrives while the first is served must not make every request pay
+  for threads trading the interpreter lock.  Linux only (``/proc``).
 """
 
+import json
 import os
 import statistics
 import subprocess
@@ -82,6 +90,12 @@ STARTUP_LAUNCHES = 5
 READY_OVER_NUMPY_CEILING = 3.0
 RSS_CEILING_MB = 64.0
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+# Contention: ops per phase (split over the phase's clients), rounds of
+# one-client and two-client phases, and the ceiling on their CPU ratio.
+CONTENTION_OPS = 600
+CONTENTION_ROUNDS = 3
+TWO_OVER_ONE_CEILING = 1.10
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_service.json"
 
@@ -284,16 +298,19 @@ def _baseline_server(service: EngineService) -> ThreadingHTTPServer:
     return server
 
 
-def _resolve_payloads(client_idx: int, ensemble_wire: dict, spec_wire: dict):
-    """One client's resolve envelopes (distinct params per client)."""
+def _resolve_payloads(
+    ensemble_wire: dict,
+    spec_wire: dict,
+    seed: int,
+    prefix: str,
+    n: int = N_RESOLVES,
+):
+    """``n`` resolve envelopes, their params drawn from ``seed``."""
     requests = generate_requests(
-        RESOLVE_BATCH * N_RESOLVES,
-        k=3,
-        seed=900 + client_idx,
-        prefix=f"c{client_idx}-",
+        RESOLVE_BATCH * n, k=3, seed=seed, prefix=prefix
     )
     payloads = []
-    for i in range(N_RESOLVES):
+    for i in range(n):
         chunk = requests[i * RESOLVE_BATCH : (i + 1) * RESOLVE_BATCH]
         payloads.append(
             {
@@ -325,7 +342,9 @@ def _drive_clients(host: str, port: int, n_clients: int, ensemble_wire, spec_wir
 
     def run(client_idx: int):
         client = ServiceClient(host, port)
-        payloads = _resolve_payloads(client_idx, ensemble_wire, spec_wire)
+        payloads = _resolve_payloads(
+            ensemble_wire, spec_wire, 900 + client_idx, f"c{client_idx}-"
+        )
         try:
             barrier.wait()
             for payload in payloads:
@@ -365,7 +384,7 @@ def _concurrent_serve() -> dict:
     try:
         host, port = check_server.server_address
         client = ServiceClient(host, port)
-        payload = _resolve_payloads(0, ensemble_wire, spec_wire)[0]
+        payload = _resolve_payloads(ensemble_wire, spec_wire, 900, "c0-")[0]
         body = client.post(payload)
         client.close()
         direct = RecommendationEngine(ensemble, **spec.engine_kwargs())
@@ -534,4 +553,112 @@ def test_bench_serve_startup(benchmark):
     assert info["rss_mb"] <= RSS_CEILING_MB, (
         f"repro serve peaked at {info['rss_mb']} MB by its ready line; "
         f"serving must stay <= {RSS_CEILING_MB} MB"
+    )
+
+
+def _server_cpu_ns(pid: int) -> int:
+    """CPU time of every live thread of ``pid``, in nanoseconds."""
+    total = 0
+    for path in Path(f"/proc/{pid}/task").glob("*/schedstat"):
+        try:
+            total += int(path.read_text().split()[0])
+        except FileNotFoundError:
+            pass  # the thread ended meanwhile
+    return total
+
+
+def _cpu_per_op_us(pid, address, payloads, n_clients: int) -> float:
+    """Server CPU per op while ``n_clients`` keep-alive clients send
+    ``payloads`` between them, each waiting for its answer."""
+    clients = [ServiceClient(*address) for _ in range(n_clients)]
+    shares = [payloads[i::n_clients] for i in range(n_clients)]
+    errors: list = []
+
+    def run(client, share):
+        try:
+            for data in share:
+                status, body = client.request_raw(data, f"/v{API_VERSION}")
+                assert status == 200, body[:200]
+        except Exception as exc:  # noqa: BLE001 — surfaced below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=pair)
+        for pair in zip(clients, shares)
+    ]
+    try:
+        before = _server_cpu_ns(pid)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        after = _server_cpu_ns(pid)
+    finally:
+        for client in clients:
+            client.close()
+    assert not errors, errors
+    assert not any(thread.is_alive() for thread in threads)
+    return (after - before) / len(payloads) / 1e3
+
+
+def _serve_contention() -> dict:
+    ensemble = generate_strategy_ensemble(N_STRATEGIES, "uniform", 67)
+    ref = EnsembleRef.of(ensemble)
+    by_fingerprint = encode(EnsembleRef.by_fingerprint(ref.fingerprint))
+    spec_wire = encode(_spec())
+    seeds = iter(range(1000, 2000))
+
+    def fresh(n: int, ensemble_wire) -> "list[bytes]":
+        seed = next(seeds)
+        payloads = _resolve_payloads(
+            ensemble_wire, spec_wire, seed, f"s{seed}-", n
+        )
+        return [json.dumps(payload).encode() for payload in payloads]
+
+    one, two = [], []
+    with _python("-m", "repro", "serve", "--port", "0") as proc:
+        try:
+            address = parse_ready_line(proc.stdout.readline())
+            assert address is not None, "repro serve printed no ready line"
+            # Upload the ensemble inline once, then warm up both paths.
+            [upload] = fresh(1, encode(ref))
+            with ServiceClient(*address) as client:
+                assert client.request_raw(upload, f"/v{API_VERSION}")[0] == 200
+            for n_clients in (1, 2):
+                warm = fresh(100, by_fingerprint)
+                _cpu_per_op_us(proc.pid, address, warm, n_clients)
+            for round_index in range(CONTENTION_ROUNDS):
+                order = (1, 2) if round_index % 2 == 0 else (2, 1)
+                for n_clients in order:
+                    payloads = fresh(CONTENTION_OPS, by_fingerprint)
+                    cpu_us = _cpu_per_op_us(
+                        proc.pid, address, payloads, n_clients
+                    )
+                    (one if n_clients == 1 else two).append(cpu_us)
+        finally:
+            proc.terminate()
+    ratios = [b / a for a, b in zip(one, two)]
+    return {
+        "rounds": CONTENTION_ROUNDS,
+        "ops_per_phase": CONTENTION_OPS,
+        "one_client_cpu_us_per_op": round(statistics.median(one), 1),
+        "two_client_cpu_us_per_op": round(statistics.median(two), 1),
+        "two_over_one_x": round(statistics.median(ratios), 3),
+        "two_over_one_ceiling_x": TWO_OVER_ONE_CEILING,
+    }
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/task"
+)
+def test_bench_serve_contention(benchmark):
+    info = benchmark.pedantic(_serve_contention, rounds=1, iterations=1)
+    benchmark.extra_info.update(info)
+    record(RESULTS_PATH, "serve_contention", info)
+    assert info["two_over_one_x"] <= TWO_OVER_ONE_CEILING, (
+        f"two keep-alive clients cost the server "
+        f"{info['two_client_cpu_us_per_op']} us of CPU per op against "
+        f"{info['one_client_cpu_us_per_op']} us with one "
+        f"({info['two_over_one_x']}x); a second client must stay <= "
+        f"{TWO_OVER_ONE_CEILING}x"
     )

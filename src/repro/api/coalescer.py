@@ -217,7 +217,7 @@ class RequestCoalescer:
         for call, prepared in good:
             results = [next(solved) for _ in prepared]
             try:
-                engine._check_admitted(prepared, results)
+                engine._check_admitted(results)
             except InfeasibleRequestError as exc:
                 call.error = exc
                 continue

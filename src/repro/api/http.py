@@ -12,16 +12,25 @@ Error contract: every failure is the typed error envelope from
 the status line (unknown handles → 404, ``internal`` → 500, any other
 client error → 400).  Tracebacks never cross the wire.
 
-**Concurrency.**  Handler threads call straight into
+**Concurrency.**  Handler code calls straight into
 :meth:`EngineService.handle_dict` — there is no transport-level lock.
 The service is internally thread-safe (sharded engine/ensemble pools,
 per-session locks, locked cache sections; see :mod:`repro.api.service`),
 and concurrent stateless ``resolve``/``alternatives`` calls are merged
 by the service's :class:`~repro.api.coalescer.RequestCoalescer` into one
-vectorized pass per engine identity.  The server is a bounded-pool
-variant of :class:`ThreadingHTTPServer` (``threads`` workers; excess
-connections queue in the listen backlog), and the handler disables
-Nagle's algorithm — with keep-alive JSON ping-pong, the Nagle /
+vectorized pass per engine identity.  The server's pool threads
+(``threads`` at most, started on demand) take turns at one selector
+that holds the listening socket and every idle keep-alive connection.
+The thread at the selector serves a ready request itself, so a request
+that arrives meanwhile waits in the kernel and wakes no thread: clients
+that take turns are served by one thread, which does not trade the
+interpreter lock with another on every request.  It hands the selector
+to another pool thread when a select finds several connections ready
+(they then run concurrently, and the coalescer merges them), before the
+cluster router waits on a worker (:func:`release_selector`), and when
+its request has held the selector for :data:`_GRACE_S` — so a slow
+request or a slow client holds only its own thread.  The handler
+disables Nagle's algorithm — with keep-alive JSON ping-pong, the Nagle /
 delayed-ACK interplay otherwise stalls every response by ~40 ms, which
 was the dominant cost of the old serve path.
 
@@ -32,8 +41,8 @@ names; a repeated header's values joined with ``", "``) — no
 ``http.client.parse_headers``, no ``email`` message.  The stdlib's
 limits stay: a request line over 65,536 bytes answers 414, a header
 line over it or more than 100 headers answer 431, only HTTP/1.0 and 1.1
-are served, ``Expect: 100-continue`` is honoured and an idle connection
-is dropped after 60 s.  Every answer — status line, headers, body —
+are served, ``Expect: 100-continue`` is honoured and a read that waits
+60 s drops the connection.  Every answer — status line, headers, body —
 leaves in one ``sendall`` built from a template made once per (status,
 server version); the ``Date`` value is cached per second.
 Header names, order and values are the stdlib's: ``Server``, ``Date``,
@@ -59,24 +68,29 @@ when framing is unrecoverable — the cases above, or a
 ``Content-Length`` over the 64 MiB body limit.  ``GET /v1/health``
 takes no service lock of any kind.
 
-**Shutdown.**  ``server_close`` shuts the read side of every open
-connection.  An idle keep-alive handler then reads EOF at once and its
-pool thread ends, while a request in flight still writes its answer.
-Without it an idle client held the pool thread, and with it interpreter
-exit, until the 60 s timeout.
+**Shutdown.**  ``shutdown`` stops accepting connections and returns
+even while a request is in progress: the thread that runs
+``serve_forever`` only waits.  ``server_close`` ends every idle
+connection and shuts the read side of the busy ones, so a request in
+flight still writes its answer before its connection closes; ``join``
+waits for that.  Idle connections expire in the selector after 60 s.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import io
 import json
+import os
+import selectors
+import signal
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from email.utils import formatdate
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.api.envelopes import ErrorResponse
 from repro.api.service import EngineService
@@ -125,7 +139,8 @@ class ApiRequestHandler(BaseHTTPRequestHandler):
     # Nagle + delayed ACK stalls small keep-alive responses ~40 ms each;
     # envelopes are single writes, so there is nothing to batch anyway.
     disable_nagle_algorithm = True
-    # A dead keep-alive peer must release its pool thread eventually.
+    # Seconds a read may wait, and an idle keep-alive connection may
+    # sit in the selector, before the connection is dropped.
     timeout = 60
 
     # ------------------------------------------------------ request cycle
@@ -391,58 +406,480 @@ def _error_body(code: str, message: str) -> dict:
     return ErrorResponse(code=code, message=message).to_dict()
 
 
-class _PooledHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer on a *bounded* worker pool.
+#: How long one request may keep the selector to itself.  After that an
+#: idle pool thread takes the selector over, so a slow request or a slow
+#: client holds only its own thread.
+_GRACE_S = 0.010
 
-    The stock class spawns one unbounded thread per connection; with
-    keep-alive each connection pins its thread for its whole lifetime,
-    so a connection flood becomes a thread flood.  Here connections are
-    handed to a fixed :class:`ThreadPoolExecutor` and the overflow waits
-    in the executor's queue (plus the listen backlog).  Open connections
-    are tracked so :meth:`server_close` can end the idle ones.
+
+class _PoolThread(threading.Thread):
+    """A serving thread of one :class:`_PooledHTTPServer`."""
+
+    def __init__(self, server: "_PooledHTTPServer", index: int):
+        super().__init__(name=f"repro-serve_{index}", daemon=True)
+        self.server = server
+        #: Notified when the server has a job for this thread.
+        self.wakeup = threading.Condition(server._lock)
+
+    def run(self):
+        self.server._work(self)
+
+
+def release_selector() -> None:
+    """Hand the selector to another pool thread before waiting on
+    another process.
+
+    A no-op unless the caller is a pool thread that holds the selector
+    while it serves a request.
+    """
+    thread = threading.current_thread()
+    if isinstance(thread, _PoolThread):
+        thread.server._release(thread)
+
+
+class _Selector:
+    """The listening socket and the idle keep-alive connections.
+
+    Only the pool thread at the selector uses it.  Idle connections are
+    kept oldest first, so the first one is the next to expire.
     """
 
-    daemon_threads = True
+    def __init__(self, listener, wakeup_fd: int, timeout: float):
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(wakeup_fd, selectors.EVENT_READ)
+        self.listener = listener
+        self.listening = False
+        self.timeout = timeout
+        self.idle: "dict[ApiRequestHandler, float]" = {}
+
+    def listen(self, on: bool) -> None:
+        if on != self.listening:
+            if on:
+                self.selector.register(self.listener, selectors.EVENT_READ)
+            else:
+                self.selector.unregister(self.listener)
+            self.listening = on
+
+    def add(self, handler: "ApiRequestHandler") -> None:
+        self.selector.register(
+            handler.connection, selectors.EVENT_READ, handler
+        )
+        self.idle[handler] = time.monotonic() + self.timeout
+
+    def remove(self, handler: "ApiRequestHandler") -> None:
+        self.selector.unregister(handler.connection)
+        del self.idle[handler]
+
+    def select(self):
+        """Wait for readiness, at most until the oldest idle connection
+        expires."""
+        timeout = None
+        for deadline in self.idle.values():
+            timeout = max(0.0, deadline - time.monotonic())
+            break
+        return self.selector.select(timeout)
+
+    def expired(self) -> "list[ApiRequestHandler]":
+        """Remove and return the connections idle past the timeout."""
+        now = time.monotonic()
+        out = []
+        for handler, deadline in self.idle.items():
+            if deadline > now:
+                break
+            out.append(handler)
+        for handler in out:
+            self.remove(handler)
+        return out
+
+
+class _PooledHTTPServer(HTTPServer):
+    """An HTTP server whose pool threads take turns at one selector
+    (the module docstring's **Concurrency**).
+
+    At most ``threads`` pool threads, started on demand, which bounds
+    the requests in progress.  The leader is the thread at the
+    selector; while it serves a request it *holds* the selector, and an
+    idle thread stands by to take the selector over once the hold
+    passes :data:`_GRACE_S`.  While any thread is free, a hold has a
+    stand-by: queued connections go to other threads first, and a
+    thread left with nothing to do watches a hold that nobody watches.
+    """
+
     request_queue_size = 128
 
     def __init__(self, server_address, handler_class, threads: int):
         super().__init__(server_address, handler_class)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(threads)),
-            thread_name_prefix="repro-serve",
+        self.socket.setblocking(False)
+        self._max_threads = max(1, int(threads))
+        # Written to, never through a socket, to end a select early.
+        self._wakeup_r, self._wakeup_w = os.pipe()
+        os.set_blocking(self._wakeup_r, False)
+        os.set_blocking(self._wakeup_w, False)
+        self._selector = _Selector(
+            self.socket, self._wakeup_r, handler_class.timeout
         )
+        self._shutdown_request = threading.Event()
+        self._is_shut_down = threading.Event()
+        self._lock = threading.Lock()
+        #: Notified when the last wakeup write in flight is done.
+        self._wakeup_idle = threading.Condition(self._lock)
+        # Everything below is guarded by _lock.
+        self._threads: "list[_PoolThread]" = []
+        self._idle_threads: "list[_PoolThread]" = []
+        #: The thread at the selector; ``None`` while the seat is free.
+        self._leader: "_PoolThread | None" = None
+        #: When the leader began serving its request; 0.0 while it selects.
+        self._holding = 0.0
+        self._holds = 0
+        #: The idle thread watching the leader's hold, if any.
+        self._standby: "_PoolThread | None" = None
+        #: Ready connections for any free thread.
+        self._queue: "collections.deque[ApiRequestHandler]" = (
+            collections.deque()
+        )
+        #: Connections other threads served, to go back in the selector.
+        self._returned: "list[ApiRequestHandler]" = []
+        self._selecting = False
+        self._wakeup_sent = False
+        self._wakers = 0
+        self._listen = False
+        self._closed = False
         self._connections: "set[socket.socket]" = set()
-        self._connections_lock = threading.Lock()
 
-    def process_request(self, request, client_address):
-        with self._connections_lock:
-            self._connections.add(request)
-        self._pool.submit(
-            self.process_request_thread, request, client_address
-        )
+    # ----------------------------------------------------------- lifecycle
+    def serve_forever(self, poll_interval=0.5):
+        """Accept connections until :meth:`shutdown`.
 
-    def process_request_thread(self, request, client_address):
-        # Untracked only once its handler is done: an interrupt that
-        # lands in ``submit`` above makes the base class close the
-        # request while the handler may already be reading from it.
+        The pool serves them; this thread only waits, so ``shutdown``
+        returns while a request is in progress.  It wakes every
+        ``poll_interval`` seconds all the same: a signal that lands just
+        before a wait with no timeout would not run its handler until
+        the wait ends.
+        """
+        self._is_shut_down.clear()
         try:
-            super().process_request_thread(request, client_address)
+            with self._lock:
+                self._listen = True
+                wake = self._wakeup_needed()
+                if not self._threads:
+                    self._spawn()
+            if wake:
+                self._wake_selector()
+            while not self._shutdown_request.wait(poll_interval):
+                pass
         finally:
-            with self._connections_lock:
-                self._connections.discard(request)
+            self._shutdown_request.clear()
+            self._is_shut_down.set()
+
+    def shutdown(self):
+        """Stop accepting connections and wait for :meth:`serve_forever`
+        to return.  Open connections are served until
+        :meth:`server_close`."""
+        with self._lock:
+            self._listen = False
+            wake = self._wakeup_needed()
+        if wake:
+            self._wake_selector()
+        self._shutdown_request.set()
+        self._is_shut_down.wait()
 
     def server_close(self):
+        """Close the listening socket and end every idle connection.
+
+        A request in progress still gets its answer, and its connection
+        closes after it; :meth:`join` waits for that.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._listen = False
+            connections = list(self._connections)
+            started = bool(self._threads)
+            wake = self._wakeup_needed()
+            for thread in self._idle_threads:
+                thread.wakeup.notify()
+            self._idle_threads.clear()
+            if self._standby is not None:
+                self._standby.wakeup.notify()
         super().server_close()
-        # An idle handler blocks in readline, and interpreter exit joins
-        # pool threads: shutting the read side hands it EOF now, while a
-        # request in flight can still write its answer.
-        with self._connections_lock:
-            for request in self._connections:
+        # A request in progress blocked mid-read gets EOF now, and can
+        # still write its answer.
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer is already gone
+        if wake:
+            self._wake_selector()
+        with self._lock:
+            self._wakeup_idle.wait_for(lambda: not self._wakers)
+        os.close(self._wakeup_w)
+        if not started:
+            self._selector.selector.close()
+            os.close(self._wakeup_r)
+
+    def join(self) -> None:
+        """After :meth:`server_close`: wait until every pool thread has
+        ended, that is until the requests in progress are answered."""
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join()
+
+    # ---------------------------------------------------------- pool roles
+    def _work(self, me: _PoolThread) -> None:
+        while True:
+            job = self._next_job(me)
+            if job is None:
+                return
+            if job is me:
+                self._lead(me)
+            else:
+                self._give_back(job, self._serve(job))
+
+    def _next_job(self, me: _PoolThread):
+        """A ready connection to serve, ``me`` to take the selector, or
+        ``None`` once the server is closed."""
+        with self._lock:
+            while True:
+                if self._standby is me:
+                    if self._stand_by(me):
+                        return me
+                elif self._queue:
+                    return self._queue.popleft()
+                # A closed server's idle connections are ended at the
+                # selector, so its seat cannot wait for a held request.
+                elif self._leader is None or (self._closed and self._holding):
+                    self._leader, self._holding = me, 0.0
+                    return me
+                elif self._closed:
+                    return None
+                elif self._holding and self._standby is None:
+                    self._standby = me  # no thread watches this hold yet
+                else:
+                    self._idle_threads.append(me)
+                    me.wakeup.wait()
+
+    def _stand_by(self, me: _PoolThread) -> bool:
+        """Watch the leader's holds (lock held); ``True`` once ``me`` has
+        taken the selector over from a hold past the grace period.
+        Watching ends after a grace period with no request, or when
+        :meth:`_rouse` needs ``me`` for a queued connection."""
+        seen = None
+        while (
+            self._standby is me
+            and self._leader is not None
+            and not self._closed
+        ):
+            if self._holding:
+                left = self._holding + _GRACE_S - time.monotonic()
+                if left <= 0:
+                    self._leader, self._holding = me, 0.0
+                    break
+            elif self._holds == seen:
+                break
+            else:
+                left = _GRACE_S
+            seen = self._holds
+            me.wakeup.wait(left)
+        if self._standby is me:
+            self._standby = None
+        return self._leader is me
+
+    def _lead(self, me: _PoolThread) -> None:
+        """Serve at the selector until another thread takes it over or
+        the server closes."""
+        selector = self._selector
+        while True:
+            with self._lock:
+                returned, self._returned = self._returned, []
+                closed, listen = self._closed, self._listen
+                handler = (
+                    self._queue.popleft()
+                    if self._queue and not closed
+                    else None
+                )
+                self._selecting = handler is None and not closed
+                self._wakeup_sent = False
+            if closed:
+                for idle in returned + list(selector.idle):
+                    self._close(idle)
+                selector.selector.close()
+                os.close(self._wakeup_r)
+                return
+            for returned_handler in returned:
+                selector.add(returned_handler)
+            selector.listen(listen)
+            if handler is None:
+                events = selector.select()
+                with self._lock:
+                    self._selecting = False
+                ready = []
+                for key, _mask in events:
+                    if key.data is not None:
+                        ready.append(key.data)
+                    elif key.fileobj is self.socket:
+                        self._accept()
+                    else:
+                        try:
+                            os.read(self._wakeup_r, 512)
+                        except BlockingIOError:
+                            pass
+                for ready_handler in ready:
+                    selector.remove(ready_handler)
+                for expired in selector.expired():
+                    self._close(expired)
+                if not ready:
+                    continue
+                handler = ready.pop()
+                if ready:
+                    with self._lock:
+                        self._queue.extend(ready)
+                        for _ in ready:
+                            self._rouse()
+            if not self._hold(me, handler):
+                return
+
+    def _hold(self, me: _PoolThread, handler) -> bool:
+        """Serve ``handler`` from the selector's seat; ``False`` when
+        another thread took the seat meanwhile."""
+        with self._lock:
+            self._holding = time.monotonic()
+            self._holds += 1
+            if self._standby is None:
+                if self._idle_threads:
+                    self._standby = self._idle_threads.pop()
+                    self._standby.wakeup.notify()
+                else:
+                    self._standby = self._spawn()
+        keep = self._serve(handler)
+        with self._lock:
+            seated = self._leader is me
+            if seated:
+                self._holding = 0.0
+        if not seated:
+            self._give_back(handler, keep)
+            return False
+        if keep:
+            self._selector.add(handler)
+        else:
+            self._close(handler)
+        return True
+
+    def _release(self, me: _PoolThread) -> None:
+        with self._lock:
+            if self._leader is not me or not self._holding:
+                return
+            self._leader, self._holding = None, 0.0
+            if self._standby is not None:
+                self._standby.wakeup.notify()  # it takes the free seat
+            else:
+                self._rouse()
+
+    def _rouse(self) -> None:
+        """Find a thread for a queued connection or the free seat (lock
+        held): an idle one, a new one, or — with the pool full — the
+        standby, which then stops watching."""
+        if self._idle_threads:
+            self._idle_threads.pop().wakeup.notify()
+        elif self._spawn() is None and self._standby is not None:
+            self._standby.wakeup.notify()
+            self._standby = None
+
+    def _spawn(self) -> "_PoolThread | None":
+        """Start a new pool thread (lock held), unless the pool is full."""
+        if self._closed or len(self._threads) >= self._max_threads:
+            return None
+        thread = _PoolThread(self, len(self._threads))
+        thread.start()
+        self._threads.append(thread)
+        return thread
+
+    # -------------------------------------------------------- connections
+    def _accept(self) -> None:
+        try:
+            request, client_address = self.socket.accept()
+        except OSError:
+            return  # the client gave up, or the socket was closed
+        cls = self.RequestHandlerClass
+        handler = cls.__new__(cls)
+        handler.request, handler.client_address = request, client_address
+        handler.server = self
+        try:
+            handler.setup()
+        except OSError:
+            self.shutdown_request(request)
+            return
+        with self._lock:
+            self._connections.add(request)
+        self._selector.add(handler)
+
+    def _serve(self, handler) -> bool:
+        """Answer the requests ready on one connection; ``True`` while
+        it stays open.
+
+        Bytes of a next request already read into ``rfile`` (pipelined,
+        or read ahead with the previous body) would never wake the
+        selector, so they are served here before the connection goes
+        back.
+        """
+        connection = handler.connection
+        try:
+            while True:
+                handler.handle_one_request()
+                if handler.close_connection:
+                    return False
+                connection.settimeout(0.0)
                 try:
-                    request.shutdown(socket.SHUT_RD)
-                except OSError:
-                    pass  # the peer is already gone
-        self._pool.shutdown(wait=False)
+                    if not handler.rfile.peek(1):
+                        return True
+                finally:
+                    connection.settimeout(handler.timeout)
+        except Exception:
+            self.handle_error(handler.request, handler.client_address)
+            return False
+
+    def _give_back(self, handler, keep: bool) -> None:
+        """Return a connection served off the seat to the selector, or
+        close it."""
+        wake = False
+        if keep:
+            with self._lock:
+                keep = not self._closed
+                if keep:
+                    self._returned.append(handler)
+                    wake = self._wakeup_needed()
+        if not keep:
+            self._close(handler)
+        elif wake:
+            self._wake_selector()
+
+    def _close(self, handler) -> None:
+        handler.finish()
+        self.shutdown_request(handler.request)
+        with self._lock:
+            self._connections.discard(handler.request)
+
+    # ------------------------------------------------------------- wakeups
+    def _wakeup_needed(self) -> bool:
+        """Whether the caller must end the leader's select (lock held);
+        the caller then calls :meth:`_wake_selector` unlocked."""
+        if not self._selecting or self._wakeup_sent:
+            return False
+        self._wakeup_sent = True
+        self._wakers += 1
+        return True
+
+    def _wake_selector(self) -> None:
+        try:
+            os.write(self._wakeup_w, b"\0")
+        except OSError:
+            pass  # a full pipe wakes the select as well
+        with self._lock:
+            self._wakers -= 1
+            if not self._wakers:
+                self._wakeup_idle.notify_all()
 
 
 def make_server(
@@ -451,7 +888,7 @@ def make_server(
     port: int = 0,
     verbose: bool = False,
     threads: int = DEFAULT_THREADS,
-) -> ThreadingHTTPServer:
+) -> _PooledHTTPServer:
     """Build (but do not start) the HTTP server fronting one service.
 
     ``port=0`` binds an ephemeral port — read it back from
@@ -476,7 +913,9 @@ def serve(
 
     ``ready``, when given, is called with the bound ``(host, port)`` just
     before the loop starts — how tests and the CLI print the address
-    without racing the bind.
+    without racing the bind.  On the main thread, SIGINT and SIGTERM
+    stop the loop; it returns once the requests in progress are
+    answered.
     """
     server = make_server(
         service,
@@ -486,10 +925,35 @@ def serve(
         threads=threads,
     )
     try:
-        if ready is not None:
-            ready(server.server_address)
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        with shutdown_on_signals(server):
+            if ready is not None:
+                ready(server.server_address)
+            server.serve_forever()
     finally:
         server.server_close()
+        server.join()
+
+
+@contextlib.contextmanager
+def shutdown_on_signals(server):
+    """While the block runs on the main thread, SIGINT and SIGTERM call
+    ``server.shutdown()``, so no ``KeyboardInterrupt`` lands inside
+    serving code."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def on_signal(_signum, _frame):
+        # shutdown() waits for serve_forever, which runs on this very
+        # thread: hand it to another.
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    previous = {
+        signum: signal.signal(signum, on_signal)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)

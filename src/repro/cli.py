@@ -503,19 +503,6 @@ def run_serve(args, out) -> int:
             journal_dir=args.journal,
         )
         return 0
-    if journal is not None:
-        # The journal writes behind a queue, so SIGTERM must drain it
-        # the way Ctrl-C does — route it through the KeyboardInterrupt
-        # path that ``serve`` already unwinds cleanly.
-        import signal
-
-        def _terminate(_signum, _frame):
-            raise KeyboardInterrupt
-
-        try:
-            signal.signal(signal.SIGTERM, _terminate)
-        except ValueError:
-            pass  # not the main thread (in-process harnesses)
     try:
         serve(
             service,

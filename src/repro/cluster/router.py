@@ -50,9 +50,9 @@ re-wrapped.  No JSON re-serialization tax on ``resolve``/``plan``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
-import signal
 import threading
 from http.client import HTTPException
 
@@ -65,6 +65,8 @@ from repro.api.http import (
     HTTP_STATUS,
     ApiRequestHandler,
     _PooledHTTPServer,
+    release_selector,
+    shutdown_on_signals,
 )
 from repro.api.wire import API_VERSION, EnsembleRef
 from repro.cluster.hashring import HashRing
@@ -391,6 +393,9 @@ class RouterService:
         self, slot: int, data: bytes, path: str
     ) -> "tuple[int, bytes] | None":
         """One upstream round trip; ``None`` after transport failure."""
+        # The round trip waits on another process: let another pool
+        # thread read the next request meanwhile.
+        release_selector()
         try:
             client = self._client(slot)
             return client.request_raw(data, path)
@@ -513,26 +518,18 @@ def serve_cluster(
         supervisor.stop()
         raise
 
-    previous: "dict[int, object]" = {}
-
-    def _on_signal(_signum, _frame):
-        # shutdown() joins serve_forever's loop — calling it from the
-        # handler (which runs *on* the serving main thread) deadlocks,
-        # so hand it to a throwaway thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    if install_signal_handlers:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, _on_signal)
+    signals = (
+        shutdown_on_signals(server)
+        if install_signal_handlers
+        else contextlib.nullcontext()
+    )
     try:
-        if ready is not None:
-            ready(server.server_address)
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        with signals:
+            if ready is not None:
+                ready(server.server_address)
+            server.serve_forever()
     finally:
         router.drain(timeout=drain_timeout)
         supervisor.stop()
         server.server_close()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
+        server.join()

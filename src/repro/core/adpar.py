@@ -114,7 +114,7 @@ def finalize_result(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ADPaRResult:
     """Alternative parameters plus the k strategies they admit."""
 

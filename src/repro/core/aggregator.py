@@ -31,7 +31,7 @@ class ResolutionStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestResolution:
     """Final answer for one request: strategies, or alternative parameters."""
 

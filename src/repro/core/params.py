@@ -16,7 +16,7 @@ from repro.geometry.point import Point3
 from repro.utils.validation import check_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriParams:
     """A (quality, cost, latency) triple in ``[0, 1]³``.
 

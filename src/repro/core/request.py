@@ -14,7 +14,7 @@ from repro.core.params import TriParams
 from repro.utils.validation import check_non_negative, check_positive_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeploymentRequest:
     """One requester's deployment request ``d``."""
 

@@ -141,7 +141,7 @@ def _inversion_of(ensemble: StrategyEnsemble) -> _Inversion:
     return inversion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestWorkforce:
     """Aggregated workforce requirement of one request (§3.2 step 2)."""
 

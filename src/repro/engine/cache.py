@@ -295,15 +295,16 @@ class EngineCache:
         solver: str = "adpar-exact",
         options: "dict | None" = None,
         registry: "SolverRegistry | None" = None,
-    ) -> "list[ADPaRResult | None]":
-        """Cached batch solve; ``None`` marks an infeasible request.
+    ) -> "list[ADPaRResult | str]":
+        """Cached batch solve; an infeasible request's entry is its
+        verdict's text, the message the scalar door raises.
 
         Cache hits are answered in place, duplicate (params, k) pairs
         within the batch are solved once, and the remaining misses go to
         the backend's :meth:`~repro.engine.solvers.AdparSolver.solve_batch`
         in a single call so the per-request geometry is amortized.
         """
-        results: "list[ADPaRResult | None]" = [None] * len(requests)
+        results: "list[ADPaRResult | str | None]" = [None] * len(requests)
         missing: "list[tuple[tuple, DeploymentRequest]]" = []
         pending: "dict[tuple, list[int]]" = {}
         hits = misses = 0
@@ -314,7 +315,7 @@ class EngineCache:
             hit = self._adpar_results.get(key)
             if hit is not None:
                 hits += 1
-                results[i] = None if isinstance(hit, str) else hit
+                results[i] = hit
                 continue
             misses += 1
             if key in pending:
@@ -327,12 +328,13 @@ class EngineCache:
             return results
         backend = self.adpar_solver(ensemble, availability, solver, options, registry)
         feasible: "list[tuple[tuple, DeploymentRequest]]" = []
+        answers: "list[tuple[tuple, ADPaRResult | str]]" = []
         for key, request in missing:
             if request.k > len(ensemble):
                 # The one infeasibility every backend shares: no relaxation
                 # can conjure strategies that are not in S.
-                self._adpar_results.put(
-                    key, str(too_few_strategies(request.k, len(ensemble)))
+                answers.append(
+                    (key, str(too_few_strategies(request.k, len(ensemble))))
                 )
             else:
                 feasible.append((key, request))
@@ -351,12 +353,11 @@ class EngineCache:
                         solved.append(backend.solve(request))
                     except InfeasibleRequestError as exc:
                         solved.append(str(exc))
-            for (key, _request), result in zip(feasible, solved):
-                self._adpar_results.put(key, result)
-                if isinstance(result, str):
-                    continue
-                for i in pending[key]:
-                    results[i] = result
+            answers.extend(zip([key for key, _ in feasible], solved))
+        for key, result in answers:
+            self._adpar_results.put(key, result)
+            for i in pending[key]:
+                results[i] = result
         return results
 
     # ----------------------------------------------------------------- sizes

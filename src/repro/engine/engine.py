@@ -28,7 +28,7 @@ from repro.core.aggregator import (
     RequestResolution,
     ResolutionStatus,
 )
-from repro.core.adpar import ADPaRResult, too_few_strategies
+from repro.core.adpar import ADPaRResult
 from repro.core.batchstrat import BatchOutcome
 from repro.core.objectives import ObjectiveSpec, validate_objective
 from repro.core.request import DeploymentRequest
@@ -47,6 +47,7 @@ from repro.engine.solvers import (
     SolverRegistry,
     default_solver_registry,
 )
+from repro.exceptions import InfeasibleRequestError
 from repro.modeling.availability import AvailabilityDistribution
 from repro.utils.validation import check_fraction
 
@@ -298,7 +299,7 @@ class RecommendationEngine:
                 )
                 continue
             result = alternatives[request.request_id]
-            if result is None:
+            if isinstance(result, str):
                 resolutions.append(
                     RequestResolution(
                         request=request,
@@ -348,8 +349,9 @@ class RecommendationEngine:
         self,
         requests: "list[DeploymentRequest]",
         solver: "str | None" = None,
-    ) -> "list[ADPaRResult | None]":
-        """Cached batch ADPaR; ``None`` marks an infeasible request."""
+    ) -> "list[ADPaRResult | str]":
+        """Cached batch ADPaR; an infeasible request's entry is its
+        verdict's text."""
         return self.cache.adpar_solve_batch(
             self.ensemble,
             self.availability,
@@ -402,19 +404,16 @@ class RecommendationEngine:
         """
         prepared = [self._as_adpar_request(r, k) for r in requests]
         results = self._alternatives_for(prepared, solver=solver)
-        self._check_admitted(prepared, results)
+        self._check_admitted(results)
         return results  # type: ignore[return-value]
 
-    def _check_admitted(
-        self,
-        requests: "list[DeploymentRequest]",
-        results: "list[ADPaRResult | None]",
-    ) -> None:
-        """Raise :class:`InfeasibleRequestError` for the first request
-        the batch ADPaR answered ``None`` (k exceeds the ensemble)."""
-        for request, result in zip(requests, results):
-            if result is None:
-                raise too_few_strategies(request.k, len(self.ensemble))
+    @staticmethod
+    def _check_admitted(results: "list[ADPaRResult | str]") -> None:
+        """Raise :class:`InfeasibleRequestError` with the verdict of the
+        first request the batch ADPaR found infeasible."""
+        for result in results:
+            if isinstance(result, str):
+                raise InfeasibleRequestError(result)
 
     # --------------------------------------------------------------- session
     def open_session(self) -> EngineSession:

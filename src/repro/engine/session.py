@@ -314,17 +314,18 @@ class EngineSession:
 
     def _solve_alternative(
         self, request: DeploymentRequest
-    ) -> "ADPaRResult | None":
+    ) -> "ADPaRResult | str":
         try:
             return self.engine.recommend_alternative(request)
-        except InfeasibleRequestError:
-            return None
+        except InfeasibleRequestError as exc:
+            return str(exc)
 
     def _fallback_decision(
-        self, request: DeploymentRequest, result: "ADPaRResult | None"
+        self, request: DeploymentRequest, result: "ADPaRResult | str"
     ) -> StreamDecision:
+        """``result`` is the ADPaR answer, or an infeasible verdict's text."""
         self._drop_deferred(request.request_id)
-        if result is None:
+        if isinstance(result, str):
             return StreamDecision(request=request, status=StreamStatus.INFEASIBLE)
         return StreamDecision(
             request=request,

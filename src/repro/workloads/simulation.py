@@ -208,13 +208,13 @@ def simulate_scenario(
 
     # adpar: one deliberately unsatisfiable request, answered with the
     # closest alternative parameters by the engine's solver backend.
-    # The batch path marks a request no relaxation admits (k > |S|) as
-    # None instead of raising, so it is counted as infeasible.
+    # The batch path answers an infeasible request with its verdict's
+    # text instead of raising, so it is counted as infeasible.
     request = spec.deployment_request(payload)
     start = time.perf_counter()
     results = engine._alternatives_for([request])
     elapsed = time.perf_counter() - start
-    solved = [result for result in results if result is not None]
+    solved = [result for result in results if not isinstance(result, str)]
     mean_distance = (
         sum(result.distance for result in solved) / len(solved)
         if solved

@@ -491,6 +491,16 @@ def test_server_close_ends_idle_connections_but_finishes_in_flight():
 
 
 def test_serve_exits_promptly_on_sigint_with_an_idle_client():
+    _serve_exits_promptly(signal.SIGINT)
+
+
+def test_serve_exits_promptly_on_sigterm_with_an_idle_client():
+    _serve_exits_promptly(signal.SIGTERM)
+
+
+def _serve_exits_promptly(signum) -> None:
+    """``repro serve`` with a keep-alive client connected exits 0 soon
+    after ``signum``, however soon after an answer it lands."""
     from repro.cluster import parse_ready_line
 
     src = Path(__file__).resolve().parents[2] / "src"
@@ -515,12 +525,7 @@ def test_serve_exits_promptly_on_sigint_with_an_idle_client():
         idle = Peer(address)
         idle.send(b"GET /v1/health HTTP/1.1\r\n\r\n")
         assert idle.answer()[0] == "HTTP/1.1 200 OK"
-        # The accept loop may still be starting the pool thread that just
-        # answered; an interrupt landing inside Thread.start() can end in
-        # socketserver's error handler instead of the serve loop, so let
-        # the loop get back to select() first.
-        time.sleep(0.5)
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         assert proc.wait(timeout=5) == 0
     finally:
         if idle is not None:

@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.api import (
+    API_VERSION,
+    EngineService,
+    EngineSpec,
+    EnsembleRef,
+    encode,
+)
 from repro.core.aggregator import ResolutionStatus
 from repro.core.batchstrat import BatchOutcome
 from repro.core.params import TriParams
@@ -18,6 +25,29 @@ from repro.engine import (
 )
 from repro.core.strategy import StrategyEnsemble
 from repro.exceptions import InfeasibleRequestError, UnknownPlannerError
+
+
+REFUSAL = "sweep found no covering relaxation"
+
+
+def _refusing_registry() -> SolverRegistry:
+    """A solver registry whose ``refuses`` backend rejects every request."""
+
+    class Refuses:
+        name = "refuses"
+
+        def __init__(self, context, options):
+            self.space = context.space
+
+        def solve(self, request, k=None):
+            raise InfeasibleRequestError(REFUSAL)
+
+        def solve_batch(self, requests, k=None):
+            return [self.solve(r, k) for r in requests]
+
+    registry = SolverRegistry()
+    registry.register("refuses", Refuses)
+    return registry
 
 
 @pytest.fixture
@@ -164,24 +194,11 @@ class TestEngineAPI:
     ):
         """A backend's own refusal (k <= |S|) is cached with its text,
         whether the scalar or the batch door decided it."""
-        message = "sweep found no covering relaxation"
-
-        class Refuses:
-            name = "refuses"
-
-            def __init__(self, context, options):
-                self.space = context.space
-
-            def solve(self, request, k=None):
-                raise InfeasibleRequestError(message)
-
-            def solve_batch(self, requests, k=None):
-                return [self.solve(r, k) for r in requests]
-
-        registry = SolverRegistry()
-        registry.register("refuses", Refuses)
         engine = RecommendationEngine(
-            table1_ensemble, 0.8, solver="refuses", solver_registry=registry
+            table1_ensemble,
+            0.8,
+            solver="refuses",
+            solver_registry=_refusing_registry(),
         )
         scalar = DeploymentRequest("a", TriParams(0.9, 0.1, 0.1), k=2)
         batched = DeploymentRequest("b", TriParams(0.95, 0.1, 0.1), k=2)
@@ -190,8 +207,46 @@ class TestEngineAPI:
         for request in (scalar, scalar, batched):
             with pytest.raises(InfeasibleRequestError) as caught:
                 engine.recommend_alternative(request)
-            assert str(caught.value) == message
+            assert str(caught.value) == REFUSAL
         assert engine.stats.adpar_hits == 2
+
+    def test_batch_doors_raise_the_backends_words(self, table1_ensemble):
+        """The batch door and the service's ``alternatives`` envelope
+        report a backend's refusal in its words, as the scalar door
+        does, not as ``k > |S|``."""
+        registry = _refusing_registry()
+        engine = RecommendationEngine(
+            table1_ensemble, 0.5, solver="refuses", solver_registry=registry
+        )
+        request = DeploymentRequest("a", TriParams(0.9, 0.1, 0.1), k=2)
+        for door in (
+            engine.recommend_alternative,
+            lambda r: engine.recommend_alternatives([r]),
+        ):
+            for _ in range(2):  # the miss, then the cached verdict
+                with pytest.raises(InfeasibleRequestError) as caught:
+                    door(request)
+                assert str(caught.value) == REFUSAL
+        service = EngineService(solver_registry=registry)
+        answer = service.handle_dict(
+            {
+                "api_version": API_VERSION,
+                "type": "alternatives",
+                "ensemble": encode(EnsembleRef.of(table1_ensemble)),
+                "spec": encode(EngineSpec(availability=0.5, solver="refuses")),
+                "requests": [
+                    {
+                        "request_id": "a",
+                        "params": {"quality": 0.9, "cost": 0.1, "latency": 0.1},
+                        "k": 2,
+                    }
+                ],
+            }
+        )
+        assert (answer["code"], answer["message"]) == (
+            "infeasible_request",
+            REFUSAL,
+        )
 
     def test_duplicate_request_ids_rejected(self, engine):
         request = DeploymentRequest("dup", TriParams(0.5, 0.5, 0.5), k=1)

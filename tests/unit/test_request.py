@@ -64,3 +64,48 @@ class TestMakeRequests:
 
     def test_empty_input(self):
         assert make_requests([]) == []
+
+
+def _per_request_values():
+    """One of each value the engine builds per request and may cache."""
+    from repro.core.adpar import ADPaRResult
+    from repro.core.aggregator import RequestResolution, ResolutionStatus
+    from repro.core.workforce import RequestWorkforce
+
+    params = TriParams(0.5, 0.2, 0.3)
+    request = DeploymentRequest("d1", params, k=2, payoff=0.4)
+    adpar = ADPaRResult(
+        original=params,
+        alternative=TriParams(0.4, 0.3, 0.3),
+        distance=0.1,
+        squared_distance=0.01,
+        relaxation=(0.1, 0.1, 0.0),
+        strategy_indices=(1, 2),
+        strategy_names=("s2", "s3"),
+    )
+    return [
+        params,
+        request,
+        RequestWorkforce("d1", 0.3, (1, 2), 5),
+        adpar,
+        RequestResolution(
+            request=request,
+            status=ResolutionStatus.ALTERNATIVE,
+            strategy_names=("s2", "s3"),
+            params=adpar.alternative,
+            distance=0.1,
+            adpar=adpar,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", _per_request_values(), ids=lambda value: type(value).__name__
+)
+def test_per_request_values_are_slotted_and_pickle(value):
+    """No per-instance ``__dict__`` (the caches hold many of these), and
+    a pickle round trip (worker processes receive requests) is equal."""
+    import pickle
+
+    assert not hasattr(value, "__dict__")
+    assert pickle.loads(pickle.dumps(value)) == value
