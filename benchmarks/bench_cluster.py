@@ -229,6 +229,7 @@ def _cluster_point(n_workers: int, refs, check_decisions: bool) -> float:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+            router.close()
     finally:
         supervisor.stop()
 

@@ -8,11 +8,10 @@ aggregation, whose pins are recorded to ``BENCH_workforce.json``.
 
 import math
 import statistics
-import time
 from pathlib import Path
 
 import numpy as np
-from bench_recording import record
+from bench_recording import paired_rounds, record
 from workforce_reference import three_grid_rows_oracle
 
 from repro.core.params import TriParams
@@ -62,22 +61,24 @@ def test_bench_rows_10k(benchmark):
         timings = {}
         for mode in WORKFORCE_MODES:
             computer = WorkforceComputer(ensemble, mode=mode)
-            fused_s, grid_s = [], []
-            for _ in range(AGGREGATE_ROUNDS):
-                start = time.perf_counter()
-                fused = [computer.rows(block) for block in blocks]
-                fused_s.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                expected = [
+
+            def fused():
+                return [computer.rows(block) for block in blocks]
+
+            def grid():
+                return [
                     three_grid_rows_oracle(ensemble, block, mode)
                     for block in blocks
                 ]
-                grid_s.append(time.perf_counter() - start)
+
+            same = [g.tobytes() for g in fused()] == [
+                g.tobytes() for g in grid()
+            ]
+            fused_s, grid_s = zip(*paired_rounds(fused, grid, AGGREGATE_ROUNDS))
             timings[mode] = (
                 statistics.median(fused_s),
                 statistics.median(grid_s),
-                [grid.tobytes() for grid in fused]
-                == [grid.tobytes() for grid in expected],
+                same,
             )
         return timings
 
@@ -125,17 +126,20 @@ def _full_sort_aggregate(computer, requests):
 
 
 def _aggregate_vs_full_sort(computer, requests):
-    """Median seconds of each rule over interleaved rounds, plus identity."""
-    new_s, sort_s = [], []
-    for _ in range(AGGREGATE_ROUNDS):
-        start = time.perf_counter()
-        needs = computer.aggregate_all(requests)
-        new_s.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        expected = _full_sort_aggregate(computer, requests)
-        sort_s.append(time.perf_counter() - start)
-    got = [(n.requirement, n.strategy_indices, n.eligible_count) for n in needs]
-    return statistics.median(new_s), statistics.median(sort_s), got == expected
+    """Median seconds of each rule over paired rounds, plus identity."""
+    got = [
+        (n.requirement, n.strategy_indices, n.eligible_count)
+        for n in computer.aggregate_all(requests)
+    ]
+    same = got == _full_sort_aggregate(computer, requests)
+    new_s, sort_s = zip(
+        *paired_rounds(
+            lambda: computer.aggregate_all(requests),
+            lambda: _full_sort_aggregate(computer, requests),
+            AGGREGATE_ROUNDS,
+        )
+    )
+    return statistics.median(new_s), statistics.median(sort_s), same
 
 
 def test_bench_aggregate_all_10k(benchmark):

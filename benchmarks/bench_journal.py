@@ -27,10 +27,9 @@ from __future__ import annotations
 import statistics
 import tempfile
 import threading
-import time
 from pathlib import Path
 
-from bench_recording import record
+from bench_recording import paired_rounds, record
 
 from repro.api import (
     API_VERSION,
@@ -181,15 +180,13 @@ def _journal_overhead() -> dict:
         try:
             ops = _drive_once(plain.client, ref, stream)  # engine warmup
             _drive_once(journaled.client, ref, stream)
-            plain_rounds, journaled_rounds = [], []
-            for _ in range(ROUNDS):
-                for variant, rounds in (
-                    (plain, plain_rounds),
-                    (journaled, journaled_rounds),
-                ):
-                    start = time.perf_counter()
-                    ops = _drive_once(variant.client, ref, stream)
-                    rounds.append(time.perf_counter() - start)
+            plain_rounds, journaled_rounds = zip(
+                *paired_rounds(
+                    lambda: _drive_once(plain.client, ref, stream),
+                    lambda: _drive_once(journaled.client, ref, stream),
+                    ROUNDS,
+                )
+            )
         finally:
             plain.stop()
             journaled.stop()

@@ -24,10 +24,9 @@ tracked across commits:
 """
 
 import statistics
-import time
 from pathlib import Path
 
-from bench_recording import record
+from bench_recording import paired_rounds, record
 from workforce_reference import three_grid_rows_oracle
 
 from repro.core.workforce import WorkforceComputer
@@ -74,19 +73,18 @@ def _session(ensemble):
     ).open_session()
 
 
-def _scalar_vs_batch() -> tuple[float, float]:
+def _scalar_vs_batch() -> "list[tuple[float, float]]":
+    """``(submit_loop_s, submit_many_s)`` per round, each pass on a fresh
+    session (cold engine cache), after one untimed check that both paths
+    decide alike."""
     ensemble, stream = _workload()
 
-    scalar_session = _session(ensemble)
-    start = time.perf_counter()
-    scalar = [scalar_session.submit(request) for request in stream]
-    scalar_s = time.perf_counter() - start
+    def submit_loop(session):
+        return [session.submit(request) for request in stream]
 
-    batch_session = _session(ensemble)
-    start = time.perf_counter()
+    scalar_session, batch_session = _session(ensemble), _session(ensemble)
+    scalar = submit_loop(scalar_session)
     batched = batch_session.submit_many(stream)
-    batch_s = time.perf_counter() - start
-
     assert [d.comparison_key() for d in scalar] == [
         d.comparison_key() for d in batched
     ]
@@ -95,13 +93,15 @@ def _scalar_vs_batch() -> tuple[float, float]:
     assert [r.request_id for r in batch_session.deferred] == [
         r.request_id for r in scalar_session.deferred
     ]
-    return scalar_s, batch_s
+    return paired_rounds(
+        lambda: submit_loop(_session(ensemble)),
+        lambda: _session(ensemble).submit_many(stream),
+        ROUNDS,
+    )
 
 
 def test_bench_submit_many_speedup(benchmark):
-    rounds = benchmark.pedantic(
-        lambda: [_scalar_vs_batch() for _ in range(ROUNDS)], rounds=1, iterations=1
-    )
+    rounds = benchmark.pedantic(_scalar_vs_batch, rounds=1, iterations=1)
     ratios = [scalar_s / max(batch_s, 1e-9) for scalar_s, batch_s in rounds]
     speedup = statistics.median(ratios)
     info = {
@@ -131,23 +131,20 @@ def _cold_vs_memoized() -> "list[tuple[float, float]]":
     engine = RecommendationEngine(ensemble, AVAILABILITY, aggregation=AGGREGATION)
     engine.open_session().submit_many(shapes)
     resubmitted = [request.with_params(request.params) for request in shapes]
-    rounds = []
-    for _ in range(ROUNDS):
-        # Cold aggregation: a fresh plain computer, one model inversion
-        # per shape by the reference rule.
+
+    def cold():
+        # A fresh plain computer: one model inversion per shape by the
+        # reference rule.
         plain = _ReferenceComputer(ensemble, aggregation=AGGREGATION)
-        start = time.perf_counter()
         for request in shapes:
             plain.aggregate(request)
-        cold_s = time.perf_counter() - start
 
+    def memoized():
         session = engine.open_session()
-        start = time.perf_counter()
         for request in resubmitted:
             session.submit(request)
-        warm_s = time.perf_counter() - start
-        rounds.append((cold_s, warm_s))
-    return rounds
+
+    return paired_rounds(cold, memoized, ROUNDS)
 
 
 def test_bench_memoized_resubmit(benchmark):

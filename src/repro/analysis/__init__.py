@@ -13,18 +13,14 @@ wire dispatch and error-code tables are checked in
 scenario name is covered by construction in
 ``tests/property/test_backend_contract.py``.
 
-Diagnostics carry ``file:line``, a rule id, and a fix hint; accepted
-pre-existing findings live in ``analysis/baseline.json`` (with a
-justification each) so only *new* findings fail CI.  Run it with
-``repro lint`` or ``python -m repro.analysis --json``.
+Diagnostics carry ``file:line``, a rule id, and a fix hint.  A finding
+is accepted by a ``# lint: lock-ok <why>`` (or ``unguarded-ok``)
+comment on its line or the line above; an accept that silences no
+finding fails the run.  Run it with ``repro lint`` or ``python -m
+repro.analysis --json``.
 """
 
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    RULES,
-    load_baseline,
-    diff_against_baseline,
-)
+from repro.analysis.diagnostics import Diagnostic, RULES
 from repro.analysis.lockcheck import analyze_locks
 from repro.analysis.runner import run_analysis
 
@@ -32,7 +28,5 @@ __all__ = [
     "Diagnostic",
     "RULES",
     "analyze_locks",
-    "diff_against_baseline",
-    "load_baseline",
     "run_analysis",
 ]

@@ -1,6 +1,8 @@
-"""``python -m repro.analysis`` — the machine-facing lint entry point."""
+"""``python -m repro.analysis`` — ``repro lint`` under its module name."""
 
-from repro.analysis.runner import main
+import sys
+
+from repro.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(["lint", *sys.argv[1:]]))

@@ -1,31 +1,26 @@
 """The shared rule/diagnostic framework behind ``repro lint``.
 
 A :class:`Diagnostic` is one finding: rule id, repo-relative
-``file:line``, a message, and a fix hint.  Its ``key`` is the stable
-identity the baseline matches on — deliberately line-free (rule, file,
-and a symbolic subject such as ``DecisionJournal._writer_loop``) so an
-unrelated edit above a baselined finding does not resurrect it.
+``file:line``, a message, and a fix hint.
 
-Suppressions are explicit inline comments on the flagged line (or the
-line directly above it)::
+A finding is accepted by an inline comment on the flagged line (or the
+line directly above it) that gives the reason::
 
     self.hits += 1  # lint: unguarded-ok idempotent counter race
 
-Each token silences one rule family: ``unguarded-ok`` → ``L003``,
-``lock-ok`` → ``L001``/``L002``.
-Anything after the token is the (encouraged) justification.
-
-The baseline file is a JSON list of ``{"key", "rule", "justification"}``
-entries; :func:`diff_against_baseline` splits a run into *new* findings
-(fail CI), *accepted* ones (matched a baseline key), and *stale*
-baseline entries (the finding no longer fires — remove the entry, also
-a CI failure so the baseline can never rot).
+Each token accepts one rule family: ``unguarded-ok`` → ``L003``,
+``lock-ok`` → ``L001``/``L002``.  Anything after the token is the
+justification.  Only comment tokens count, so a docstring quoting the
+syntax accepts nothing.  An accept that silences no finding fails the
+run (:func:`unused_accepts`), so accepts cannot outlive their findings.
 """
 
 from __future__ import annotations
 
-import json
+import functools
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,13 +43,13 @@ RULES: "dict[str, tuple[str, str]]" = {
     ),
 }
 
-#: suppression comment token -> rule ids it silences
+#: accept comment token -> rule ids it accepts
 SUPPRESSION_TOKENS: "dict[str, tuple[str, ...]]" = {
     "unguarded-ok": ("L003",),
     "lock-ok": ("L001", "L002"),
 }
 
-_SUPPRESS_RE = re.compile(r"#\s*lint:\s*([a-z-]+)")
+_ACCEPT_RE = re.compile(r"#\s*lint:\s*([a-z-]+)")
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,7 @@ class Diagnostic:
     line: int
     message: str
     hint: str = ""
-    subject: str = ""  # stable symbolic anchor for the baseline key
-
-    @property
-    def key(self) -> str:
-        """Line-free identity the baseline matches on."""
-        return f"{self.rule}:{self.file}:{self.subject or self.line}"
+    subject: str = ""  # symbolic anchor, e.g. ``Class.method->call``
 
     @property
     def rule_name(self) -> str:
@@ -94,7 +84,7 @@ class Diagnostic:
             "line": self.line,
             "message": self.message,
             "hint": self.hint,
-            "key": self.key,
+            "subject": self.subject,
         }
 
 
@@ -107,81 +97,61 @@ class SourceFile:
     lines: "list[str]" = field(default_factory=list)
     tree: "object | None" = None  # ast.Module
 
-    def suppressed_rules(self, line: int) -> "set[str]":
-        """Rules silenced at ``line`` by a ``# lint:`` comment on it or
-        the line directly above."""
-        silenced: "set[str]" = set()
-        for lineno in (line, line - 1):
-            if 1 <= lineno <= len(self.lines):
-                for match in _SUPPRESS_RE.finditer(self.lines[lineno - 1]):
-                    silenced.update(SUPPRESSION_TOKENS.get(match.group(1), ()))
-        return silenced
+    @functools.cached_property
+    def accepts(self) -> "dict[int, str]":
+        """Line → token of each ``# lint: <token> <why>`` comment."""
+        text = "\n".join(self.lines) + "\n"
+        accepts = {}
+        if "lint:" not in text:
+            return accepts  # most files: skip the tokenizer
+        readline = io.StringIO(text).readline
+        for token in tokenize.generate_tokens(readline):
+            if token.type == tokenize.COMMENT:
+                match = _ACCEPT_RE.search(token.string)
+                if match is not None:
+                    accepts[token.start[0]] = match.group(1)
+        return accepts
+
+    def accepting_line(self, diag: Diagnostic) -> "int | None":
+        """The line of the comment that accepts ``diag``, if any: on the
+        flagged line or the line directly above."""
+        for line in (diag.line, diag.line - 1):
+            token = self.accepts.get(line)
+            if diag.rule in SUPPRESSION_TOKENS.get(token, ()):
+                return line
+        return None
 
 
 def apply_suppressions(
     diagnostics: "list[Diagnostic]", sources: "dict[str, SourceFile]"
 ) -> "list[Diagnostic]":
-    """Drop findings whose flagged line carries a matching suppression."""
-    kept = []
-    for diag in diagnostics:
-        source = sources.get(diag.file)
-        if source is not None and diag.rule in source.suppressed_rules(
-            diag.line
-        ):
-            continue
-        kept.append(diag)
-    return kept
+    """Drop findings that a ``# lint:`` comment accepts."""
+    return [
+        diag
+        for diag in diagnostics
+        if diag.file not in sources
+        or sources[diag.file].accepting_line(diag) is None
+    ]
+
+
+def unused_accepts(
+    diagnostics: "list[Diagnostic]", sources: "dict[str, SourceFile]"
+) -> "list[tuple[str, int, str]]":
+    """``(file, line, token)`` of every ``# lint:`` comment that accepts
+    none of ``diagnostics``: its finding is gone, or its token is not
+    one of :data:`SUPPRESSION_TOKENS`."""
+    used = {
+        (diag.file, sources[diag.file].accepting_line(diag))
+        for diag in diagnostics
+        if diag.file in sources
+    }
+    return [
+        (relpath, line, token)
+        for relpath, source in sorted(sources.items())
+        for line, token in sorted(source.accepts.items())
+        if (relpath, line) not in used
+    ]
 
 
 def sort_diagnostics(diagnostics: "list[Diagnostic]") -> "list[Diagnostic]":
     return sorted(diagnostics, key=lambda d: (d.file, d.line, d.rule, d.message))
-
-
-# ------------------------------------------------------------------ baseline
-def load_baseline(path) -> "list[dict]":
-    """The accepted-findings list (empty when the file is absent)."""
-    path = Path(path)
-    if not path.is_file():
-        return []
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: baseline must be a JSON list of entries")
-    entries = []
-    for index, entry in enumerate(payload):
-        if not isinstance(entry, dict) or "key" not in entry:
-            raise ValueError(
-                f"{path}: entry {index} must be an object with a 'key'"
-            )
-        entries.append(entry)
-    return entries
-
-
-def diff_against_baseline(
-    diagnostics: "list[Diagnostic]", baseline: "list[dict]"
-):
-    """Split a run into (new, accepted, stale-baseline-entries)."""
-    accepted_keys = {entry["key"] for entry in baseline}
-    seen_keys = {diag.key for diag in diagnostics}
-    new = [d for d in diagnostics if d.key not in accepted_keys]
-    accepted = [d for d in diagnostics if d.key in accepted_keys]
-    stale = [e for e in baseline if e["key"] not in seen_keys]
-    return new, accepted, stale
-
-
-def write_baseline(path, diagnostics: "list[Diagnostic]", previous) -> None:
-    """Rewrite the baseline for the current findings, keeping the
-    justification of every entry that survives."""
-    justifications = {entry["key"]: entry.get("justification", "") for entry in previous}
-    entries = [
-        {
-            "key": diag.key,
-            "rule": diag.rule,
-            "justification": justifications.get(
-                diag.key, "TODO: justify this accepted finding"
-            ),
-        }
-        for diag in sort_diagnostics(diagnostics)
-    ]
-    Path(path).write_text(
-        json.dumps(entries, indent=2) + "\n", encoding="utf-8"
-    )

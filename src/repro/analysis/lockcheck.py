@@ -493,8 +493,9 @@ class LockAnalyzer:
                 line=call.lineno,
                 message=message,
                 hint=(
-                    "move the blocking work outside the lock, or baseline "
-                    "it with a justification if the lock is a designed leaf"
+                    "move the blocking work outside the lock, or accept it "
+                    "with `# lint: lock-ok <why>` if the lock is a "
+                    "designed leaf"
                 ),
                 subject=f"{cls.name}.{method.name}->{target}",
             )

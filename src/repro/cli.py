@@ -38,9 +38,9 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import import_module
+from pathlib import Path
 from typing import Callable
 
-from repro.analysis.runner import add_lint_args, run_lint
 from repro.api import EngineService, EngineSpec, SimulateRequest
 from repro.core.adpar_variants import NORMS
 from repro.engine import default_registry, default_solver_registry
@@ -342,11 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
         dest="as_json",
         help="emit the full structured replay report as JSON",
     )
-    add_lint_args(
-        sub.add_parser(
-            "lint",
-            help="static lock-discipline analysis",
-        )
+    lint = sub.add_parser(
+        "lint",
+        help="static lock-discipline analysis",
+        description=(
+            "Static lock-discipline analysis: lock-order inversions, "
+            "blocking calls under a lock, unguarded attributes."
+        ),
+    )
+    lint.add_argument(
+        "--root",
+        type=Path,
+        default=None,
+        help=(
+            "repo root, which must hold src/repro "
+            "(default: auto-detect from cwd)"
+        ),
+    )
+    lint.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the machine-readable JSON report on stdout",
     )
     return parser
 
@@ -634,6 +650,9 @@ def main(argv: "list[str] | None" = None, out=None) -> int:
     if args.command == "replay":
         return run_replay(args, out)
     if args.command == "lint":
+        # Imported here so no other subcommand pays for the analyzer.
+        from repro.analysis.runner import run_lint
+
         return run_lint(args, out)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

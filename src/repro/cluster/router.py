@@ -132,6 +132,12 @@ class RouterService:
         #: server-side (simulate) — they exist only on one worker.
         self._placements = LRU(max(1, int(max_placements)))
         self._local = threading.local()
+        #: Every upstream client a pool thread opened: pool threads
+        #: outlive their requests, so :meth:`close` reaches them here.
+        self._clients: "set[ServiceClient]" = set()
+        self._clients_lock = maybe_guarded(
+            threading.Lock(), "RouterService._clients_lock"
+        )
         self._counters = {
             "forwarded": 0,
             "affinity_hits": 0,
@@ -192,12 +198,15 @@ class RouterService:
             )
 
     def close(self) -> None:
-        """Drop this thread's upstream connections (others die with
-        their threads — clients are daemon-thread-local)."""
-        clients = getattr(self._local, "clients", {})
-        for _address, client in clients.values():
+        """Close every upstream connection any thread opened.
+
+        A shutdown call: make it once the server has stopped and
+        :meth:`drain` has returned.
+        """
+        with self._clients_lock:
+            clients, self._clients = self._clients, set()
+        for client in clients:
             client.close()
-        clients.clear()
 
     # ------------------------------------------------------------- affinity
     def _forward_affine(self, payload, path) -> "tuple[int, bytes]":
@@ -419,9 +428,13 @@ class RouterService:
         cached = clients.get(slot)
         if cached is not None and cached[0] == address:
             return cached[1]
+        client = ServiceClient(address[0], address[1])
+        with self._clients_lock:
+            if cached is not None:
+                self._clients.discard(cached[1])
+            self._clients.add(client)
         if cached is not None:
             cached[1].close()
-        client = ServiceClient(address[0], address[1])
         clients[slot] = (address, client)
         return client
 
@@ -533,3 +546,4 @@ def serve_cluster(
         supervisor.stop()
         server.server_close()
         server.join()
+        router.close()

@@ -255,38 +255,6 @@ class EngineCache:
             registry if registry is not None else default_solver_registry(),
         )
 
-    def adpar_solve(
-        self,
-        ensemble: StrategyEnsemble,
-        availability: float,
-        request: DeploymentRequest,
-        solver: str = "adpar-exact",
-        options: "dict | None" = None,
-        registry: "SolverRegistry | None" = None,
-    ) -> ADPaRResult:
-        """Cached single-request solve; infeasibility is cached too.
-
-        An infeasible verdict is cached as the text its solve raised, so a
-        hit raises the same :class:`InfeasibleRequestError` message as the
-        miss did, whichever backend decided it.
-        """
-        key = self._adpar_key(ensemble, availability, request, solver, options, registry)
-        hit = self._adpar_results.get(key)
-        if hit is not None:
-            self._count_adpar(1, 0)
-            if isinstance(hit, str):
-                raise InfeasibleRequestError(hit)
-            return hit
-        self._count_adpar(0, 1)
-        backend = self.adpar_solver(ensemble, availability, solver, options, registry)
-        try:
-            result = backend.solve(request)
-        except InfeasibleRequestError as exc:
-            self._adpar_results.put(key, str(exc))
-            raise
-        self._adpar_results.put(key, result)
-        return result
-
     def adpar_solve_batch(
         self,
         ensemble: StrategyEnsemble,
@@ -296,8 +264,9 @@ class EngineCache:
         options: "dict | None" = None,
         registry: "SolverRegistry | None" = None,
     ) -> "list[ADPaRResult | str]":
-        """Cached batch solve; an infeasible request's entry is its
-        verdict's text, the message the scalar door raises.
+        """Cached batch solve; an infeasible request's entry is the text
+        its verdict raised, so a cache hit answers in the miss's words,
+        whichever backend decided it.
 
         Cache hits are answered in place, duplicate (params, k) pairs
         within the batch are solved once, and the remaining misses go to
@@ -343,16 +312,20 @@ class EngineCache:
                 solved: "list[ADPaRResult | str]" = backend.solve_batch(
                     [request for _, request in feasible]
                 )
-            except InfeasibleRequestError:
+            except InfeasibleRequestError as refusal:
                 # A backend refused mid-batch (every request resolves or
-                # none does in solve_batch): re-solve per request so one
-                # infeasible request cannot abort its batchmates.
-                solved = []
-                for _key, request in feasible:
-                    try:
-                        solved.append(backend.solve(request))
-                    except InfeasibleRequestError as exc:
-                        solved.append(str(exc))
+                # none does in solve_batch).  A lone request's refusal is
+                # its verdict; a larger batch is re-solved per request so
+                # one infeasible request cannot abort its batchmates.
+                if len(feasible) == 1:
+                    solved = [str(refusal)]
+                else:
+                    solved = []
+                    for _key, request in feasible:
+                        try:
+                            solved.append(backend.solve(request))
+                        except InfeasibleRequestError as exc:
+                            solved.append(str(exc))
             answers.extend(zip([key for key, _ in feasible], solved))
         for key, result in answers:
             self._adpar_results.put(key, result)

@@ -371,17 +371,9 @@ class RecommendationEngine:
 
         ``solver`` overrides the engine's default backend per call.
         Results are cached by (ensemble, availability, params, k, solver,
-        options).
+        options).  A one-request :meth:`recommend_alternatives`.
         """
-        request = self._as_adpar_request(request, k)
-        return self.cache.adpar_solve(
-            self.ensemble,
-            self.availability,
-            request,
-            solver=solver if solver is not None else self.solver_name,
-            options=self._solver_options,
-            registry=self.solver_registry,
-        )
+        return self.recommend_alternatives([request], k, solver)[0]
 
     def recommend_alternatives(
         self,
@@ -389,18 +381,18 @@ class RecommendationEngine:
         k: "int | None" = None,
         solver: "str | None" = None,
     ) -> list[ADPaRResult]:
-        """Batch :meth:`recommend_alternative` over shared geometry (§4).
+        """Closest alternative parameters for many requests over shared
+        geometry (§4).
 
-        Results are identical — request for request — to the scalar
-        method, but cache misses are routed through the backend's
+        Cache misses are routed through the backend's
         :meth:`~repro.engine.solvers.AdparSolver.solve_batch`, which
         amortizes the relaxation geometry across the whole batch (a
         5-60x speedup for ``adpar-exact`` on Figure-18-scale ensembles;
         ``benchmarks/bench_adpar_solvers.py`` pins it).  ``k``, when
         given, overrides every request's own ``k``.  Raises
-        :class:`InfeasibleRequestError` if any request is infeasible,
-        like the scalar path; callers that want per-request verdicts
-        should resolve through :meth:`resolve`.
+        :class:`InfeasibleRequestError` with the first infeasible
+        request's verdict; callers that want per-request verdicts should
+        resolve through :meth:`resolve`.
         """
         prepared = [self._as_adpar_request(r, k) for r in requests]
         results = self._alternatives_for(prepared, solver=solver)

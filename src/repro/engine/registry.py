@@ -23,7 +23,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.baselines.batch_bruteforce import batch_brute_force
 from repro.baselines.batch_greedy import BaselineG
@@ -34,6 +34,7 @@ from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.core.workforce import WorkforceComputer
 from repro.exceptions import UnknownPlannerError
+from repro.utils.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ class Planner(Protocol):
     ) -> BatchOutcome:
         """Select and equip the subset of ``requests`` to satisfy."""
         ...
-
-
-PlannerFactory = Callable[[PlannerContext, dict], "Planner"]
 
 
 class _BatchStratPlanner:
@@ -141,39 +139,12 @@ class _BruteForcePlanner:
         )
 
 
-class PlannerRegistry:
-    """Name → planner-factory mapping with typed error handling."""
+class PlannerRegistry(Registry):
+    """Name → planner factory ``(PlannerContext, options) -> Planner``;
+    an unknown name raises :class:`UnknownPlannerError`."""
 
-    def __init__(self):
-        self._factories: "dict[str, PlannerFactory]" = {}
-        self._descriptions: dict[str, str] = {}
-
-    def register(
-        self,
-        name: str,
-        factory: PlannerFactory,
-        description: str = "",
-        replace: bool = False,
-    ) -> None:
-        """Register a backend; re-registering a name requires ``replace``."""
-        if not name:
-            raise ValueError("planner name must be non-empty")
-        if name in self._factories and not replace:
-            raise ValueError(f"planner {name!r} is already registered")
-        self._factories[name] = factory
-        self._descriptions[name] = description
-
-    def names(self) -> list[str]:
-        """Registered backend names, sorted."""
-        return sorted(self._factories)
-
-    def describe(self, name: str) -> str:
-        if name not in self._factories:
-            raise UnknownPlannerError(name)
-        return self._descriptions.get(name, "")
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
+    kind = "planner backend"
+    error = UnknownPlannerError
 
     def create(
         self,
@@ -182,14 +153,7 @@ class PlannerRegistry:
         options: "dict | None" = None,
     ) -> Planner:
         """Instantiate a backend for one engine context."""
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            known = ", ".join(self.names()) or "<none>"
-            raise UnknownPlannerError(
-                f"unknown planner backend {name!r}; registered: {known}"
-            ) from None
-        return factory(context, dict(options or {}))
+        return self.get(name)(context, dict(options or {}))
 
 
 def _builtin_registry() -> PlannerRegistry:

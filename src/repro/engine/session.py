@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 from repro.core.request import DeploymentRequest
 from repro.core.streaming import StreamDecision, StreamStatus
 from repro.core.workforce import RequestWorkforce
-from repro.exceptions import ApiError, InfeasibleRequestError
+from repro.exceptions import ApiError
 from repro.utils.lockdebug import maybe_guarded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -222,7 +222,7 @@ class EngineSession:
             if self._fits_platform(need):
                 return self._admit_or_defer(request, need)
             return self._fallback_decision(
-                request, self._solve_alternative(request)
+                request, self.engine._alternatives_for([request])[0]
             )
 
     def submit_many(
@@ -311,14 +311,6 @@ class EngineSession:
         # Would fit an empty platform: defer rather than mutate params.
         self._push_deferred(request, need)
         return StreamDecision(request=request, status=StreamStatus.DEFERRED)
-
-    def _solve_alternative(
-        self, request: DeploymentRequest
-    ) -> "ADPaRResult | str":
-        try:
-            return self.engine.recommend_alternative(request)
-        except InfeasibleRequestError as exc:
-            return str(exc)
 
     def _fallback_decision(
         self, request: DeploymentRequest, result: "ADPaRResult | str"

@@ -49,7 +49,7 @@ import math
 import threading
 from dataclasses import dataclass
 from dataclasses import replace as _dataclass_replace
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
 from repro.exceptions import InfeasibleRequestError, UnknownSolverError
 from repro.geometry.sweepline import FrontierCursor
+from repro.utils.registry import Registry
 
 _EPS = 1e-12
 
@@ -129,9 +130,6 @@ class AdparSolver(Protocol):
     ) -> list[ADPaRResult]:
         """Solve many requests over the shared geometry in one call."""
         ...
-
-
-SolverFactory = Callable[[SolverContext, dict], "AdparSolver"]
 
 
 def solver_options_key(options: "dict | None") -> tuple:
@@ -674,39 +672,12 @@ class BruteForceSolver(_ScalarLoopMixin):
 
 
 # ------------------------------------------------------------------ registry
-class SolverRegistry:
-    """Name → solver-factory mapping with typed error handling."""
+class SolverRegistry(Registry):
+    """Name → solver factory ``(SolverContext, options) -> AdparSolver``;
+    an unknown name raises :class:`UnknownSolverError`."""
 
-    def __init__(self):
-        self._factories: "dict[str, SolverFactory]" = {}
-        self._descriptions: dict[str, str] = {}
-
-    def register(
-        self,
-        name: str,
-        factory: SolverFactory,
-        description: str = "",
-        replace: bool = False,
-    ) -> None:
-        """Register a backend; re-registering a name requires ``replace``."""
-        if not name:
-            raise ValueError("solver name must be non-empty")
-        if name in self._factories and not replace:
-            raise ValueError(f"solver {name!r} is already registered")
-        self._factories[name] = factory
-        self._descriptions[name] = description
-
-    def names(self) -> list[str]:
-        """Registered backend names, sorted."""
-        return sorted(self._factories)
-
-    def describe(self, name: str) -> str:
-        if name not in self._factories:
-            raise UnknownSolverError(name)
-        return self._descriptions.get(name, "")
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
+    kind = "solver backend"
+    error = UnknownSolverError
 
     def create(
         self,
@@ -715,14 +686,7 @@ class SolverRegistry:
         options: "dict | None" = None,
     ) -> AdparSolver:
         """Instantiate a backend for one estimation context."""
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            known = ", ".join(self.names()) or "<none>"
-            raise UnknownSolverError(
-                f"unknown solver backend {name!r}; registered: {known}"
-            ) from None
-        return factory(context.with_space(), dict(options or {}))
+        return self.get(name)(context.with_space(), dict(options or {}))
 
 
 def _builtin_registry() -> SolverRegistry:

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.params import TriParams
 from repro.core.request import DeploymentRequest
 from repro.core.strategy import StrategyEnsemble
+from repro.utils.registry import Registry
 from repro.utils.rng import ensure_rng
 
 #: The paper's two dimension-value distributions (§5.2.2).  The full set
@@ -113,8 +114,15 @@ def _sample_mixture(
     return out.reshape(size)
 
 
-_SAMPLERS: "dict[str, DistributionSampler]" = {}
-_SAMPLER_DESCRIPTIONS: dict[str, str] = {}
+class _Distributions(Registry):
+    """Name → :data:`DistributionSampler`; an unknown name is a
+    ``ValueError``, as any other bad generator argument."""
+
+    kind = "distribution"
+    error = ValueError
+
+
+_DISTRIBUTIONS = _Distributions()
 
 
 def register_distribution(
@@ -124,17 +132,12 @@ def register_distribution(
     replace: bool = False,
 ) -> None:
     """Register a pluggable dimension-value sampler under ``name``."""
-    if not name:
-        raise ValueError("distribution name must be non-empty")
-    if name in _SAMPLERS and not replace:
-        raise ValueError(f"distribution {name!r} is already registered")
-    _SAMPLERS[name] = sampler
-    _SAMPLER_DESCRIPTIONS[name] = description
+    _DISTRIBUTIONS.register(name, sampler, description, replace)
 
 
 def distribution_names() -> "tuple[str, ...]":
     """Every registered distribution name, sorted."""
-    return tuple(sorted(_SAMPLERS))
+    return tuple(_DISTRIBUTIONS.names())
 
 
 register_distribution(
@@ -161,13 +164,7 @@ def _dimension_values(
     distribution: str,
     options: "dict | None" = None,
 ) -> np.ndarray:
-    sampler = _SAMPLERS.get(distribution)
-    if sampler is None:
-        raise ValueError(
-            f"distribution must be one of {distribution_names()}, "
-            f"got {distribution!r}"
-        )
-    return sampler(rng, size, dict(options or {}))
+    return _DISTRIBUTIONS.get(distribution)(rng, size, dict(options or {}))
 
 
 def generate_strategy_ensemble(

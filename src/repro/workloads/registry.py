@@ -1,10 +1,10 @@
 """The scenario registry: named workload families behind one seam.
 
-Exactly parallel to :class:`~repro.engine.registry.PlannerRegistry` and
-:class:`~repro.engine.solvers.SolverRegistry`: stable names map to
-frozen :class:`~repro.workloads.spec.ScenarioSpec` values, so the CLI
-(``repro simulate <name>``), the service (``simulate`` envelopes naming
-a family), the platform simulator and the fig-runners all draw workloads
+A :class:`~repro.utils.registry.Registry`, like the planner and solver
+backends: stable names map to frozen
+:class:`~repro.workloads.spec.ScenarioSpec` values, so the CLI (``repro
+simulate <name>``), the service (``simulate`` envelopes naming a
+family), the platform simulator and the fig-runners all draw workloads
 from one catalog instead of hand-wiring generator calls.
 
 The built-in catalog covers the paper's §5.2.2 defaults plus the
@@ -18,9 +18,10 @@ deferred churn, diurnal and adversarial arrivals).  ``create(name,
 
 from __future__ import annotations
 
-from dataclasses import replace
+import dataclasses
 
 from repro.exceptions import UnknownScenarioError
+from repro.utils.registry import Registry
 from repro.workloads.spec import (
     ArrivalSpec,
     EnsembleSpec,
@@ -29,46 +30,21 @@ from repro.workloads.spec import (
 )
 
 
-class ScenarioRegistry:
-    """Name → :class:`ScenarioSpec` mapping with typed error handling."""
+class ScenarioRegistry(Registry):
+    """Name → :class:`ScenarioSpec`; an unknown name raises
+    :class:`UnknownScenarioError`."""
 
-    def __init__(self):
-        self._specs: "dict[str, ScenarioSpec]" = {}
+    kind = "scenario"
+    error = UnknownScenarioError
 
     def register(
-        self,
-        name: str,
-        spec: ScenarioSpec,
-        replace_existing: bool = False,
+        self, name: str, spec: ScenarioSpec, replace: bool = False
     ) -> None:
-        """Register a scenario family; re-registering needs ``replace_existing``."""
-        if not name:
-            raise ValueError("scenario name must be non-empty")
-        if name in self._specs and not replace_existing:
-            raise ValueError(f"scenario {name!r} is already registered")
+        """Register a family under ``name``, stamping the name on its spec;
+        its description is the spec's own."""
         if spec.name != name:
-            spec = replace(spec, name=name)
-        self._specs[name] = spec
-
-    def names(self) -> list[str]:
-        """Registered scenario names, sorted."""
-        return sorted(self._specs)
-
-    def describe(self, name: str) -> str:
-        return self.get(name).description
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def get(self, name: str) -> ScenarioSpec:
-        """The registered spec for ``name`` (frozen; copy via ``with_``)."""
-        spec = self._specs.get(name)
-        if spec is None:
-            known = ", ".join(self.names()) or "<none>"
-            raise UnknownScenarioError(
-                f"unknown scenario {name!r}; registered: {known}"
-            )
-        return spec
+            spec = dataclasses.replace(spec, name=name)
+        super().register(name, spec, spec.description, replace=replace)
 
     def create(self, name: str, **overrides) -> ScenarioSpec:
         """One family instance, with sweep overrides applied."""

@@ -19,12 +19,15 @@ builds its own.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +78,7 @@ def cluster():
     try:
         yield supervisor, router
     finally:
+        router.close()
         supervisor.stop()
 
 
@@ -241,8 +245,6 @@ def test_stats_aggregates_shards_and_router_counters(cluster):
 
 def test_router_http_front_door_proxies_end_to_end(cluster):
     _supervisor, router = cluster
-    import threading
-
     server = make_router_server(router)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -271,6 +273,39 @@ def test_router_http_front_door_proxies_end_to_end(cluster):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def test_close_closes_the_upstream_connections_of_every_thread(cluster):
+    """Pool threads outlive their requests, so ``close`` must reach the
+    upstream connections each thread opened, not only the caller's."""
+    supervisor, _router = cluster
+    router = RouterService(supervisor)
+    answers = []
+
+    def route():
+        answers.append(router.handle_dict(envelope("stats")))
+
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        threads = [threading.Thread(target=route) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        router.close()
+        del threads
+        gc.collect()
+    assert [answer["type"] for answer in answers] == ["stats_result"] * 2
+    ports = [supervisor.address(slot)[1] for slot in supervisor.slots()]
+    unclosed = [
+        str(warning.message)
+        for warning in caught
+        if "unclosed" in str(warning.message)
+        and any(f", {port})" in str(warning.message) for port in ports)
+    ]
+    assert unclosed == []
 
 
 def test_killed_worker_is_survived():
@@ -317,6 +352,7 @@ def test_killed_worker_is_survived():
         new_pid = dict(zip(supervisor.slots(), supervisor.worker_pids()))[owner]
         assert new_pid != victim_pid
     finally:
+        router.close()
         supervisor.stop()
 
 
@@ -413,6 +449,7 @@ def test_killed_worker_sessions_survive_with_journal(tmp_path):
         assert stats["journal"]["restores"] >= 1
         assert stats["journal"]["events"] > 0
     finally:
+        router.close()
         supervisor.stop()
 
 

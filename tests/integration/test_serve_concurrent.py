@@ -299,6 +299,7 @@ def test_cluster_decisions_identical_to_serial_replay():
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+            router.close()
     finally:
         supervisor.stop()
 

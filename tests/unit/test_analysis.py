@@ -2,9 +2,10 @@
 
 The lock pass must catch its seeded-bad fixture (exact rule ids and
 locations), leave the known-good fixture clean, and — the live gate —
-find nothing new in this repository beyond the committed baseline.  The
-runtime lock-order asserter is exercised both synthetically and against
-real service traffic, corroborating the static lock graph.
+find nothing in this repository that no inline ``# lint:`` comment
+accepts, with no accept left over.  The runtime lock-order asserter is
+exercised both synthetically and against real service traffic,
+corroborating the static lock graph.
 """
 
 import ast
@@ -15,16 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Diagnostic,
-    RULES,
-    analyze_locks,
-    diff_against_baseline,
-    load_baseline,
-    run_analysis,
-)
+from repro.analysis import RULES, analyze_locks, run_analysis
 from repro.analysis.diagnostics import SourceFile, apply_suppressions
-from repro.analysis.runner import collect_sources, default_baseline_path
+from repro.analysis.runner import collect_sources
 from repro.api import EngineService, EngineSpec, SubmitBatchRequest
 from repro.cli import main as cli_main
 from repro.journal import DecisionJournal
@@ -113,58 +107,65 @@ class TestLockcheck:
         diagnostics, _ = analyze_locks(load_fixtures("good_locks.py"))
         assert not [d for d in diagnostics if d.rule == "L003"]
 
-
-class TestBaselineWorkflow:
-    def _diag(self, rule="L002", subject="A.b->c"):
-        return Diagnostic(
-            rule=rule,
-            file="src/x.py",
-            line=10,
-            message="m",
-            subject=subject,
-        )
-
-    def test_keys_are_line_free(self):
-        a = self._diag()
-        b = Diagnostic(
-            rule="L002", file="src/x.py", line=99, message="m", subject="A.b->c"
-        )
-        assert a.key == b.key  # an edit above the finding can't break CI
-
-    def test_diff_splits_new_accepted_stale(self):
-        found = [self._diag(subject="A.b->c"), self._diag(subject="A.d->e")]
-        baseline = [
-            {"key": found[0].key, "rule": "L002", "justification": "leaf"},
-            {"key": "L002:src/gone.py:Z.z->q", "rule": "L002"},
-        ]
-        new, accepted, stale = diff_against_baseline(found, baseline)
-        assert [d.subject for d in new] == ["A.d->e"]
-        assert [d.subject for d in accepted] == ["A.b->c"]
-        assert [e["key"] for e in stale] == ["L002:src/gone.py:Z.z->q"]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == []
-
     def test_every_rule_has_a_catalog_entry(self):
         diagnostics, _ = analyze_locks(load_fixtures("bad_locks.py"))
         assert all(d.rule in RULES for d in diagnostics)
+
+
+class TestInlineAccepts:
+    def test_an_accept_that_silences_nothing_fails_the_run(self, tmp_path):
+        module = tmp_path / "src" / "repro" / "counter.py"
+        module.parent.mkdir(parents=True)
+        text = (
+            '"""Quotes the syntax: ``# lint: lock-ok <why>``."""\n'
+            "import threading\n"
+            "\n"
+            "\n"
+            "class Counter:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self.hits = 0\n"
+            "\n"
+            "    def bump(self):\n"
+            "        with self._lock:\n"
+            "            # lint: lock-ok nothing here blocks\n"
+            "            self.hits += 1\n"
+        )
+        module.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        assert cli_main(["lint", "--root", str(tmp_path)], out) == 1
+        assert out.getvalue().splitlines()[0] == (
+            "src/repro/counter.py:12: `# lint: lock-ok` accepts no "
+            "finding — remove it"
+        )
+        # Without the seeded comment the tree is clean: the docstring
+        # quoting the syntax is not an accept.
+        module.write_text(
+            text.replace("            # lint: lock-ok nothing here blocks\n", ""),
+            encoding="utf-8",
+        )
+        assert cli_main(["lint", "--root", str(tmp_path)], io.StringIO()) == 0
+
+    def test_every_accept_in_src_gives_a_reason(self):
+        tokens = []
+        for relpath, source in collect_sources(REPO_ROOT).items():
+            for line, token in source.accepts.items():
+                reason = source.lines[line - 1].partition(f"lint: {token}")[2]
+                assert reason.strip(), f"{relpath}:{line} gives no reason"
+                tokens.append((relpath, token))
+        # The journal's leaf-lock flushes are accepted inline.
+        assert tokens.count(("src/repro/journal/journal.py", "lock-ok")) == 3
 
 
 class TestSelfScan:
     def test_live_repo_is_clean_modulo_baseline(self):
         report = run_analysis(REPO_ROOT)
         assert report.clean, (
-            "new findings (or stale baseline entries) in the live repo:\n"
+            "findings no comment accepts (or accepts that silence "
+            "nothing) in the live repo:\n"
             + "\n".join(d.render() for d in report.new)
-            + "\n".join(str(e) for e in report.stale)
+            + "\n".join(str(unused) for unused in report.unused)
         )
-
-    def test_baselined_findings_carry_justifications(self):
-        baseline = load_baseline(default_baseline_path(REPO_ROOT))
-        assert baseline, "expected the journal leaf-lock accepts"
-        for entry in baseline:
-            assert entry.get("justification", "").strip(), entry["key"]
-            assert not entry["justification"].startswith("TODO"), entry["key"]
 
     def test_cli_lint_is_clean(self):
         out = io.StringIO()

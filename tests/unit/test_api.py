@@ -197,6 +197,7 @@ def upstream_unavailable(monkeypatch):
         status, body = router.forward(
             payload, json.dumps(payload).encode(), API_PATH
         )
+        router.close()
     return status, json.loads(body)
 
 

@@ -390,7 +390,7 @@ def loaded(*packages):
 import repro.api, repro.cluster, repro.journal
 serving = loaded("scipy", "repro.experiments", "repro.analysis")
 import repro.cli
-cli = loaded("scipy", "repro.experiments")
+cli = loaded("scipy", "repro.experiments", "repro.analysis")
 sys.modules["scipy"] = None  # any later `import scipy` raises ImportError
 out = io.StringIO()
 code = repro.cli.main(["replay", "tests/golden/recorded"], out=out)

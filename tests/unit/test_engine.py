@@ -35,11 +35,13 @@ def _refusing_registry() -> SolverRegistry:
 
     class Refuses:
         name = "refuses"
+        solves = 0  # every request this backend was asked to solve
 
         def __init__(self, context, options):
             self.space = context.space
 
         def solve(self, request, k=None):
+            Refuses.solves += 1
             raise InfeasibleRequestError(REFUSAL)
 
         def solve_batch(self, requests, k=None):
@@ -247,6 +249,31 @@ class TestEngineAPI:
             "infeasible_request",
             REFUSAL,
         )
+
+    def test_a_lone_refused_request_is_solved_once(self, table1_ensemble):
+        """A one-request batch takes the backend's refusal as its
+        verdict instead of solving the request a second time."""
+        registry = _refusing_registry()
+        engine = RecommendationEngine(
+            table1_ensemble, 0.8, solver="refuses", solver_registry=registry
+        )
+        refuses = registry.get("refuses")
+        for i, door in enumerate(
+            (
+                engine.recommend_alternative,
+                lambda r: engine.recommend_alternatives([r]),
+            )
+        ):
+            request = DeploymentRequest("a", TriParams(0.9, 0.1 * (i + 1), 0.1), k=2)
+            with pytest.raises(InfeasibleRequestError, match=REFUSAL):
+                door(request)
+            assert refuses.solves == i + 1
+        session = engine.open_session()
+        decision = session.submit(
+            DeploymentRequest("s", TriParams(0.99, 0.01, 0.01), k=2)
+        )
+        assert decision.status is StreamStatus.INFEASIBLE
+        assert refuses.solves == 3
 
     def test_duplicate_request_ids_rejected(self, engine):
         request = DeploymentRequest("dup", TriParams(0.5, 0.5, 0.5), k=1)

@@ -95,7 +95,7 @@ class TestScenarioRegistry:
         registry.register("mine", spec)
         with pytest.raises(ValueError):
             registry.register("mine", spec)
-        registry.register("mine", spec.with_(seed=99), replace_existing=True)
+        registry.register("mine", spec.with_(seed=99), replace=True)
         assert registry.get("mine").seed == 99
 
     def test_create_applies_flat_overrides(self):
